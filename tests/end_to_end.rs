@@ -737,3 +737,73 @@ fn stadium_sweep_identical_across_thread_counts() {
     assert_eq!(serial, sweep(2));
     assert_eq!(serial, sweep(4));
 }
+
+/// Golden pins for the shared-medium paths the cells above leave
+/// uncovered: an EdgeSim stadium cell whose capacity flips under
+/// cross-traffic, and a 64-session population walking across two cells
+/// (dense lanes, frequent handovers). Each line, the medium's re-solve
+/// count included, is pinned bit-for-bit under both future-event-list
+/// implementations.
+#[test]
+fn cross_traffic_and_dense_mobility_cells_are_pinned() {
+    let cell = edgelink::SharedCell {
+        cross: Some(edgelink::CrossTraffic {
+            load_mbps: 50.0,
+            period_ms: 40.0,
+            duty: 0.5,
+        }),
+        ..edgelink::SharedCell::stadium()
+    };
+    let golden_cross = "server=(201, 37, 199) retransmits=5 reallocs=913 delivered=416b140000000000 in_flight=411ff445ce6cc36c p95_ms=[214.807643,205.668113,282.603154,177.498409,198.959876,197.567111,223.039501,189.096581,214.544325,168.819302,191.685455,175.592760,222.597326,204.340618,292.525707,169.154560]";
+    let golden_dense = "{\"sweep\":\"stadium_mobility\",\"fleet\":64,\"sessions\":73,\"handovers\":11,\"submitted\":863,\"completed\":809,\"dropped\":0,\"rejects\":0,\"p50_ms\":71.795178,\"p95_ms\":299.906275,\"mean_ms\":102.692447,\"retransmits\":25} reallocs=3332";
+    for queue in [simcore::QueueKind::Heap, simcore::QueueKind::Calendar] {
+        let specs = (0..16)
+            .map(|i| edgelink::ClientSpec::mar_default(format!("c{i}")))
+            .collect();
+        let mut sim = edgelink::EdgeSim::new_shared_traced_with_queue(
+            edgelink::LinkParams::wifi(),
+            edgelink::ServerParams::small(),
+            cell,
+            specs,
+            2024,
+            simcore::trace::Tracer::disabled(),
+            queue,
+        );
+        sim.run_for_secs(2.0);
+        let m = sim.medium().expect("shared cell exposes the medium");
+        let p95: Vec<String> = (0..sim.client_count())
+            .map(|c| {
+                format!(
+                    "{:.6}",
+                    sim.metrics(c).latency_percentile_ms(0.95).unwrap_or(-1.0)
+                )
+            })
+            .collect();
+        let got = format!(
+            "server={:?} retransmits={} reallocs={} delivered={:x} in_flight={:x} p95_ms=[{}]",
+            sim.server_counters(),
+            sim.total_retransmits(),
+            sim.medium_reallocs(),
+            m.delivered_bytes().to_bits(),
+            m.in_flight_bytes().to_bits(),
+            p95.join(",")
+        );
+        assert_eq!(
+            got,
+            golden_cross,
+            "cross-traffic stadium cell drifted on the {} queue",
+            queue.name()
+        );
+        let fleet = marsim::FleetSpec::mar_default(64)
+            .with_horizon(2.0)
+            .with_queue(queue);
+        let r = marsim::run_mobility_cell(&fleet, marsim::runner::job_seed(2024, 8));
+        let got = format!("{} reallocs={}", r.row, r.telemetry.medium_reallocs);
+        assert_eq!(
+            got,
+            golden_dense,
+            "64-session mobility cell drifted on the {} queue",
+            queue.name()
+        );
+    }
+}
