@@ -41,7 +41,7 @@ use simcore::trace::{Tracer, TrackId};
 use simcore::{QueueKind, Scheduler, SimDuration, SimTime, Simulator};
 
 use crate::link::{plan_transfer, Direction, LinkParams};
-use crate::medium::{Medium, MediumParams, Mobility};
+use crate::medium::{Completion, Medium, MediumParams, Mobility};
 use crate::server::{Admission, EdgeServer, ServerParams};
 use crate::sim::ClientSpec;
 
@@ -385,6 +385,9 @@ struct ClusterState {
     servers: Vec<ServerState>,
     /// The contended cells, when sessions run shared radios.
     medium: Option<Medium<(usize, u64)>>,
+    /// Completion buffer [`Medium::advance`] fills on each wake, reused
+    /// across wakes.
+    medium_done: Vec<Completion<(usize, u64)>>,
     /// Next server index for round-robin.
     rr_next: usize,
     /// Peak admission-queue depth across all servers.
@@ -513,6 +516,7 @@ impl ClusterSim {
                 sessions: states,
                 servers,
                 medium,
+                medium_done: Vec::new(),
                 rr_next: 0,
                 peak_queue: 0,
                 departed: 0,
@@ -842,18 +846,17 @@ impl ClusterState {
     /// to the same post-serialization path the private lanes use.
     fn medium_wake(&mut self, sched: &mut Sched<'_>, gen: u64) {
         let now = sched.now();
-        let mut done = Vec::new();
-        {
-            let m = self.medium.as_mut().expect("medium wake without a medium");
-            if gen != m.wake_gen() {
-                return;
-            }
-            m.advance(now, &mut done);
+        let m = self.medium.as_mut().expect("medium wake without a medium");
+        if gen != m.wake_gen() {
+            return;
         }
-        for c in done {
+        let mut done = std::mem::take(&mut self.medium_done);
+        m.advance(now, &mut done);
+        for c in done.drain(..) {
             let (session, seq) = c.key;
             self.transfer_done(sched, session, c.dir, seq);
         }
+        self.medium_done = done;
         self.emit_cell_counters(now);
         self.reschedule_wake(sched);
     }

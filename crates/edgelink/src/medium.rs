@@ -13,13 +13,30 @@
 //!
 //! Following the dslab-network shared-bandwidth design, each in-flight
 //! transfer tracks `remaining` bytes rather than a fixed completion time.
-//! Whenever the allocation changes, every affected flow is *settled*
-//! (`remaining -= rate × elapsed`) and its completion deadline recomputed
-//! from the new rate. [`simcore`]'s scheduler has no event cancellation, so
-//! the host simulator keeps exactly one logical wake-up outstanding: it
-//! schedules an event at [`Medium::next_deadline`] carrying
-//! [`Medium::wake_gen`], and ignores any event whose generation is stale.
-//! Every mutation bumps the generation.
+//! At every boundary (flow start, completion instant, mobility tick,
+//! cross-traffic flip) every flow is *settled* (`remaining -= rate ×
+//! elapsed`), the allocation is re-solved, and every flow's completion
+//! deadline is recomputed from its settled `remaining`. [`simcore`]'s
+//! scheduler has no event cancellation, so the host simulator keeps
+//! exactly one logical wake-up outstanding: it schedules an event at
+//! [`Medium::next_deadline`] carrying [`Medium::wake_gen`], and ignores any
+//! event whose generation is stale. Every mutation bumps the generation.
+//!
+//! The re-solve is incremental. Each `(cell, direction)` lane caches its
+//! water-fill order, the active flows sorted by `(client cap, slot)`, and
+//! the effective capacity its stored rates were solved under. A lane turns
+//! *dirty* when its membership or a member's cap changes: a flow starts or
+//! completes in it, or a mobility tick moves a member's cap or hands the
+//! member over. Only a dirty lane re-sorts its order; a clean lane whose
+//! capacity is bit-equal to the last solve's keeps its stored rates, since
+//! water-filling the same order under the same capacity gives the same
+//! bits. The earliest completion deadline is folded during the re-solve
+//! and the earliest mobility tick is cached, so [`Medium::next_deadline`]
+//! only scans the cells for cross-traffic flips. Deadlines themselves are
+//! still recomputed for every flow at every boundary: `remaining` is
+//! settled there, and computing `ceil(remaining / rate)` from a different
+//! settlement point would round differently and could reorder events that
+//! land on the same instant.
 //!
 //! # Fair share
 //!
@@ -411,6 +428,49 @@ struct FlowState<K> {
     done_at: Option<SimTime>,
 }
 
+/// The completion deadline of a flow settled at `settled_at` with
+/// `remaining` bytes left at `rate` (`None` if starved).
+fn deadline(settled_at: SimTime, remaining: f64, rate: f64) -> Option<SimTime> {
+    (rate > 0.0).then(|| {
+        let ns = (remaining / rate).ceil().max(1.0);
+        settled_at + SimDuration::from_nanos(ns as u64)
+    })
+}
+
+/// Max-min water-filling of `capacity` over `order`, ascending by
+/// `(cap, slot)`: flows below the equal share take their cap, the rest
+/// split the residue evenly. Calls `set(slot, rate)` in order.
+fn water_fill(capacity: f64, order: &[(f64, usize)], mut set: impl FnMut(usize, f64)) {
+    let mut left = capacity;
+    let mut n_left = order.len();
+    for &(cap, slot) in order {
+        let share = left / n_left as f64;
+        let rate = cap.min(share).max(0.0);
+        left -= rate;
+        n_left -= 1;
+        set(slot, rate);
+    }
+}
+
+/// Sorts a water-fill order: `(client cap, slot)` ascending.
+fn sort_order(order: &mut [(f64, usize)]) {
+    order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+}
+
+/// One `(cell, direction)` pool: its active flows and its cached solve.
+#[derive(Debug, Clone, Default)]
+struct Lane {
+    /// Active flow slots, ascending after every solve.
+    slots: Vec<usize>,
+    /// Water-fill order, `(client cap, slot)` ascending; current unless
+    /// `dirty`.
+    order: Vec<(f64, usize)>,
+    /// Membership or a member's cap changed since the last solve.
+    dirty: bool,
+    /// Effective capacity (bytes/ns) the members' rates were solved under.
+    capacity: f64,
+}
+
 /// A completed transfer, as reported by [`Medium::advance`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Completion<K> {
@@ -430,8 +490,12 @@ pub struct Medium<K: Copy> {
     clients: Vec<ClientState>,
     flows: Vec<Option<FlowState<K>>>,
     free: Vec<usize>,
-    /// Per `(cell, dir as index)`: active flow slots.
-    active: Vec<[Vec<usize>; 2]>,
+    /// Per `(cell, dir as index)`: active flows and the cached solve.
+    lanes: Vec<[Lane; 2]>,
+    /// Earliest flow completion deadline, folded by the last solve.
+    next_done: Option<SimTime>,
+    /// Earliest mobility tick across all clients.
+    next_tick: Option<SimTime>,
     wake_gen: u64,
     /// Instant of the last rate solve (for invariant checking).
     resolved_at: SimTime,
@@ -456,17 +520,15 @@ impl<K: Copy> Medium<K> {
     /// Panics if `params` fail [`MediumParams::validate`].
     pub fn new(params: MediumParams) -> Self {
         params.validate();
-        let active = params
-            .cells
-            .iter()
-            .map(|_| [Vec::new(), Vec::new()])
-            .collect();
+        let lanes = params.cells.iter().map(|_| Default::default()).collect();
         Medium {
             params,
             clients: Vec::new(),
             flows: Vec::new(),
             free: Vec::new(),
-            active,
+            lanes,
+            next_done: None,
+            next_tick: None,
             wake_gen: 0,
             resolved_at: SimTime::ZERO,
             offered_bytes: 0.0,
@@ -507,6 +569,7 @@ impl<K: Copy> Medium<K> {
             next_tick,
             handovers: 0,
         });
+        self.next_tick = self.next_tick.into_iter().chain(next_tick).min();
         self.wake_gen += 1;
         self.clients.len() - 1
     }
@@ -534,7 +597,9 @@ impl<K: Copy> Medium<K> {
             settled_at: now,
             done_at: None,
         });
-        self.active[cell][dir_idx(dir)].push(slot);
+        let lane = &mut self.lanes[cell][dir_idx(dir)];
+        lane.slots.push(slot);
+        lane.dirty = true;
         self.offered_bytes += bytes;
         self.resolve(now);
     }
@@ -542,27 +607,19 @@ impl<K: Copy> Medium<K> {
     /// The earliest internal deadline: a flow completion, a mobility tick,
     /// or a cross-traffic flip. `None` when the medium is fully idle.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        let mut t: Option<SimTime> = None;
-        let mut fold = |c: SimTime| t = Some(t.map_or(c, |p: SimTime| p.min(c)));
-        for f in self.flows.iter().flatten() {
-            if let Some(d) = f.done_at {
-                fold(d);
-            }
-        }
-        for c in &self.clients {
-            if let Some(tick) = c.next_tick {
-                fold(tick);
-            }
-        }
         // Cross-traffic flips only matter while the cell carries flows.
-        for (ci, cell) in self.params.cells.iter().enumerate() {
-            if let Some(x) = cell.cross {
-                if !self.active[ci][0].is_empty() || !self.active[ci][1].is_empty() {
-                    fold(x.next_flip(self.resolved_at));
-                }
-            }
-        }
-        t
+        let flips = self
+            .params
+            .cells
+            .iter()
+            .zip(&self.lanes)
+            .filter(|(_, lanes)| lanes.iter().any(|l| !l.slots.is_empty()))
+            .filter_map(|(cell, _)| cell.cross.map(|x| x.next_flip(self.resolved_at)));
+        self.next_done
+            .into_iter()
+            .chain(self.next_tick)
+            .chain(flips)
+            .min()
     }
 
     /// The current wake generation: bumped on every mutation, so a host
@@ -588,8 +645,9 @@ impl<K: Copy> Medium<K> {
                 if done {
                     let f = self.flows[slot].take().expect("flow just matched");
                     let cell = self.clients[f.client].cell;
-                    let lane = &mut self.active[cell][dir_idx(f.dir)];
-                    lane.retain(|&s| s != slot);
+                    let lane = &mut self.lanes[cell][dir_idx(f.dir)];
+                    lane.slots.retain(|&s| s != slot);
+                    lane.dirty = true;
                     self.free.push(slot);
                     self.delivered_bytes += f.size;
                     completed.push(Completion {
@@ -600,10 +658,13 @@ impl<K: Copy> Medium<K> {
                 }
             }
             // 2. Mobility ticks due at `step` (client order).
-            for client in 0..self.clients.len() {
-                if self.clients[client].next_tick.is_some_and(|t| t <= step) {
-                    self.mobility_tick(client, step);
+            if self.next_tick.is_some_and(|t| t <= step) {
+                for client in 0..self.clients.len() {
+                    if self.clients[client].next_tick.is_some_and(|t| t <= step) {
+                        self.mobility_tick(client, step);
+                    }
                 }
+                self.next_tick = self.clients.iter().filter_map(|c| c.next_tick).min();
             }
             // 3. Re-solve (also refreshes cross-traffic effective capacity,
             //    so a flip deadline needs no handling of its own).
@@ -614,7 +675,9 @@ impl<K: Copy> Medium<K> {
         self.wake_gen += 1;
     }
 
-    /// Re-evaluates a walking client: position, rate cap, handover.
+    /// Re-evaluates a walking client: position, rate cap, handover. Marks
+    /// the lanes its flows sit in dirty when it hands over or its cap
+    /// changes.
     fn mobility_tick(&mut self, client: usize, now: SimTime) {
         let (x, y) = self.clients[client].position_at(now);
         let serving = self.clients[client].cell;
@@ -628,13 +691,18 @@ impl<K: Copy> Medium<K> {
             // Handover: move the client and its in-flight flows; bytes
             // remaining carry over untouched.
             for di in 0..2 {
-                let moved: Vec<usize> = self.active[serving][di]
-                    .iter()
-                    .copied()
-                    .filter(|&s| self.flows[s].as_ref().is_some_and(|f| f.client == client))
-                    .collect();
-                self.active[serving][di].retain(|s| !moved.contains(s));
-                self.active[nearest][di].extend(moved);
+                let mut to = std::mem::take(&mut self.lanes[nearest][di].slots);
+                let flows = &self.flows;
+                self.lanes[serving][di].slots.retain(|&s| {
+                    let mine = flows[s].as_ref().is_some_and(|f| f.client == client);
+                    if mine {
+                        to.push(s);
+                    }
+                    !mine
+                });
+                self.lanes[nearest][di].slots = to;
+                self.lanes[nearest][di].dirty = true;
+                self.lanes[serving][di].dirty = true;
             }
             self.clients[client].cell = nearest;
             self.clients[client].handovers += 1;
@@ -642,8 +710,13 @@ impl<K: Copy> Medium<K> {
             cell = nearest;
         }
         let c = &self.params.cells[cell];
-        let cap_mbps = self.params.rate_law.cap_mbps(dist((x, y), (c.x_m, c.y_m)));
-        self.clients[client].cap = bytes_per_ns(cap_mbps);
+        let cap = bytes_per_ns(self.params.rate_law.cap_mbps(dist((x, y), (c.x_m, c.y_m))));
+        if cap.to_bits() != self.clients[client].cap.to_bits() {
+            self.clients[client].cap = cap;
+            for lane in &mut self.lanes[cell] {
+                lane.dirty = true;
+            }
+        }
         let tick = SimDuration::from_millis_f64(self.params.mobility_tick_ms);
         self.clients[client].next_tick = Some(now + tick);
     }
@@ -672,50 +745,43 @@ impl<K: Copy> Medium<K> {
     }
 
     /// Re-solves every cell's allocation (water-filling under per-client
-    /// caps) and recomputes completion deadlines. Bumps the generation.
+    /// caps) and recomputes every completion deadline; see the module docs
+    /// for what a clean lane reuses. Bumps the generation.
     fn resolve(&mut self, now: SimTime) {
-        for (ci, cell) in self.params.cells.iter().enumerate() {
-            for di in 0..2 {
-                let dir = if di == 0 {
-                    Direction::Up
-                } else {
-                    Direction::Down
-                };
-                // Deterministic solve order regardless of arrival history.
-                self.active[ci][di].sort_unstable();
-                let slots = self.active[ci][di].clone();
-                if slots.is_empty() {
+        let mut next_done: Option<SimTime> = None;
+        for (cell, lanes) in self.params.cells.iter().zip(&mut self.lanes) {
+            for (lane, dir) in lanes.iter_mut().zip([Direction::Up, Direction::Down]) {
+                if lane.slots.is_empty() {
                     continue;
                 }
                 let capacity = bytes_per_ns(cell.effective_mbps(dir, now));
-                // Water-fill: ascending by cap, flows below the equal share
-                // take their cap, the rest split the residue evenly.
-                let mut order: Vec<(f64, usize)> = slots
-                    .iter()
-                    .map(|&s| {
-                        let f = self.flows[s].as_ref().expect("active slot live");
-                        (self.clients[f.client].cap, s)
-                    })
-                    .collect();
-                order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                let mut left = capacity;
-                let mut n_left = order.len();
-                for &(cap, slot) in &order {
-                    let share = left / n_left as f64;
-                    let rate = cap.min(share).max(0.0);
-                    left -= rate;
-                    n_left -= 1;
-                    let f = self.flows[slot].as_mut().expect("active slot live");
-                    f.rate = rate;
-                    f.done_at = if rate > 0.0 {
-                        let ns = (f.remaining / rate).ceil().max(1.0);
-                        Some(f.settled_at + SimDuration::from_nanos(ns as u64))
-                    } else {
-                        None
-                    };
+                let flows = &mut self.flows;
+                if lane.dirty {
+                    // Deterministic solve order regardless of arrival history.
+                    lane.slots.sort_unstable();
+                    let clients = &self.clients;
+                    lane.order.clear();
+                    lane.order.extend(lane.slots.iter().map(|&s| {
+                        let f = flows[s].as_ref().expect("active slot live");
+                        (clients[f.client].cap, s)
+                    }));
+                    sort_order(&mut lane.order);
+                }
+                if lane.dirty || capacity.to_bits() != lane.capacity.to_bits() {
+                    water_fill(capacity, &lane.order, |s, rate| {
+                        flows[s].as_mut().expect("active slot live").rate = rate;
+                    });
+                    lane.capacity = capacity;
+                    lane.dirty = false;
+                }
+                for &s in &lane.slots {
+                    let f = flows[s].as_mut().expect("active slot live");
+                    f.done_at = deadline(f.settled_at, f.remaining, f.rate);
+                    next_done = next_done.into_iter().chain(f.done_at).min();
                 }
             }
         }
+        self.next_done = next_done;
         self.resolved_at = now;
         self.wake_gen += 1;
         self.reallocs += 1;
@@ -725,13 +791,14 @@ impl<K: Copy> Medium<K> {
 
     /// Number of in-flight flows in `cell` for `dir`.
     pub fn active_flows(&self, cell: usize, dir: Direction) -> usize {
-        self.active[cell][dir_idx(dir)].len()
+        self.lanes[cell][dir_idx(dir)].slots.len()
     }
 
     /// Sum of allocated rates in `cell` for `dir`, Mbit/s.
     pub fn allocated_mbps(&self, cell: usize, dir: Direction) -> f64 {
         to_mbps(
-            self.active[cell][dir_idx(dir)]
+            self.lanes[cell][dir_idx(dir)]
+                .slots
                 .iter()
                 .map(|&s| self.flows[s].as_ref().map_or(0.0, |f| f.rate))
                 .sum(),
@@ -758,19 +825,21 @@ impl<K: Copy> Medium<K> {
     }
 
     /// Bytes of backing storage currently held by the medium's dynamic
-    /// state (client table, flow slab, free list, per-cell active
-    /// lists), at reserved vector capacities.
+    /// state (client table, flow slab, free list, per-lane active lists
+    /// and cached water-fill orders), at reserved vector capacities.
     pub fn footprint_bytes(&self) -> usize {
         use std::mem::size_of;
         self.clients.capacity() * size_of::<ClientState>()
             + self.flows.capacity() * size_of::<Option<FlowState<K>>>()
             + self.free.capacity() * size_of::<usize>()
             + self
-                .active
+                .lanes
                 .iter()
-                .map(|lanes| {
-                    size_of::<[Vec<usize>; 2]>()
-                        + (lanes[0].capacity() + lanes[1].capacity()) * size_of::<usize>()
+                .flatten()
+                .map(|lane| {
+                    size_of::<Lane>()
+                        + lane.slots.capacity() * size_of::<usize>()
+                        + lane.order.capacity() * size_of::<(f64, usize)>()
                 })
                 .sum::<usize>()
     }
@@ -807,17 +876,24 @@ impl<K: Copy> Medium<K> {
 
     /// Asserts the allocation invariants: per-cell rate sums within the
     /// effective capacity, every flow within its client's cap, and byte
-    /// accounting consistent. Used by the property tests.
+    /// accounting consistent. It also recomputes the incremental solve
+    /// from scratch and requires bit-equality with the cached state: lane
+    /// membership, the `(cap, slot)` water-fill order, the rates, each
+    /// deadline settled at the last solve, and the earliest deadline. Used
+    /// by the property tests.
     ///
     /// # Panics
     ///
     /// Panics if an invariant is violated.
     pub fn check_invariants(&self) {
         const TOL: f64 = 1e-9;
+        let mut in_lanes = 0;
         for (ci, cell) in self.params.cells.iter().enumerate() {
             for (di, dir) in [Direction::Up, Direction::Down].into_iter().enumerate() {
+                let lane = &self.lanes[ci][di];
                 let cap = bytes_per_ns(cell.effective_mbps(dir, self.resolved_at));
-                let sum: f64 = self.active[ci][di]
+                let sum: f64 = lane
+                    .slots
                     .iter()
                     .map(|&s| self.flows[s].as_ref().expect("active slot live").rate)
                     .sum();
@@ -825,7 +901,7 @@ impl<K: Copy> Medium<K> {
                     sum <= cap * (1.0 + TOL) + TOL,
                     "cell {ci} {dir:?}: allocated {sum} exceeds capacity {cap}"
                 );
-                for &s in &self.active[ci][di] {
+                for &s in &lane.slots {
                     let f = self.flows[s].as_ref().expect("active slot live");
                     let ccap = self.clients[f.client].cap;
                     assert!(
@@ -834,9 +910,86 @@ impl<K: Copy> Medium<K> {
                         f.rate
                     );
                     assert!(f.remaining >= 0.0 && f.remaining <= f.size + TOL);
+                    assert!(
+                        self.clients[f.client].cell == ci && f.dir == dir,
+                        "flow {s} sits in lane ({ci}, {dir:?}) of another cell or direction"
+                    );
+                    if f.settled_at == self.resolved_at {
+                        assert_eq!(
+                            f.done_at,
+                            deadline(f.settled_at, f.remaining, f.rate),
+                            "flow {s}: cached deadline differs from a fresh one"
+                        );
+                    }
+                }
+                in_lanes += lane.slots.len();
+                if lane.slots.is_empty() {
+                    continue;
+                }
+                // From-scratch solve of the lane, compared bit for bit.
+                assert!(!lane.dirty, "lane ({ci}, {dir:?}) left dirty by a solve");
+                assert!(
+                    lane.slots.windows(2).all(|w| w[0] < w[1]),
+                    "lane ({ci}, {dir:?}) slots out of order"
+                );
+                let mut order: Vec<(f64, usize)> = lane
+                    .slots
+                    .iter()
+                    .map(|&s| {
+                        let f = self.flows[s].as_ref().expect("active slot live");
+                        (self.clients[f.client].cap, s)
+                    })
+                    .collect();
+                sort_order(&mut order);
+                let bits = |o: &[(f64, usize)]| -> Vec<(u64, usize)> {
+                    o.iter().map(|&(c, s)| (c.to_bits(), s)).collect()
+                };
+                assert_eq!(
+                    bits(&order),
+                    bits(&lane.order),
+                    "lane ({ci}, {dir:?}): cached water-fill order is stale"
+                );
+                assert_eq!(cap.to_bits(), lane.capacity.to_bits());
+                water_fill(cap, &order, |s, rate| {
+                    let cached = self.flows[s].as_ref().expect("active slot live").rate;
+                    assert_eq!(
+                        rate.to_bits(),
+                        cached.to_bits(),
+                        "flow {s}: cached rate {cached} differs from a fresh solve's {rate}"
+                    );
+                });
+            }
+        }
+        assert_eq!(
+            in_lanes,
+            self.flows.iter().flatten().count(),
+            "live flows missing from every lane"
+        );
+        // The earliest deadline, by a full scan of flows and clients.
+        let mut t: Option<SimTime> = None;
+        let mut fold = |c: SimTime| t = Some(t.map_or(c, |p: SimTime| p.min(c)));
+        self.flows
+            .iter()
+            .flatten()
+            .filter_map(|f| f.done_at)
+            .for_each(&mut fold);
+        self.clients
+            .iter()
+            .filter_map(|c| c.next_tick)
+            .for_each(&mut fold);
+        for (ci, cell) in self.params.cells.iter().enumerate() {
+            if let Some(x) = cell.cross {
+                if self
+                    .flows
+                    .iter()
+                    .flatten()
+                    .any(|f| self.clients[f.client].cell == ci)
+                {
+                    fold(x.next_flip(self.resolved_at));
                 }
             }
         }
+        assert_eq!(self.next_deadline(), t, "cached earliest deadline is stale");
         let in_flight = self.in_flight_bytes();
         let settled = self.offered_bytes - self.delivered_bytes;
         // In-flight bytes can only be less than offered-minus-delivered by
@@ -1021,32 +1174,47 @@ mod properties {
     //! Property tests for the medium invariants (ISSUE 9, satellite 4):
     //! under any seed, population, capacity, and walking speed, the sum
     //! of allocated rates never exceeds capacity, bytes are conserved
-    //! across every rate change and handover, and every offered byte is
-    //! eventually delivered.
+    //! across every rate change, handover and cross-traffic flip, every
+    //! offered byte is eventually delivered, and the incremental solve
+    //! matches a from-scratch one bit for bit.
 
     use simcore::check::{self, f64s, u64s, usizes};
     use simcore::prop_assert;
     use simcore::rng::mix;
-    use simcore::SimTime;
+    use simcore::{SimDuration, SimTime};
 
-    use super::{CellParams, Medium, MediumParams, Mobility};
+    use super::{CellParams, CrossTraffic, Medium, MediumParams, Mobility};
     use crate::link::Direction;
 
     #[test]
     fn rates_capped_and_bytes_conserved_under_churn_and_handover() {
         check::check(
             "medium_invariants",
-            (u64s(..), usizes(1..=6), f64s(10.0..200.0), f64s(0.0..15.0)),
-            |&(seed, n_clients, cap_mbps, speed_mps)| {
+            (
+                u64s(..),
+                usizes(1..=6),
+                f64s(10.0..200.0),
+                f64s(0.0..15.0),
+                f64s(0.0..1.0),
+            ),
+            |&(seed, n_clients, cap_mbps, speed_mps, cross_frac)| {
                 // Two cells 80 m apart; walkers cross the handover
                 // boundary, parked clients (speed drawn ~0) never do.
+                // Cross-traffic, when drawn, flips cell 0's capacity (up to
+                // starving its uplink) and, on odd seeds, cell 1's too.
+                let cross = (cross_frac > 0.25).then(|| CrossTraffic {
+                    load_mbps: cap_mbps * 1.2 * cross_frac,
+                    period_ms: 5.0 + (seed >> 32) as f64 % 45.0,
+                    duty: 0.5,
+                });
                 let mut params = MediumParams::single_cell(cap_mbps, cap_mbps * 2.0);
+                params.cells[0].cross = cross;
                 params.cells.push(CellParams {
                     x_m: 80.0,
                     y_m: 0.0,
                     uplink_mbps: cap_mbps,
                     downlink_mbps: cap_mbps * 2.0,
-                    cross: None,
+                    cross: cross.filter(|_| seed & 1 == 1),
                 });
                 let mut m: Medium<u64> = Medium::new(params);
                 for i in 0..n_clients {
@@ -1062,10 +1230,11 @@ mod properties {
                     };
                     m.add_client(SimTime::ZERO, mobility);
                 }
-                // Churn: start flows at the medium's own deadline pace so
-                // arrivals interleave with completions, mobility ticks,
-                // and handovers; check_invariants pins the rate-cap and
-                // byte-conservation invariants at every mutation.
+                // Churn: flow arrivals interleave at random with
+                // completions, mobility ticks, handovers and flips.
+                // check_invariants pins the rate-cap and byte-conservation
+                // invariants, and the cached solve against a from-scratch
+                // one, at every mutation.
                 let mut now = SimTime::ZERO;
                 let mut out = Vec::new();
                 for step in 0..30u64 {
@@ -1079,14 +1248,26 @@ mod properties {
                     let bytes = 1_000.0 + ((draw >> 8) % 200_000) as f64;
                     m.start_flow(now, client, dir, bytes, step);
                     m.check_invariants();
-                    if let Some(t) = m.next_deadline() {
-                        now = now.max(t);
-                        m.advance(now, &mut out);
-                        m.check_invariants();
-                    }
+                    let Some(t) = m.next_deadline() else {
+                        continue;
+                    };
+                    // Next: another arrival at the same instant, a run to
+                    // the next deadline, a stop part-way there (settling
+                    // mid-flight), or a jump over several deadlines.
+                    let gap = t.as_nanos().saturating_sub(now.as_nanos());
+                    let frac = (draw >> 48) % 8;
+                    now = match (draw >> 40) % 4 {
+                        0 => continue,
+                        1 => now.max(t),
+                        2 => now + SimDuration::from_nanos(gap * frac / 8),
+                        _ => now.max(t) + SimDuration::from_micros_f64(frac as f64 * 2_500.0),
+                    };
+                    m.advance(now, &mut out);
+                    m.check_invariants();
                 }
                 // Drain: every offered byte must eventually complete
-                // (mobility ticks alone must not starve the drain).
+                // (mobility ticks and flips alone must not starve the
+                // drain).
                 while m.in_flight_bytes() > 1e-4 {
                     let t = m.next_deadline().expect("in-flight bytes need a deadline");
                     now = now.max(t);

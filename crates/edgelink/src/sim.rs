@@ -27,7 +27,7 @@ use simcore::trace::{ArgValue, Tracer, TrackId};
 use simcore::{QueueKind, Scheduler, SimDuration, SimTime, Simulator};
 
 use crate::link::{plan_transfer, ByteCounters, Direction, LinkParams};
-use crate::medium::{Medium, Mobility, SharedCell};
+use crate::medium::{Completion, Medium, Mobility, SharedCell};
 use crate::server::{Admission, EdgeServer, ServerParams};
 
 /// One offloading client: how much it ships per request and how often it
@@ -242,6 +242,9 @@ struct EdgeState {
     clients: Vec<ClientState>,
     /// The contended cell, when the clients run shared radios.
     medium: Option<Medium<ReqKey>>,
+    /// Completion buffer [`Medium::advance`] fills on each wake, reused
+    /// across wakes.
+    medium_done: Vec<Completion<ReqKey>>,
     master_seed: u64,
     /// Peak admission-queue depth observed so far.
     peak_queue: usize,
@@ -430,6 +433,7 @@ impl EdgeSim {
                 server: EdgeServer::new(server, start),
                 clients: states,
                 medium,
+                medium_done: Vec::new(),
                 master_seed,
                 peak_queue: 0,
                 tracer,
@@ -706,18 +710,17 @@ impl EdgeState {
     /// use.
     fn medium_wake(&mut self, sched: &mut Sched<'_>, gen: u64) {
         let now = sched.now();
-        let mut done = Vec::new();
-        {
-            let m = self.medium.as_mut().expect("medium wake without a medium");
-            if gen != m.wake_gen() {
-                return;
-            }
-            m.advance(now, &mut done);
+        let m = self.medium.as_mut().expect("medium wake without a medium");
+        if gen != m.wake_gen() {
+            return;
         }
-        for c in done {
+        let mut done = std::mem::take(&mut self.medium_done);
+        m.advance(now, &mut done);
+        for c in done.drain(..) {
             let (client, seq, token) = c.key;
             self.transfer_done(sched, client, c.dir, seq, token);
         }
+        self.medium_done = done;
         self.trace_cell(now);
         self.reschedule_wake(sched);
     }

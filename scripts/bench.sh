@@ -5,7 +5,9 @@
 #
 # Usage:
 #   scripts/bench.sh            # full run (15 samples per bench)
-#   scripts/bench.sh --smoke    # tiny sample counts, for CI smoke checks
+#   scripts/bench.sh --smoke    # tiny sample counts, for CI smoke checks;
+#                               # writes to $BENCH_OUT or a fresh temp file,
+#                               # never to the tracked BENCH_kernels.json
 #   scripts/bench.sh gp_fit     # only benches whose name contains gp_fit
 #
 # Extra arguments are forwarded to the bench binary (see
@@ -14,12 +16,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ARGS=()
+OUT=BENCH_kernels.json
 if [[ "${1:-}" == "--smoke" ]]; then
   shift
   ARGS+=(--samples 3 --warmup 1)
+  OUT="${BENCH_OUT:-$(mktemp)}"
 fi
 
-OUT=BENCH_kernels.json
 # Bench prints one JSON line per bench on stdout; keep only those (cargo
 # may interleave its own progress on stderr, which tee would not catch
 # anyway, but a belt-and-suspenders filter keeps the file parseable).
