@@ -270,7 +270,7 @@ impl GaussianProcess {
     ///
     /// Bit-identical to calling `predict` per point — every per-candidate
     /// arithmetic operation happens in the same order — but candidates are
-    /// processed in blocks of [`PREDICT_BLOCK`]: the cross-covariance block
+    /// processed in blocks of `PREDICT_BLOCK` (8): the cross-covariance block
     /// and the multi-RHS forward substitution
     /// ([`Cholesky::solve_lower_multi_into`]) interleave independent
     /// candidates, so the per-row divide chain that serializes the scalar
@@ -815,10 +815,6 @@ mod tests {
         }
     }
 
-    // Under `fast-exp`, `predict_batch` intentionally diverges from the
-    // scalar path by a couple of ULP — the tolerance test below covers
-    // that configuration instead.
-    #[cfg(not(feature = "fast-exp"))]
     #[test]
     fn predict_batch_is_bit_identical_to_predict() {
         let mut gp = GaussianProcess::new(Kernel::paper_default(), 1e-4);
@@ -835,26 +831,6 @@ mod tests {
             let (mu, var) = gp.predict(q);
             assert_eq!(mu.to_bits(), mu_b.to_bits());
             assert_eq!(var.to_bits(), var_b.to_bits());
-        }
-    }
-
-    #[cfg(feature = "fast-exp")]
-    #[test]
-    fn predict_batch_tracks_predict_within_tolerance_under_fast_exp() {
-        let mut gp = GaussianProcess::new(Kernel::paper_default(), 1e-4);
-        for i in 0..15 {
-            let z = i as f64 * 0.3;
-            gp.add_observation(vec![z, (z * 2.0).cos()], z.sin());
-        }
-        gp.fit().unwrap();
-        let queries: Vec<Vec<f64>> = (0..64)
-            .map(|i| vec![i as f64 * 0.07, (i as f64 * 0.11).sin()])
-            .collect();
-        let batch = gp.predict_batch(&queries);
-        for (q, &(mu_b, var_b)) in queries.iter().zip(&batch) {
-            let (mu, var) = gp.predict(q);
-            assert!(rel_close(mu, mu_b, 1e-10), "mean {mu} vs {mu_b}");
-            assert!(rel_close(var, var_b, 1e-10), "variance {var} vs {var_b}");
         }
     }
 
@@ -950,26 +926,15 @@ mod tests {
                     );
                 }
                 // Selecting every other column out of the block must
-                // reproduce the scalar predictions — bit for bit on the
-                // exact-exp path, within tolerance under `fast-exp` (the
-                // column path evaluates the kernel through the batched
-                // polynomial like `predict_batch`, the scalar through
-                // libm's exp).
+                // reproduce the scalar predictions bit for bit.
                 let cols: Vec<usize> = (0..queries.len()).step_by(2).collect();
                 let mut preds = Vec::new();
                 gp.predict_block_columns(queries.len(), &cols, &mut preds);
                 for (&c, &(mu_c, var_c)) in cols.iter().zip(&preds) {
                     let (mu, var) = gp.predict(&queries[c]);
-                    #[cfg(not(feature = "fast-exp"))]
                     prop_assert!(
                         mu == mu_c && var == var_c,
                         "column predict diverges from scalar at column {c}"
-                    );
-                    #[cfg(feature = "fast-exp")]
-                    prop_assert!(
-                        rel_close(mu, mu_c, 1e-9) && rel_close(var, var_c, 1e-9),
-                        "column predict drifts from scalar at column {c}: \
-                         ({mu}, {var}) vs ({mu_c}, {var_c})"
                     );
                 }
                 Ok(())

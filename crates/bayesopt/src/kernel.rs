@@ -129,58 +129,11 @@ impl Kernel {
     }
 
     /// Evaluates the kernel in place over a slice of distances — the form
-    /// the GP's blocked batch-predict path uses.
-    ///
-    /// In the default configuration this is exactly `eval_from_distance`
-    /// mapped over the slice, bit for bit. With the `fast-exp` cargo
-    /// feature the transcendental is [`crate::fastexp::fast_exp`] instead
-    /// of libm's `exp` — a tight branch-free loop the compiler can
-    /// vectorize, at a measured cost of a couple of ULP (see
-    /// EXPERIMENTS.md). Pinned figures always build without the feature.
+    /// the GP's blocked batch-predict path uses. Exactly
+    /// `eval_from_distance` mapped over the slice, bit for bit.
     pub fn eval_from_distance_batch(&self, rs: &mut [f64]) {
-        #[cfg(not(feature = "fast-exp"))]
         for r in rs.iter_mut() {
             *r = self.eval_from_distance(*r);
-        }
-        #[cfg(feature = "fast-exp")]
-        {
-            use crate::fastexp::fast_exp;
-            match *self {
-                Kernel::Matern12 {
-                    length_scale: l,
-                    signal_var: s,
-                } => {
-                    for r in rs.iter_mut() {
-                        *r = s * fast_exp(-*r / l);
-                    }
-                }
-                Kernel::Matern32 {
-                    length_scale: l,
-                    signal_var: s,
-                } => {
-                    for r in rs.iter_mut() {
-                        let q = 3.0_f64.sqrt() * *r / l;
-                        *r = s * (1.0 + q) * fast_exp(-q);
-                    }
-                }
-                Kernel::Matern52 {
-                    length_scale: l,
-                    signal_var: s,
-                } => {
-                    for r in rs.iter_mut() {
-                        let q = 5.0_f64.sqrt() * *r / l;
-                        *r = s * (1.0 + q + 5.0 * *r * *r / (3.0 * l * l)) * fast_exp(-q);
-                    }
-                }
-                Kernel::Rbf {
-                    length_scale: l,
-                    signal_var: s,
-                } => {
-                    for r in rs.iter_mut() {
-                        *r = s * fast_exp(-0.5 * (*r / l) * (*r / l));
-                    }
-                }
-            }
         }
     }
 
@@ -297,7 +250,6 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "fast-exp"))]
     #[test]
     fn batch_eval_is_bit_identical_to_scalar_by_default() {
         let rs: Vec<f64> = (0..64).map(|i| i as f64 * 0.05).collect();
@@ -306,23 +258,6 @@ mod tests {
             k.eval_from_distance_batch(&mut batch);
             for (&r, &v) in rs.iter().zip(&batch) {
                 assert_eq!(v.to_bits(), k.eval_from_distance(r).to_bits());
-            }
-        }
-    }
-
-    #[cfg(feature = "fast-exp")]
-    #[test]
-    fn batch_eval_tracks_scalar_within_tolerance_under_fast_exp() {
-        let rs: Vec<f64> = (0..64).map(|i| i as f64 * 0.05).collect();
-        for k in KERNELS {
-            let mut batch = rs.clone();
-            k.eval_from_distance_batch(&mut batch);
-            for (&r, &v) in rs.iter().zip(&batch) {
-                let exact = k.eval_from_distance(r);
-                assert!(
-                    (v - exact).abs() <= 1e-14 + 1e-12 * exact.abs(),
-                    "{k:?} at r = {r}: fast {v} vs exact {exact}"
-                );
             }
         }
     }

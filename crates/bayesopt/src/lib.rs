@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod acquisition;
-pub mod fastexp;
 pub mod gp;
 pub mod kernel;
 pub mod linalg;

@@ -595,7 +595,6 @@ mod tests {
 
     /// Full BO runs on the HBO simplex with the given config; returns the
     /// suggested-point stream.
-    #[cfg(not(feature = "fast-exp"))]
     fn simplex_trace(config: BoConfig, seed: u64, iters: usize) -> Vec<Vec<f64>> {
         let space = SimplexBoxSpace::new(3, 0.2, 1.0);
         let mut bo = BoOptimizer::new(space, config);
@@ -610,10 +609,6 @@ mod tests {
         trace
     }
 
-    // The unpruned serial arm scores through `predict_batch`, which under
-    // `fast-exp` is deliberately a few ULP off the scalar path the pruned
-    // arm uses — so exact equality only holds in the default build.
-    #[cfg(not(feature = "fast-exp"))]
     #[test]
     fn pruned_scan_is_bit_identical_to_the_full_scan() {
         for seed in [3, 21, 99] {
@@ -670,7 +665,6 @@ mod tests {
         assert_eq!(warm.n_initial, cold.n_initial);
     }
 
-    #[cfg(not(feature = "fast-exp"))]
     #[test]
     fn pooled_scoring_matches_serial_bitwise() {
         let run = |threads: usize| {

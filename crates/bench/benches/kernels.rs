@@ -196,28 +196,19 @@ fn bench_substrates(h: &mut Harness) {
     let img_b = iqa::render_mesh(coarse.vertices(), coarse.triangles(), &opts);
     h.bench("gmsd_96px", || black_box(iqa::gmsd(&img_a, &img_b)));
 
-    // DES throughput: one simulated second of the full SC1-CF1 app, once
-    // per future-event-list implementation. The heap row keeps the bare
-    // historical name so BENCH_kernels.json trajectories stay comparable;
+    // DES throughput: one simulated second of the full SC1-CF1 app.
     // `sims_per_wall_sec` is the headline metric (simulated seconds per
     // wall-clock second).
-    for queue in [simcore::QueueKind::Heap, simcore::QueueKind::Calendar] {
-        let name = match queue {
-            simcore::QueueKind::Heap => "socsim_sc1cf1_1s".to_owned(),
-            _ => format!("socsim_sc1cf1_1s_{}", queue.name()),
-        };
-        h.bench_sim(
-            &name,
-            1.0,
-            || {
-                let mut app =
-                    marsim::MarApp::new(&marsim::ScenarioSpec::sc1_cf1().with_queue(queue));
-                app.place_all_objects();
-                app
-            },
-            |mut app| app.run_for_secs(1.0),
-        );
-    }
+    h.bench_sim(
+        "socsim_sc1cf1_1s",
+        1.0,
+        || {
+            let mut app = marsim::MarApp::new(&marsim::ScenarioSpec::sc1_cf1());
+            app.place_all_objects();
+            app
+        },
+        |mut app| app.run_for_secs(1.0),
+    );
 
     // Tracing overhead on the same one-second SC1-CF1 workload, all three
     // sink configurations in one run so their deltas are same-conditions:
@@ -295,102 +286,76 @@ fn bench_substrates(h: &mut Harness) {
         },
     );
 
-    // Wireless link + edge server DES: one simulated second of a
-    // closed-loop session against a 2-lane server, per queue kind. The
-    // 8-client cell is the production shape; the 64-client cell probes
-    // the calendar/heap crossover at a ~8× larger event population.
-    for clients in [8usize, 64] {
-        for queue in [simcore::QueueKind::Heap, simcore::QueueKind::Calendar] {
-            let name = match (clients, queue) {
-                (8, simcore::QueueKind::Heap) => "edgesim_8c_1s".to_owned(),
-                _ => format!("edgesim_{clients}c_1s_{}", queue.name()),
-            };
-            h.bench_sim(
-                &name,
-                1.0,
-                || {
-                    let specs: Vec<edgelink::ClientSpec> = (0..clients)
-                        .map(|i| edgelink::ClientSpec::mar_default(format!("c{i}")))
-                        .collect();
-                    edgelink::EdgeSim::new_traced_with_queue(
-                        edgelink::LinkParams::wifi(),
-                        edgelink::ServerParams::small(),
-                        specs,
-                        11,
-                        simcore::trace::Tracer::disabled(),
-                        queue,
-                    )
-                },
-                |mut sim| {
-                    sim.run_for_secs(1.0);
-                    black_box(sim.server_counters())
-                },
-            );
-        }
-    }
+    // Wireless link + edge server DES: one simulated second of eight
+    // closed-loop clients against a 2-lane server.
+    h.bench_sim(
+        "edgesim_8c_1s",
+        1.0,
+        || {
+            let specs: Vec<edgelink::ClientSpec> = (0..8)
+                .map(|i| edgelink::ClientSpec::mar_default(format!("c{i}")))
+                .collect();
+            edgelink::EdgeSim::new(
+                edgelink::LinkParams::wifi(),
+                edgelink::ServerParams::small(),
+                specs,
+                11,
+            )
+        },
+        |mut sim| {
+            sim.run_for_secs(1.0);
+            black_box(sim.server_counters())
+        },
+    );
 
     // Shared-medium radio DES: one simulated second of 32 closed-loop
-    // clients contending for one stadium cell, per queue kind. Every
-    // flow arrival/departure re-solves the fair-share water-fill over
-    // the whole cell, so this measures the progress-based reallocation
-    // control plane on top of the edgesim event loop.
-    for queue in [simcore::QueueKind::Heap, simcore::QueueKind::Calendar] {
-        let name = match queue {
-            simcore::QueueKind::Heap => "mediumsim_32c_1s".to_owned(),
-            _ => format!("mediumsim_32c_1s_{}", queue.name()),
-        };
-        h.bench_sim(
-            &name,
-            1.0,
-            || {
-                let specs: Vec<edgelink::ClientSpec> = (0..32)
-                    .map(|i| edgelink::ClientSpec::mar_default(format!("c{i}")))
-                    .collect();
-                edgelink::EdgeSim::new_shared_traced_with_queue(
-                    edgelink::LinkParams::wifi(),
-                    edgelink::ServerParams::small(),
-                    edgelink::SharedCell::stadium(),
-                    specs,
-                    11,
-                    simcore::trace::Tracer::disabled(),
-                    queue,
-                )
-            },
-            |mut sim| {
-                sim.run_for_secs(1.0);
-                black_box(sim.server_counters())
-            },
-        );
-    }
+    // clients contending for one stadium cell. Every flow arrival/
+    // departure re-solves the fair-share water-fill over the whole cell,
+    // so this measures the progress-based reallocation control plane on
+    // top of the edgesim event loop.
+    h.bench_sim(
+        "mediumsim_32c_1s",
+        1.0,
+        || {
+            let specs: Vec<edgelink::ClientSpec> = (0..32)
+                .map(|i| edgelink::ClientSpec::mar_default(format!("c{i}")))
+                .collect();
+            edgelink::EdgeSim::new_shared_traced(
+                edgelink::LinkParams::wifi(),
+                edgelink::ServerParams::small(),
+                edgelink::SharedCell::stadium(),
+                specs,
+                11,
+                simcore::trace::Tracer::disabled(),
+            )
+        },
+        |mut sim| {
+            sim.run_for_secs(1.0);
+            black_box(sim.server_counters())
+        },
+    );
 
     // Fleet-scale cluster DES: one simulated second of a 256-session
     // heterogeneous churning population routed across the fixed
-    // four-server cluster by join-shortest-queue, per queue kind. Setup
-    // (population synthesis + sim construction) is untimed; the routine
-    // measures only the event loop.
-    for queue in [simcore::QueueKind::Heap, simcore::QueueKind::Calendar] {
-        let name = match queue {
-            simcore::QueueKind::Heap => "fleet_256c_1s".to_owned(),
-            _ => format!("fleet_256c_1s_{}", queue.name()),
-        };
-        h.bench_sim(
-            &name,
-            1.0,
-            || {
-                let spec = marsim::FleetSpec::mar_default(256).with_queue(queue);
-                let sessions = spec.sessions(17);
-                let params = marsim::fleet::mar_cluster(
-                    edgelink::LinkParams::wifi(),
-                    edgelink::RoutePolicy::ShortestQueue,
-                );
-                edgelink::ClusterSim::new(params, sessions, queue)
-            },
-            |mut sim| {
-                sim.run_for_secs(1.0);
-                black_box(sim.metrics().completed())
-            },
-        );
-    }
+    // four-server cluster by join-shortest-queue. Setup (population
+    // synthesis + sim construction) is untimed; the routine measures
+    // only the event loop.
+    h.bench_sim(
+        "fleet_256c_1s",
+        1.0,
+        || {
+            let sessions = marsim::FleetSpec::mar_default(256).sessions(17);
+            let params = marsim::fleet::mar_cluster(
+                edgelink::LinkParams::wifi(),
+                edgelink::RoutePolicy::ShortestQueue,
+            );
+            edgelink::ClusterSim::new_traced(params, sessions, simcore::trace::Tracer::disabled())
+        },
+        |mut sim| {
+            sim.run_for_secs(1.0);
+            black_box(sim.metrics().completed())
+        },
+    );
 
     // The same 256-session cluster second with the streaming aggregator
     // attached: fleet-scale observability cost with memory bounded by
@@ -399,9 +364,7 @@ fn bench_substrates(h: &mut Harness) {
         "fleet_256c_agg_1s",
         1.0,
         || {
-            let queue = simcore::QueueKind::Heap;
-            let spec = marsim::FleetSpec::mar_default(256).with_queue(queue);
-            let sessions = spec.sessions(17);
+            let sessions = marsim::FleetSpec::mar_default(256).sessions(17);
             let params = marsim::fleet::mar_cluster(
                 edgelink::LinkParams::wifi(),
                 edgelink::RoutePolicy::ShortestQueue,
@@ -412,7 +375,6 @@ fn bench_substrates(h: &mut Harness) {
             let sim = edgelink::ClusterSim::new_traced(
                 params,
                 sessions,
-                queue,
                 simcore::trace::Tracer::with_sink(std::rc::Rc::clone(&sink)),
             );
             (sim, sink)

@@ -188,7 +188,7 @@ fn main() {
 
     if let Some(path) = metrics_path {
         // Per-cell aggregates merge in cell order, so the exposition is
-        // byte-identical for any --threads setting and any queue kind.
+        // byte-identical for any --threads setting.
         let mut merged = MetricsBuffer::default();
         for (_, _, metrics) in &outcomes {
             if let Some(m) = metrics {

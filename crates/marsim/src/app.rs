@@ -113,7 +113,7 @@ impl MarApp {
     pub fn new_traced(spec: &ScenarioSpec, tracer: simcore::trace::Tracer) -> Self {
         let device = spec.device.clone();
         let (topo, procs) = device.topology();
-        let mut sim = SocSim::with_queue(topo, spec.queue);
+        let mut sim = SocSim::new(topo);
         sim.set_tracer(tracer);
         let zoo = spec.zoo();
 

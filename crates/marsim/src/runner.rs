@@ -301,9 +301,10 @@ pub fn run_sweep(
 }
 
 /// [`run_sweep`] with optional tracing: when `traced` is set, each job
-/// runs with its own [`ChromeTraceSink`] (sinks are per-worker-job, so
-/// nothing is shared across threads) and returns its buffer for
-/// deterministic job-index-order merging via [`SweepResult::trace_json`].
+/// runs with its own [`ChromeTraceSink`](simcore::trace::ChromeTraceSink)
+/// (sinks are per-worker-job, so nothing is shared across threads) and
+/// returns its buffer for deterministic job-index-order merging via
+/// [`SweepResult::trace_json`].
 /// Tracing never perturbs the simulations, so every metric — and the
 /// merged trace itself — is bit-identical across thread counts and to an
 /// untraced run.

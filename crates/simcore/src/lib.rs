@@ -6,11 +6,9 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulated time with
 //!   total ordering (no floating-point heap keys).
-//! * [`EventQueue`] / [`CalendarQueue`] — two deterministic future-event
-//!   lists (binary heap and bucketed calendar queue) behind the
-//!   [`FutureEventList`] trait: ties in time are broken by insertion
-//!   sequence, so replays are bit-identical on either, and the choice
-//!   ([`QueueKind`]) is a pure performance knob.
+//! * [`EventQueue`] — the deterministic future-event list, a binary heap:
+//!   ties in time are broken by insertion sequence, so replays are
+//!   bit-identical.
 //! * [`arena`] — a slab/free-list pool with generational handles so
 //!   per-event hot state recycles slots instead of heap-allocating.
 //! * [`Simulator`] — a thin driver that pops events and hands them to a
@@ -53,7 +51,6 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-mod calendar;
 pub mod check;
 pub mod metrics;
 pub mod pool;
@@ -64,6 +61,5 @@ pub mod stats;
 mod time;
 pub mod trace;
 
-pub use calendar::CalendarQueue;
-pub use queue::{EventQueue, FutureEventList, FutureEvents, QueueKind, Scheduler, Simulator};
+pub use queue::{EventQueue, QueueKind, Scheduler, Simulator};
 pub use time::{SimDuration, SimTime};

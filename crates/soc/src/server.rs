@@ -241,7 +241,7 @@ impl<K: Copy> PsServer<K> {
     }
 
     /// Processes a check event: completes every job whose remaining work is
-    /// within [`PS_EPSILON`], returning the finished jobs and the next
+    /// within `PS_EPSILON` (1e-9), returning the finished jobs and the next
     /// check time. Bumps the generation iff membership changed.
     pub fn on_check(&mut self, now: SimTime) -> (Vec<K>, Option<SimTime>) {
         let mut finished = Vec::new();

@@ -36,7 +36,7 @@ fi
 
 # Validate every line parses as JSON with the fields the tooling reads.
 # An unfiltered run must also carry the sims-per-wall-second headline rows
-# for the DES simulators under both future-event-list implementations.
+# for the DES simulators.
 FILTERED=0
 for a in "$@"; do [[ "$a" == --* ]] || FILTERED=1; done
 if command -v python3 >/dev/null 2>&1; then
@@ -53,13 +53,9 @@ with open(sys.argv[1]) as f:
 if sys.argv[2] == "0":
     required = (
         "socsim_sc1cf1_1s",
-        "socsim_sc1cf1_1s_calendar",
         "edgesim_8c_1s",
-        "edgesim_8c_1s_calendar",
         "mediumsim_32c_1s",
-        "mediumsim_32c_1s_calendar",
         "fleet_256c_1s",
-        "fleet_256c_1s_calendar",
         "fleet_256c_agg_1s",
     )
     for bench in required:

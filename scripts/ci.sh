@@ -18,19 +18,10 @@ cargo build --release --offline
 echo "==> cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
 
-# The fast-exp acquisition path is off by default (every pinned figure
-# uses the exact exp); this leg checks the feature-gated polynomial path
-# still builds and passes its ULP-budget and tolerance tests.
-echo "==> cargo test -q -p bayesopt --features fast-exp --offline"
-cargo test -q -p bayesopt --features fast-exp --offline
-
-# Differential suite: CalendarQueue must stay observationally identical
-# to EventQueue — same (time, seq, event) pop sequence under randomized
-# schedule/pop/clear interleavings. Run explicitly (it is part of the
-# workspace run above too) so a queue regression fails with its own
-# banner instead of drowning in the full test log.
-echo "==> differential suite: simcore calendar vs heap"
-cargo test -q -p simcore --offline --test differential
+# Doc links: every intra-doc link must resolve, so docs that name a
+# deleted or renamed item fail here instead of rotting silently.
+echo "==> cargo doc --no-deps --workspace (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 # Smoke-run one runner-backed experiment binary on the parallel path: a
 # tiny 4-replicate sweep on 2 worker threads exercises simcore::pool +
@@ -49,37 +40,21 @@ echo "==> edge smoke: edge_offload --smoke --threads 2"
 cargo run --release --offline -q -p hbo-bench --bin edge_offload -- \
   --smoke --threads 2 >/dev/null
 
-# Same smoke on the calendar-queue event core: HBO_EVENT_QUEUE flips every
-# simulator in the stack to simcore::CalendarQueue. Output equality with
-# the heap path is pinned byte-for-byte by tests/end_to_end.rs; this step
-# checks the calendar path also survives the real multi-threaded binary.
-echo "==> edge smoke (calendar queue): edge_offload --smoke --threads 2"
-HBO_EVENT_QUEUE=calendar cargo run --release --offline -q -p hbo-bench --bin edge_offload -- \
-  --smoke --threads 2 >/dev/null
-
 # Fleet smoke: the cluster sweep on 2 worker threads — exercises the
 # heterogeneous fleet synthesis (churn, mixed device classes), the
 # multi-server cluster DES, and all four routing policies end-to-end.
 # The emitted rows are pinned (golden cell + thread-count identity) by
-# tests/end_to_end.rs; this step checks the real binary under both
-# future-event-list implementations.
+# tests/end_to_end.rs; this step checks the real binary.
 echo "==> fleet smoke: fleet_sweep --smoke --threads 2"
 cargo run --release --offline -q -p hbo-bench --bin fleet_sweep -- \
-  --smoke --threads 2 >/dev/null
-echo "==> fleet smoke (calendar queue): fleet_sweep --smoke --threads 2"
-HBO_EVENT_QUEUE=calendar cargo run --release --offline -q -p hbo-bench --bin fleet_sweep -- \
   --smoke --threads 2 >/dev/null
 
 # Stadium smoke (ISSUE 9): the shared-medium pipeline end-to-end —
 # contended-cell fair sharing under HBO, plus the two-cell
-# mobility/handover fleet — under both future-event-list
-# implementations. Rows are pinned (golden cell + thread-count
+# mobility/handover fleet. Rows are pinned (golden cell + thread-count
 # identity) by tests/end_to_end.rs.
 echo "==> stadium smoke: stadium_sweep --smoke --threads 2"
 cargo run --release --offline -q -p hbo-bench --bin stadium_sweep -- \
-  --smoke --threads 2 >/dev/null
-echo "==> stadium smoke (calendar queue): stadium_sweep --smoke --threads 2"
-HBO_EVENT_QUEUE=calendar cargo run --release --offline -q -p hbo-bench --bin stadium_sweep -- \
   --smoke --threads 2 >/dev/null
 
 # Warm-start smoke: the same sweep with the per-class HBO planning pass
@@ -120,10 +95,9 @@ cmp "$trace_dir/parallel.json" "$trace_dir/serial.json"
 # Metrics smoke (ISSUE 10): the fleet sweep with the streaming
 # aggregator and head-sampled tracing on the real binary. The
 # Prometheus-style exposition must be byte-identical across --threads
-# 1/2/4 and across both future-event-list implementations, the emitted
-# rows must stay byte-identical to an unobserved run, and the sampled
-# trace export must still validate.
-echo "==> metrics smoke: fleet_sweep --metrics across threads and queue kinds"
+# 1/2/4, the emitted rows must stay byte-identical to an unobserved run,
+# and the sampled trace export must still validate.
+echo "==> metrics smoke: fleet_sweep --metrics across threads"
 cargo run --release --offline -q -p hbo-bench --bin fleet_sweep -- \
   --smoke --threads 1 --metrics "$trace_dir/metrics_t1.txt" \
   --trace "$trace_dir/fleet_sampled.json" --trace-sample 2 \
@@ -132,11 +106,8 @@ cargo run --release --offline -q -p hbo-bench --bin fleet_sweep -- \
   --smoke --threads 2 --metrics "$trace_dir/metrics_t2.txt" >/dev/null 2>&1
 cargo run --release --offline -q -p hbo-bench --bin fleet_sweep -- \
   --smoke --threads 4 --metrics "$trace_dir/metrics_t4.txt" >/dev/null 2>&1
-HBO_EVENT_QUEUE=calendar cargo run --release --offline -q -p hbo-bench --bin fleet_sweep -- \
-  --smoke --threads 2 --metrics "$trace_dir/metrics_cal.txt" >/dev/null 2>&1
 cmp "$trace_dir/metrics_t1.txt" "$trace_dir/metrics_t2.txt"
 cmp "$trace_dir/metrics_t1.txt" "$trace_dir/metrics_t4.txt"
-cmp "$trace_dir/metrics_t1.txt" "$trace_dir/metrics_cal.txt"
 grep -q '# TYPE mar_counter_samples counter' "$trace_dir/metrics_t1.txt"
 grep -q 'name="mem session bytes"' "$trace_dir/metrics_t1.txt"
 cargo run --release --offline -q -p hbo-bench --bin fleet_sweep -- \

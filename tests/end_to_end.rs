@@ -218,41 +218,29 @@ fn edge_offload_golden_cell_is_pinned() {
         "{\"sweep\":\"edge_offload\",\"scenario\":\"SC2-CF2\",\"clients\":2,\"uplink_mbps\":50.000,\"system\":\"edge-only\",\"alloc\":\"EEE\",\"x\":1.000000,\"quality\":1.000000,\"epsilon\":0.649189,\"reward\":-0.622972,\"edge\":{\"p95_ms\":18.942946,\"mean_ms\":15.818202,\"completed\":244,\"rejected\":0,\"avg_busy_lanes\":0.125282}}",
         "{\"sweep\":\"edge_offload\",\"scenario\":\"SC2-CF2\",\"clients\":2,\"uplink_mbps\":50.000,\"system\":\"hbo-joint\",\"alloc\":\"GEE\",\"x\":0.736836,\"quality\":0.907228,\"epsilon\":0.016605,\"reward\":0.865715,\"edge\":{\"p95_ms\":19.408982,\"mean_ms\":16.365485,\"completed\":158,\"rejected\":0,\"avg_busy_lanes\":0.108445}}",
     ];
-    // Both future-event-list implementations must hit the SAME golden
-    // bytes (ISSUE 6: the queue is a pure performance knob — flipping it
-    // may not move a single published digit).
-    for queue in [simcore::QueueKind::Heap, simcore::QueueKind::Calendar] {
-        let spec = ScenarioSpec::sc2_cf2().with_queue(queue);
-        let rows = marsim::edge::sweep_cell(&spec, 2, 50.0, &config, 42);
-        assert_eq!(
-            rows,
-            golden,
-            "edge_offload golden cell drifted on the {} queue",
-            queue.name()
-        );
-        // In this cell HBO-joint also dominates both fixed policies on the
-        // paper's QoE objective (acceptance criterion).
-        let reward = |i: usize| {
-            let tail = rows[i].split("\"reward\":").nth(1).unwrap();
-            tail.split(',').next().unwrap().parse::<f64>().unwrap()
-        };
-        assert!(reward(2) > reward(0) && reward(2) > reward(1));
-    }
+    let rows = marsim::edge::sweep_cell(&ScenarioSpec::sc2_cf2(), 2, 50.0, &config, 42);
+    assert_eq!(rows, golden, "edge_offload golden cell drifted");
+    // In this cell HBO-joint also dominates both fixed policies on the
+    // paper's QoE objective (acceptance criterion).
+    let reward = |i: usize| {
+        let tail = rows[i].split("\"reward\":").nth(1).unwrap();
+        tail.split(',').next().unwrap().parse::<f64>().unwrap()
+    };
+    assert!(reward(2) > reward(0) && reward(2) > reward(1));
 }
 
-/// ISSUE 6 acceptance: a full `run_hbo` session at a pinned seed is
-/// bit-identical under both queue implementations — every explored point,
-/// every cost, the whole best-cost trace, the telemetry summary, and the
-/// byte-exact Chrome trace export. This is the strongest cross-queue pin:
-/// any divergence in pop order or seq numbering anywhere in the SoC DES
-/// would cascade into different RNG draws and fail loudly here.
+/// A full traced `run_hbo` session replayed at the same seed is
+/// bit-identical — every explored point, every cost, the whole best-cost
+/// trace, the telemetry summary, and the byte-exact Chrome trace export.
+/// Any nondeterminism in pop order or seq numbering anywhere in the SoC
+/// DES would cascade into different RNG draws and fail loudly here.
 #[test]
-fn calendar_queue_replays_an_hbo_session_bit_identically() {
+fn traced_hbo_session_replays_bit_identically() {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    let session = |queue: simcore::QueueKind| {
-        let spec = ScenarioSpec::sc1_cf2().with_queue(queue);
+    let session = || {
+        let spec = ScenarioSpec::sc1_cf2();
         let sink = Rc::new(RefCell::new(simcore::trace::ChromeTraceSink::new()));
         let run = marsim::experiment::run_hbo_traced(
             &spec,
@@ -266,40 +254,22 @@ fn calendar_queue_replays_an_hbo_session_bit_identically() {
         };
         (run, simcore::trace::chrome_trace_json(&[job]))
     };
-    let (heap, heap_trace) = session(simcore::QueueKind::Heap);
-    let (cal, cal_trace) = session(simcore::QueueKind::Calendar);
+    let (first, first_trace) = session();
+    let (second, second_trace) = session();
 
-    assert_eq!(heap.best.point, cal.best.point);
-    assert_eq!(heap.best_cost_trace, cal.best_cost_trace);
-    assert_eq!(heap.records.len(), cal.records.len());
-    for (a, b) in heap.records.iter().zip(&cal.records) {
+    assert_eq!(first.best.point, second.best.point);
+    assert_eq!(first.best_cost_trace, second.best_cost_trace);
+    assert_eq!(first.records.len(), second.records.len());
+    for (a, b) in first.records.iter().zip(&second.records) {
         assert_eq!(a.point, b.point);
         assert_eq!(a.cost, b.cost);
     }
-    assert_eq!(heap.telemetry, cal.telemetry);
+    assert_eq!(first.telemetry, second.telemetry);
     assert_eq!(
-        heap_trace, cal_trace,
-        "Chrome trace export must be byte-identical across queue kinds"
+        first_trace, second_trace,
+        "Chrome trace export must be byte-identical across replays"
     );
-    assert!(!heap_trace.is_empty());
-}
-
-/// The measurement loop itself (no optimizer): a placed SC1-CF1 app runs
-/// the same frames, latencies, and quality figures on both queues.
-#[test]
-fn calendar_queue_matches_heap_on_raw_app_measurements() {
-    let measure = |queue: simcore::QueueKind| {
-        let mut app = MarApp::new(&ScenarioSpec::sc1_cf1().with_queue(queue));
-        app.place_all_objects();
-        app.run_for_secs(1.0);
-        app.measure_for_secs(2.0)
-    };
-    let heap = measure(simcore::QueueKind::Heap);
-    let cal = measure(simcore::QueueKind::Calendar);
-    assert_eq!(
-        heap, cal,
-        "measurement window must be bit-identical across queue kinds"
-    );
+    assert!(!first_trace.is_empty());
 }
 
 /// Tracing is an observer, not a participant (ISSUE 5): an activation run
@@ -614,7 +584,7 @@ fn edge_offload_sweep_identical_across_thread_counts() {
 }
 
 /// Golden regression pin (ISSUE 7, satellite d): one `fleet_sweep` cell's
-/// JSON row, bit-for-bit, under BOTH future-event-list implementations.
+/// JSON row, bit-for-bit.
 /// The whole fleet pipeline behind this line — population synthesis
 /// (churn, mixed device classes), the multi-server cluster DES, the
 /// join-shortest-queue router, and the hand-rolled JSON — must stay
@@ -622,22 +592,13 @@ fn edge_offload_sweep_identical_across_thread_counts() {
 #[test]
 fn fleet_sweep_golden_cell_is_pinned() {
     let golden = "{\"sweep\":\"fleet_sweep\",\"policy\":\"jsq\",\"fleet\":12,\"sessions\":15,\"client_windows\":47.021,\"submitted\":568,\"completed\":563,\"dropped\":0,\"rejects\":0,\"reject_rate\":0.000000,\"p50_ms\":30.448164,\"p95_ms\":36.842278,\"p99_ms\":36.842278,\"mean_ms\":24.875300,\"retransmits\":28,\"peak_queue\":1,\"busy_lanes\":0.255252,\"servers\":[{\"admitted\":453,\"rejected\":0,\"completed\":453,\"avg_busy_lanes\":0.197481},{\"admitted\":101,\"rejected\":0,\"completed\":101,\"avg_busy_lanes\":0.053786},{\"admitted\":8,\"rejected\":0,\"completed\":8,\"avg_busy_lanes\":0.003510},{\"admitted\":1,\"rejected\":0,\"completed\":1,\"avg_busy_lanes\":0.000475}]}";
-    for queue in [simcore::QueueKind::Heap, simcore::QueueKind::Calendar] {
-        let spec = marsim::FleetSpec::mar_default(12)
-            .with_horizon(4.0)
-            .with_queue(queue);
-        let r = marsim::run_fleet_cell(
-            &spec,
-            edgelink::RoutePolicy::ShortestQueue,
-            marsim::runner::job_seed(2024, 1),
-        );
-        assert_eq!(
-            r.row,
-            golden,
-            "fleet_sweep golden cell drifted on the {} queue",
-            queue.name()
-        );
-    }
+    let spec = marsim::FleetSpec::mar_default(12).with_horizon(4.0);
+    let r = marsim::run_fleet_cell(
+        &spec,
+        edgelink::RoutePolicy::ShortestQueue,
+        marsim::runner::job_seed(2024, 1),
+    );
+    assert_eq!(r.row, golden, "fleet_sweep golden cell drifted");
 }
 
 /// The `fleet_sweep` cells are bit-identical for any worker-thread count
@@ -663,8 +624,7 @@ fn fleet_sweep_identical_across_thread_counts() {
 }
 
 /// Golden regression pin (ISSUE 9): one `stadium_sweep` population cell
-/// and the mobility/handover cell, bit-for-bit, under BOTH
-/// future-event-list implementations. The shared-medium pipeline behind
+/// and the mobility/handover cell, bit-for-bit. The shared-medium pipeline behind
 /// these lines — fair-share reallocation, seed-keyed placement, waypoint
 /// mobility, handover with in-flight-byte preservation, and HBO planning
 /// with the effective per-client bandwidth — must stay deterministic for
@@ -678,32 +638,20 @@ fn stadium_sweep_golden_cell_is_pinned() {
     };
     let golden_stadium = "{\"sweep\":\"stadium_sweep\",\"scenario\":\"SC1-CF2\",\"clients\":2,\"eff_uplink_mbps\":35.604,\"eff_downlink_mbps\":35.604,\"alloc\":\"CEE\",\"edge_tasks\":2,\"tasks\":3,\"x\":0.992113,\"quality\":0.998051,\"epsilon\":0.151025,\"reward\":0.620489,\"edge\":{\"p95_ms\":21.770277,\"mean_ms\":17.157895,\"completed\":159,\"rejected\":0,\"avg_busy_lanes\":0.109185}}";
     let golden_mobility = "{\"sweep\":\"stadium_mobility\",\"fleet\":8,\"sessions\":8,\"handovers\":4,\"submitted\":173,\"completed\":167,\"dropped\":0,\"rejects\":0,\"p50_ms\":95.559382,\"p95_ms\":483.002056,\"mean_ms\":151.714810,\"retransmits\":5}";
-    for queue in [simcore::QueueKind::Heap, simcore::QueueKind::Calendar] {
-        let spec = ScenarioSpec::sc1_cf2().with_queue(queue);
-        let (row, _) = marsim::stadium_cell(
-            &spec,
-            edgelink::SharedCell::stadium(),
-            2,
-            &config,
-            marsim::runner::job_seed(2024, 1),
-        );
-        assert_eq!(
-            row,
-            golden_stadium,
-            "stadium_sweep golden cell drifted on the {} queue",
-            queue.name()
-        );
-        let fleet = marsim::FleetSpec::mar_default(8)
-            .with_horizon(4.0)
-            .with_queue(queue);
-        let r = marsim::run_mobility_cell(&fleet, marsim::runner::job_seed(2024, 5));
-        assert_eq!(
-            r.row,
-            golden_mobility,
-            "stadium mobility golden cell drifted on the {} queue",
-            queue.name()
-        );
-    }
+    let (row, _) = marsim::stadium_cell(
+        &ScenarioSpec::sc1_cf2(),
+        edgelink::SharedCell::stadium(),
+        2,
+        &config,
+        marsim::runner::job_seed(2024, 1),
+    );
+    assert_eq!(row, golden_stadium, "stadium_sweep golden cell drifted");
+    let fleet = marsim::FleetSpec::mar_default(8).with_horizon(4.0);
+    let r = marsim::run_mobility_cell(&fleet, marsim::runner::job_seed(2024, 5));
+    assert_eq!(
+        r.row, golden_mobility,
+        "stadium mobility golden cell drifted"
+    );
 }
 
 /// The `stadium_sweep` cells are bit-identical for any worker-thread
@@ -742,8 +690,7 @@ fn stadium_sweep_identical_across_thread_counts() {
 /// uncovered: an EdgeSim stadium cell whose capacity flips under
 /// cross-traffic, and a 64-session population walking across two cells
 /// (dense lanes, frequent handovers). Each line, the medium's re-solve
-/// count included, is pinned bit-for-bit under both future-event-list
-/// implementations.
+/// count included, is pinned bit-for-bit.
 #[test]
 fn cross_traffic_and_dense_mobility_cells_are_pinned() {
     let cell = edgelink::SharedCell {
@@ -756,54 +703,39 @@ fn cross_traffic_and_dense_mobility_cells_are_pinned() {
     };
     let golden_cross = "server=(201, 37, 199) retransmits=5 reallocs=913 delivered=416b140000000000 in_flight=411ff445ce6cc36c p95_ms=[214.807643,205.668113,282.603154,177.498409,198.959876,197.567111,223.039501,189.096581,214.544325,168.819302,191.685455,175.592760,222.597326,204.340618,292.525707,169.154560]";
     let golden_dense = "{\"sweep\":\"stadium_mobility\",\"fleet\":64,\"sessions\":73,\"handovers\":11,\"submitted\":863,\"completed\":809,\"dropped\":0,\"rejects\":0,\"p50_ms\":71.795178,\"p95_ms\":299.906275,\"mean_ms\":102.692447,\"retransmits\":25} reallocs=3332";
-    for queue in [simcore::QueueKind::Heap, simcore::QueueKind::Calendar] {
-        let specs = (0..16)
-            .map(|i| edgelink::ClientSpec::mar_default(format!("c{i}")))
-            .collect();
-        let mut sim = edgelink::EdgeSim::new_shared_traced_with_queue(
-            edgelink::LinkParams::wifi(),
-            edgelink::ServerParams::small(),
-            cell,
-            specs,
-            2024,
-            simcore::trace::Tracer::disabled(),
-            queue,
-        );
-        sim.run_for_secs(2.0);
-        let m = sim.medium().expect("shared cell exposes the medium");
-        let p95: Vec<String> = (0..sim.client_count())
-            .map(|c| {
-                format!(
-                    "{:.6}",
-                    sim.metrics(c).latency_percentile_ms(0.95).unwrap_or(-1.0)
-                )
-            })
-            .collect();
-        let got = format!(
-            "server={:?} retransmits={} reallocs={} delivered={:x} in_flight={:x} p95_ms=[{}]",
-            sim.server_counters(),
-            sim.total_retransmits(),
-            sim.medium_reallocs(),
-            m.delivered_bytes().to_bits(),
-            m.in_flight_bytes().to_bits(),
-            p95.join(",")
-        );
-        assert_eq!(
-            got,
-            golden_cross,
-            "cross-traffic stadium cell drifted on the {} queue",
-            queue.name()
-        );
-        let fleet = marsim::FleetSpec::mar_default(64)
-            .with_horizon(2.0)
-            .with_queue(queue);
-        let r = marsim::run_mobility_cell(&fleet, marsim::runner::job_seed(2024, 8));
-        let got = format!("{} reallocs={}", r.row, r.telemetry.medium_reallocs);
-        assert_eq!(
-            got,
-            golden_dense,
-            "64-session mobility cell drifted on the {} queue",
-            queue.name()
-        );
-    }
+    let specs = (0..16)
+        .map(|i| edgelink::ClientSpec::mar_default(format!("c{i}")))
+        .collect();
+    let mut sim = edgelink::EdgeSim::new_shared_traced(
+        edgelink::LinkParams::wifi(),
+        edgelink::ServerParams::small(),
+        cell,
+        specs,
+        2024,
+        simcore::trace::Tracer::disabled(),
+    );
+    sim.run_for_secs(2.0);
+    let m = sim.medium().expect("shared cell exposes the medium");
+    let p95: Vec<String> = (0..sim.client_count())
+        .map(|c| {
+            format!(
+                "{:.6}",
+                sim.metrics(c).latency_percentile_ms(0.95).unwrap_or(-1.0)
+            )
+        })
+        .collect();
+    let got = format!(
+        "server={:?} retransmits={} reallocs={} delivered={:x} in_flight={:x} p95_ms=[{}]",
+        sim.server_counters(),
+        sim.total_retransmits(),
+        sim.medium_reallocs(),
+        m.delivered_bytes().to_bits(),
+        m.in_flight_bytes().to_bits(),
+        p95.join(",")
+    );
+    assert_eq!(got, golden_cross, "cross-traffic stadium cell drifted");
+    let fleet = marsim::FleetSpec::mar_default(64).with_horizon(2.0);
+    let r = marsim::run_mobility_cell(&fleet, marsim::runner::job_seed(2024, 8));
+    let got = format!("{} reallocs={}", r.row, r.telemetry.medium_reallocs);
+    assert_eq!(got, golden_dense, "64-session mobility cell drifted");
 }
