@@ -624,11 +624,11 @@ fn fleet_sweep_identical_across_thread_counts() {
 }
 
 /// Golden regression pin (ISSUE 9): one `stadium_sweep` population cell
-/// and the mobility/handover cell, bit-for-bit. The shared-medium pipeline behind
-/// these lines — fair-share reallocation, seed-keyed placement, waypoint
-/// mobility, handover with in-flight-byte preservation, and HBO planning
-/// with the effective per-client bandwidth — must stay deterministic for
-/// the pin to hold.
+/// and the mobility/handover cell, bit-for-bit. The shared-medium
+/// pipeline behind these lines — fair-share reallocation, seed-keyed
+/// placement, waypoint mobility, handover with in-flight-byte
+/// preservation, and HBO planning with the effective per-client
+/// bandwidth — must stay deterministic for the pin to hold.
 #[test]
 fn stadium_sweep_golden_cell_is_pinned() {
     let config = HboConfig {
