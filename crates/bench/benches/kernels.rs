@@ -295,16 +295,18 @@ fn bench_substrates(h: &mut Harness) {
             let specs: Vec<edgelink::ClientSpec> = (0..8)
                 .map(|i| edgelink::ClientSpec::mar_default(format!("c{i}")))
                 .collect();
-            edgelink::EdgeSim::new(
+            let (params, sessions) = edgelink::one_server(
                 edgelink::LinkParams::wifi(),
                 edgelink::ServerParams::small(),
+                None,
                 specs,
                 11,
-            )
+            );
+            edgelink::ClusterSim::new_traced(params, sessions, simcore::trace::Tracer::disabled())
         },
         |mut sim| {
             sim.run_for_secs(1.0);
-            black_box(sim.server_counters())
+            black_box(sim.server_counters(0))
         },
     );
 
@@ -312,7 +314,7 @@ fn bench_substrates(h: &mut Harness) {
     // clients contending for one stadium cell. Every flow arrival/
     // departure re-solves the fair-share water-fill over the whole cell,
     // so this measures the progress-based reallocation control plane on
-    // top of the edgesim event loop.
+    // top of the one-server event loop.
     h.bench_sim(
         "mediumsim_32c_1s",
         1.0,
@@ -320,18 +322,18 @@ fn bench_substrates(h: &mut Harness) {
             let specs: Vec<edgelink::ClientSpec> = (0..32)
                 .map(|i| edgelink::ClientSpec::mar_default(format!("c{i}")))
                 .collect();
-            edgelink::EdgeSim::new_shared_traced(
+            let (params, sessions) = edgelink::one_server(
                 edgelink::LinkParams::wifi(),
                 edgelink::ServerParams::small(),
-                edgelink::SharedCell::stadium(),
+                Some(edgelink::SharedCell::stadium()),
                 specs,
                 11,
-                simcore::trace::Tracer::disabled(),
-            )
+            );
+            edgelink::ClusterSim::new_traced(params, sessions, simcore::trace::Tracer::disabled())
         },
         |mut sim| {
             sim.run_for_secs(1.0);
-            black_box(sim.server_counters())
+            black_box(sim.server_counters(0))
         },
     );
 

@@ -4,7 +4,7 @@
 //! # Model
 //!
 //! Each client owns one uplink and one downlink radio lane (a 1-slot
-//! [`soc::FifoServer`] in [`crate::EdgeSim`]); a transfer occupies its lane
+//! [`soc::FifoServer`] in [`crate::ClusterSim`]); a transfer occupies its lane
 //! for its whole serialization — including retransmissions — and is then
 //! delivered after a jittered propagation delay. All randomness (loss
 //! draws, jitter) is derived from per-`(flow, seq)` seeds via

@@ -1,9 +1,9 @@
 //! Shared-medium radio cells: fair-share bandwidth with progress-based
 //! reallocation, client mobility, and mid-session handover.
 //!
-//! The per-client radios in [`crate::sim`] and [`crate::cluster`] give every
-//! session a private serialization pipe, so N clients on one AP never contend
-//! for airtime. This module models the regime that actually drives offload
+//! The private radios of [`crate::cluster`] give every session its own
+//! serialization pipe, so N clients on one AP never contend for airtime.
+//! This module models the regime that actually drives offload
 //! decisions in dense MAR deployments: one (or more) cells of fixed capacity
 //! whose concurrent flows *fair-share* the medium, with rates re-solved on
 //! every flow arrival, departure, rate-cap change, or cross-traffic phase
@@ -233,9 +233,9 @@ impl MediumParams {
     }
 }
 
-/// A single contended cell, packaged for [`crate::sim::EdgeSim`]'s shared
-/// mode (and `marsim`'s `EdgeSpec`): one AP at the origin, clients parked at
-/// seed-drawn distances inside `radius_m`. `Copy`, so specs embedding it
+/// A single contended cell, packaged for the one-server edge world
+/// ([`crate::ClusterRadio::Cell`], and `marsim`'s `EdgeSpec`): one AP at
+/// the origin, clients parked at seed-drawn distances inside `radius_m`. `Copy`, so specs embedding it
 /// stay `Copy`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SharedCell {
@@ -280,18 +280,20 @@ impl SharedCell {
         }
     }
 
-    /// The seed-drawn distance of client `i` from the AP: uniform over the
-    /// disc (`r·√u`), on a `0x3E11`-keyed stream so placement never
+    /// The placement seed of client `i` in a world seeded by
+    /// `master_seed`, on a `0x3E11`-keyed stream so placement never
     /// perturbs flow or jitter draws.
-    pub fn client_distance_m(&self, master_seed: u64, client: usize) -> f64 {
-        let u = unit(mix(mix(master_seed, TAG_PLACEMENT), client as u64));
-        self.radius_m * u.sqrt()
+    pub fn placement_seed(master_seed: u64, client: usize) -> u64 {
+        mix(mix(master_seed, TAG_PLACEMENT), client as u64)
     }
 
-    /// The rate-law cap at client `i`'s drawn position, Mbit/s.
-    pub fn client_cap_mbps(&self, master_seed: u64, client: usize) -> f64 {
-        self.rate_law
-            .cap_mbps(self.client_distance_m(master_seed, client))
+    /// Where a client with placement seed `seed` parks: on the x axis, at
+    /// a distance from the AP drawn uniformly over the disc (`r·√u`).
+    pub fn parked(&self, seed: u64) -> Mobility {
+        Mobility::Fixed {
+            x_m: self.radius_m * unit(seed).sqrt(),
+            y_m: 0.0,
+        }
     }
 
     /// The effective per-client bandwidth HBO should plan with when `n`

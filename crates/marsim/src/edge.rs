@@ -9,8 +9,9 @@
 //! identical MAR users would. Locally the clients do not contend with
 //! each other (each has its own SoC), so one [`MarApp`] instance stands
 //! in for all of them; what they *do* share is the edge server and the
-//! link profile, modeled by one [`edgelink::EdgeSim`] carrying one flow
-//! per `(client, edge-allocated task)`. A task allocated to Edge leaves
+//! link profile, modeled by a one-server [`edgelink::ClusterSim`]
+//! ([`edgelink::one_server`]) carrying one flow per `(client,
+//! edge-allocated task)`. A task allocated to Edge leaves
 //! only a small serialization stub on the SoC
 //! ([`MarApp::set_offloaded`]); its latency is measured from the edge
 //! simulation instead.
@@ -23,7 +24,7 @@
 
 pub use edgelink::{Direction, LinkParams, ServerParams, SharedCell};
 
-use edgelink::{ClientSpec, EdgeSim};
+use edgelink::{one_server, ClientSpec, ClusterSim};
 use hbo_core::{
     best_local_allocation, edge_only_allocation, HboConfig, HboController, HboPoint, StoredConfig,
     TaskProfile, WarmCache,
@@ -31,6 +32,7 @@ use hbo_core::{
 use nnmodel::Delegate;
 use simcore::rand::SeedableRng;
 use simcore::rng::mix;
+use simcore::stats::Running;
 use simcore::trace::Tracer;
 use simcore::SimTime;
 
@@ -202,7 +204,7 @@ pub struct EdgeWorld {
     /// timeline.
     tracer: Tracer,
     /// Edge counters accumulated across every measurement window (each
-    /// window runs a fresh [`EdgeSim`] which is dropped afterwards).
+    /// window runs a fresh [`ClusterSim`] which is dropped afterwards).
     cum_rejected: u64,
     cum_retransmits: u64,
     cum_handovers: u64,
@@ -350,23 +352,14 @@ impl EdgeWorld {
             // timeline (and the sink's track dedup keeps one set of
             // radio/lane tracks across windows).
             let window_tracer = self.tracer.offset_by(window_start - SimTime::ZERO);
-            let mut esim = match self.edge.shared {
-                None => EdgeSim::new_traced(
-                    self.edge.link,
-                    self.edge.server,
-                    flows,
-                    seed,
-                    window_tracer,
-                ),
-                Some(cell) => EdgeSim::new_shared_traced(
-                    self.edge.link,
-                    self.edge.server,
-                    cell,
-                    flows,
-                    seed,
-                    window_tracer,
-                ),
-            };
+            let (params, sessions) = one_server(
+                self.edge.link,
+                self.edge.server,
+                self.edge.shared,
+                flows,
+                seed,
+            );
+            let mut esim = ClusterSim::new_traced(params, sessions, window_tracer);
             esim.run_for_secs(secs);
 
             // Fleet-mean latency per edge task (flows are laid out
@@ -376,9 +369,13 @@ impl EdgeWorld {
                 let mut sum = 0.0;
                 let mut n = 0u64;
                 for client in 0..self.edge.clients {
-                    let m = esim.metrics(client * k + j);
-                    if m.completed() > 0 {
-                        sum += m.latency_overall().mean();
+                    let samples = esim.session_samples(client * k + j);
+                    if !samples.is_empty() {
+                        let mut flow = Running::new();
+                        for &(_, l) in samples {
+                            flow.record(l);
+                        }
+                        sum += flow.mean();
                         n += 1;
                     }
                 }
@@ -390,13 +387,13 @@ impl EdgeWorld {
             }
 
             // Pooled fleet latency distribution for the reported p95.
-            let mut pooled: Vec<f64> = (0..esim.client_count())
-                .flat_map(|c| esim.metrics(c).samples().iter().map(|&(_, l)| l))
+            let mut pooled: Vec<f64> = (0..esim.session_count())
+                .flat_map(|c| esim.session_samples(c).iter().map(|&(_, l)| l))
                 .collect();
             pooled.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-            let (_, rejected, _) = esim.server_counters();
+            let (_, rejected, _) = esim.server_counters(0);
             self.cum_rejected += rejected;
-            self.cum_retransmits += esim.total_retransmits();
+            self.cum_retransmits += esim.metrics().retransmits;
             self.cum_handovers += esim.handovers();
             self.cum_medium_reallocs += esim.medium_reallocs();
             self.edge_peak_queue = self.edge_peak_queue.max(esim.peak_queue());
@@ -409,7 +406,7 @@ impl EdgeWorld {
                 },
                 completed: pooled.len() as u64,
                 rejected,
-                avg_busy_lanes: esim.avg_busy_lanes(),
+                avg_busy_lanes: esim.server_avg_busy_lanes(0),
             });
         }
         self.epoch += 1;

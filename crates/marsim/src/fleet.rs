@@ -316,6 +316,8 @@ pub fn mar_cluster(link: LinkParams, policy: RoutePolicy) -> ClusterParams {
         cross_zone_ms: 8.0,
         max_admission_retries: 2,
         radio: ClusterRadio::Private,
+        keep_samples: false,
+        edge_master_seed: None,
     }
 }
 

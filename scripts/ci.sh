@@ -124,4 +124,23 @@ echo "==> bench smoke: scripts/bench.sh --smoke"
 BENCH_OUT="$trace_dir/bench_smoke.json" scripts/bench.sh --smoke >/dev/null
 test -s "$trace_dir/bench_smoke.json"
 
+# Benchmark digests: the perfbench selftest (every workload untraced and
+# traced, output contract), then one second of each workload at seed 1.
+# One second makes two passes over each 100-input pool, so every digest
+# pinned in perfbench/golden.txt is checked; a drift fails here instead
+# of surfacing only as the benchmark's pass_rate.
+echo "==> perfbench: selftest, then a one-second digest pass per workload"
+python3 perfbench/selftest.py
+for workload in hbo_activation edge_stadium fleet_private mobility_shared; do
+  result="$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+  python3 -c '
+import json, sys
+r = json.loads(sys.argv[2])
+print(sys.argv[1], "correct:", r.get("correct"), "failed:", r.get("failed"),
+      "attempted:", r.get("attempted"))
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
+' "$workload" "$result"
+done
+
 echo "==> OK"

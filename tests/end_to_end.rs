@@ -687,7 +687,7 @@ fn stadium_sweep_identical_across_thread_counts() {
 }
 
 /// Golden pins for the shared-medium paths the cells above leave
-/// uncovered: an EdgeSim stadium cell whose capacity flips under
+/// uncovered: a one-server stadium cell whose capacity flips under
 /// cross-traffic, and a 64-session population walking across two cells
 /// (dense lanes, frequent handovers). Each line, the medium's re-solve
 /// count included, is pinned bit-for-bit.
@@ -706,28 +706,31 @@ fn cross_traffic_and_dense_mobility_cells_are_pinned() {
     let specs = (0..16)
         .map(|i| edgelink::ClientSpec::mar_default(format!("c{i}")))
         .collect();
-    let mut sim = edgelink::EdgeSim::new_shared_traced(
+    let (params, sessions) = edgelink::one_server(
         edgelink::LinkParams::wifi(),
         edgelink::ServerParams::small(),
-        cell,
+        Some(cell),
         specs,
         2024,
-        simcore::trace::Tracer::disabled(),
     );
+    let mut sim =
+        edgelink::ClusterSim::new_traced(params, sessions, simcore::trace::Tracer::disabled());
     sim.run_for_secs(2.0);
     let m = sim.medium().expect("shared cell exposes the medium");
-    let p95: Vec<String> = (0..sim.client_count())
+    let p95: Vec<String> = (0..sim.session_count())
         .map(|c| {
-            format!(
-                "{:.6}",
-                sim.metrics(c).latency_percentile_ms(0.95).unwrap_or(-1.0)
-            )
+            // 0.1 ms .. ~1.7 s in 10% steps.
+            let mut h = simcore::stats::LogHistogram::new(0.1, 1.1, 102);
+            for &(_, l) in sim.session_samples(c) {
+                h.record(l);
+            }
+            format!("{:.6}", h.quantile(0.95).unwrap_or(-1.0))
         })
         .collect();
     let got = format!(
         "server={:?} retransmits={} reallocs={} delivered={:x} in_flight={:x} p95_ms=[{}]",
-        sim.server_counters(),
-        sim.total_retransmits(),
+        sim.server_counters(0),
+        sim.metrics().retransmits,
         sim.medium_reallocs(),
         m.delivered_bytes().to_bits(),
         m.in_flight_bytes().to_bits(),
