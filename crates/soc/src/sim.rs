@@ -1262,6 +1262,67 @@ mod tests {
         assert!(sim.peak_queue(npu) >= 1);
     }
 
+    /// Instances of `id` released and not yet completed.
+    fn source_in_flight(sim: &SocSim, id: SourceId) -> usize {
+        sim.state.sources[id.0].outstanding.live()
+    }
+
+    #[test]
+    fn shrinking_a_source_mid_run_completes_each_instance_at_most_once() {
+        // A slow 3-stage source keeps two instances in flight, mostly in
+        // its later stages; cutting it to one stage strands them past the
+        // end of the new sequence, so they complete through the
+        // shrunken-sequence path.
+        let (t, cpu, gpu, _) = topo_cgn();
+        let mut sim = SocSim::new(t);
+        let id = sim.add_source(SourceSpec::new(
+            vec![
+                Stage::compute(cpu, ms(2.0)),
+                Stage::compute(gpu, ms(30.0)),
+                Stage::delay(ms(5.0)),
+            ],
+            ms(16.0),
+            2,
+        ));
+        let check = |sim: &SocSim| {
+            let m = sim.source_metrics(id);
+            let in_flight = source_in_flight(sim, id);
+            assert!(
+                m.completed() <= m.released,
+                "more completions than releases"
+            );
+            assert_eq!(
+                m.completed() + in_flight as u64,
+                m.released,
+                "an instance completed twice or vanished"
+            );
+            assert!(
+                in_flight <= 2,
+                "in flight {in_flight} above max_outstanding"
+            );
+        };
+        let mut now = 0.0;
+        while now < 0.25 {
+            now += 0.005;
+            sim.run_until(secs(now));
+            check(&sim);
+        }
+        assert!(
+            source_in_flight(&sim, id) > 0,
+            "nothing in flight at the cut"
+        );
+        let before = sim.source_metrics(id).completed();
+        sim.update_source(id, vec![Stage::compute(cpu, ms(2.0))]);
+        while now < 0.5 {
+            now += 0.005;
+            sim.run_until(secs(now));
+            check(&sim);
+        }
+        let m = sim.source_metrics(id);
+        assert!(m.completed() > before + 10, "the shrunken source stalled");
+        assert!(sim.peak_in_flight() <= 2);
+    }
+
     #[test]
     fn memory_accounting_tracks_in_flight_sources_and_emits_counters() {
         use simcore::trace::{ChromeTraceSink, TracePhase, Tracer};

@@ -742,3 +742,118 @@ fn cross_traffic_and_dense_mobility_cells_are_pinned() {
     let got = format!("{} reallocs={}", r.row, r.telemetry.medium_reallocs);
     assert_eq!(got, golden_dense, "64-session mobility cell drifted");
 }
+
+/// One line per window of an activation: the allocation letters and the
+/// bit patterns of the triangle ratio and the cost, in window order.
+fn window_digest(records: &[hbo_core::IterationRecord]) -> Vec<String> {
+    records
+        .iter()
+        .map(|r| {
+            let alloc: String = r.point.allocation.iter().map(|d| d.letter()).collect();
+            format!(
+                "{alloc} {:016x} {:016x}",
+                r.point.x.to_bits(),
+                r.cost.to_bits()
+            )
+        })
+        .collect()
+}
+
+/// Golden pin of the warm-start path, which no figure covers: `explore
+/// SC1-CF1 --warm` (a cold then a warm `run_hbo_warm` through one cache,
+/// at seeds 2024 and `mix(2024, 1)`) and one primed `run_edge_hbo_warm`
+/// on SC1-CF2 in the stadium cell with 8 clients. Every window's
+/// allocation, triangle ratio and cost is pinned bit for bit, so the
+/// warm candidate cloud and its acquisition scan cannot drift unseen.
+#[test]
+fn warm_activations_are_pinned() {
+    use hbo_core::WarmCache;
+    use simcore::rng::mix;
+
+    // One line per window: allocation, x bits, cost bits.
+    let golden_cold = [
+        "GNGGNN 3ff0000000000000 4014a3449d84271c",
+        "CCCCNC 3fe9843c4f9a9948 3fffc7ed5f3cd1cc",
+        "GNGCNN 3fd6d18df1d1c03d 3fdc72a0771374d8",
+        "GGGGNG 3fec7c772775bd46 403105229c80080a",
+        "CCCCNC 3fe850cadc17ccbe 4007132d3bf929a3",
+        "CNNNNN 3fdd2277353fb5aa 4007b7a67dac8172",
+        "CNCNNN 3fef5fba827f84b2 401ad951affc99d2",
+        "GNGNNN 3fc999999999999a 40021d90e0634708",
+        "CNCCNC 3fd126774479697c 3fe63e290627583e",
+        "GNCCNN 3fd69d2db20fe957 bfbeb65ef0ed6984",
+        "GNNNNN 3fe2a0a1a76319d8 400da714e25a2794",
+        "GNCCNN 3fc999999999999a 3fc1d81835779692",
+        "GNCCNN 3fd67193fda7c71f bfc0c74dd5f12be2",
+        "GNCCNN 3fd58d6329731afb bfb44e7e968fb7b8",
+        "GNCCNN 3fd6e99f3abefd99 bf7aa1a7b2fc8f00",
+        "GNCCNN 3fd37e277049e793 bfc26648c12712e6",
+        "GNCCNN 3fd4c474dd6bdc7e 3fb09442c1997bd0",
+        "GNCCNN 3fd1b98f1658c6f5 bfc5987e166c105c",
+        "GNCCNN 3fd23225b7884c1d 3fa6897c32ae5058",
+        "GNCCNN 3fd43a13baf6e01a bf8f76e64b2e3000",
+    ];
+    let golden_warm = [
+        "GNGGNN 3ff0000000000000 4014a3449d84271c",
+        "GNCCNN 3fd1b98f1658c6f5 3fd1588b8e63c974",
+        "CCCCNC 3fca7639ccc73b84 3ffa9fee423ce636",
+        "GNGNNN 3fc999999999999a 3fffa7f42ba04262",
+        "GCGGGC 3fcf5466f7a72b24 4025b838f1856f4b",
+        "CNCNNN 3fdc874450656598 3fe823322d8c8401",
+        "GNCCNC 3fcb519f4c140fa0 3fde00d825d1e577",
+        "GNCCNN 3fd67fe7b5ba95ea bfc61a187c0bd39c",
+        "GNCCNN 3fdaddb6a0ad187a bfb3c7891ce967e8",
+        "CCCCCC 3fef124be59fffe6 40310bab2ab18ca2",
+        "NNNNNN 3feede9e9a5cfac4 402e9e2edd02019b",
+        "CNCCNN 3fce3e6f32962e5a 3fea40918cd41cdc",
+        "GNCCNN 3fdb22488388a234 bfd5bb8abd749bc8",
+        "GNCCNN 3fd85f81f8a4b3dc bf8801c230088b00",
+        "GNGCNN 3fded05561e9db80 3fdb75c8e69c6cee",
+        "CNCCNN 3fd9195dee3bce1c bfd89d14043cc334",
+        "GNCCNC 3fdcb3536fa7efba 3fcd4bbcf7743300",
+    ];
+    let golden_edge = [
+        "GNN 3ff0000000000000 4000fe64adf97242",
+        "CNN 3fe2fcdadfdf0f9c bfa69e87b8f02590",
+        "CNC 3fc9f08450ebd060 3fe81da80c297eb0",
+        "NEE 3fe335a75d5cfe51 3ff622d4e26101d6",
+        "CNN 3fded83e9cc1004c bfbcc07e87c1fe50",
+        "CNN 3fe2c3a45fc0ec39 bfe3aa4319b00f79",
+        "CNC 3fe9e827a9cdccb2 3fe486b283813271",
+        "CNN 3fe098d81887de56 bfd55e4a90b0c1ae",
+        "GGG 3fdb34d8b77a4277 402d9c3d6c79d681",
+        "NNN 3fe5829e71175fd1 3fe4c982e73d6f1a",
+        "CNN 3fdd672cc056319a bfc5fb9930db3a66",
+        "CCC 3fcb143cef4314ba 4005402501757ff2",
+        "EEE 3fec4633a8ee93ba 4020079c0b4d2a38",
+        "CNN 3fe55d67afef2cd3 bfe31a4901469fdf",
+        "CNN 3fe5318e596bfe47 bfe0170b1e97348f",
+        "CNN 3fead2bdb4667208 3fd5741731b1b6d4",
+        "CNN 3fe42f4f0aac36bb bfe53e395786618c",
+    ];
+    let spec = ScenarioSpec::sc1_cf1();
+    let config = HboConfig::default();
+    let mut cache = WarmCache::new();
+    let cold = marsim::experiment::run_hbo_warm(&spec, &config, 2024, &mut cache);
+    let warm = marsim::experiment::run_hbo_warm(&spec, &config, mix(2024, 1), &mut cache);
+    assert!(!cold.warm_hit && warm.warm_hit);
+
+    let edge = marsim::EdgeSpec::wifi(8).with_shared_cell(edgelink::SharedCell::stadium());
+    let edge_spec = ScenarioSpec::sc1_cf2().with_edge(edge);
+    let mut edge_cache = WarmCache::new();
+    let prime = marsim::run_edge_hbo_warm(&edge_spec, &config, mix(2024, 2), &mut edge_cache);
+    let edge_warm = marsim::run_edge_hbo_warm(&edge_spec, &config, mix(2024, 3), &mut edge_cache);
+    assert!(!prime.warm_hit && edge_warm.warm_hit);
+
+    for (label, r, golden) in [
+        ("cold", &cold, &golden_cold[..]),
+        ("warm", &warm, &golden_warm[..]),
+        ("edge", &edge_warm, &golden_edge[..]),
+    ] {
+        assert_eq!(
+            window_digest(&r.run.records),
+            golden,
+            "{label} activation drifted"
+        );
+    }
+}
