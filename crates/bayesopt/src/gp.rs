@@ -66,9 +66,6 @@ pub struct GaussianProcess {
     // Scratch buffers reused across `predict_batch` candidates.
     k_star_buf: Vec<f64>,
     v_buf: Vec<f64>,
-    /// Distance block laid down by [`Self::posterior_bounds_block`] and
-    /// consumed by [`Self::predict_block_columns`].
-    dist_buf: Vec<f64>,
 }
 
 /// Index of the first entry of row `i` in a packed lower triangle.
@@ -103,7 +100,6 @@ impl GaussianProcess {
             y_scale: 1.0,
             k_star_buf: Vec::new(),
             v_buf: Vec::new(),
-            dist_buf: Vec::new(),
         }
     }
 
@@ -322,171 +318,6 @@ impl GaussianProcess {
         out
     }
 
-    /// A conservative lower bound on the posterior *mean* at `z`, built
-    /// from the tabulated kernel bounds in `bounds` — pure distance
-    /// arithmetic plus one table lookup per observation, no
-    /// transcendentals. Always `≤ predict(z).0`; the candidate-pruning
-    /// pass uses it to discard candidates whose Expected Improvement
-    /// provably cannot beat the running best without paying for the full
-    /// kernel evaluation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the GP is not fitted.
-    pub fn mu_lower_bound(&self, z: &[f64], bounds: &PruneBounds) -> f64 {
-        self.posterior_bounds(z, bounds).0
-    }
-
-    /// `(mu lower bound, variance upper bound)` at `z` in one pass over
-    /// the observations — the candidate-pruning pass's cheap probe.
-    ///
-    /// The mean bound is [`Self::mu_lower_bound`]'s. The variance bound
-    /// conditions on the single *nearest* observation (conditioning on
-    /// more data only shrinks posterior variance):
-    /// `var(z) ≤ σ²_φ − k(x_i, z)² / (σ²_φ + σ²_n)`, evaluated with the
-    /// tabulated kernel *lower* bracket (kernel values are positive, so a
-    /// smaller `k` only loosens the bound) and the jitter rung the factor
-    /// was built at. Both values carry the `y_scale²` output scaling, so
-    /// they bound [`Self::predict`]'s returns directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the GP is not fitted.
-    pub fn posterior_bounds(&self, z: &[f64], bounds: &PruneBounds) -> (f64, f64) {
-        assert!(self.is_fitted(), "GP not fitted: call fit()");
-        let mut acc = 0.0;
-        let mut k_lo_max = 0.0f64;
-        for (x, &a) in self.xs.iter().zip(&self.alpha) {
-            let (k_lo, k_hi) = bounds.bracket(Kernel::distance(x, z));
-            // Positive weight: the smallest kernel value minimizes the
-            // term; negative weight: the largest does.
-            acc += if a >= 0.0 { a * k_lo } else { a * k_hi };
-            if k_lo > k_lo_max {
-                k_lo_max = k_lo;
-            }
-        }
-        let mu = self.y_mean + self.y_scale * acc;
-        // Absorb the floating-point reordering between this sum and the
-        // dot product in `predict` (n ≤ tens of observations, so the true
-        // rounding gap is orders of magnitude below this slack).
-        let mu_lb = mu - 1e-9 * (1.0 + mu.abs());
-        let signal = self.kernel.signal_var();
-        let denom = signal + self.noise_var + JITTERS[self.jitter_idx];
-        let var_ub = (signal - k_lo_max * k_lo_max / denom).max(0.0) * self.y_scale * self.y_scale;
-        (mu_lb, var_ub * (1.0 + 1e-9) + 1e-15)
-    }
-
-    /// Blocked form of [`Self::posterior_bounds`]: appends one
-    /// `(mu lower bound, variance upper bound)` pair per candidate of
-    /// `chunk` to `out` (cleared first), identical in value to the scalar
-    /// call per point.
-    ///
-    /// Like [`Self::predict_batch`], the n×w distance block lands first in
-    /// a reused buffer — the distance pass (including its `sqrt`) then
-    /// vectorizes across the candidates of the block instead of crawling
-    /// the observation `Vec`s one candidate at a time — and the bracket
-    /// lookups run as a second pass over the block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the GP is not fitted.
-    pub fn posterior_bounds_block(
-        &mut self,
-        chunk: &[&[f64]],
-        bounds: &PruneBounds,
-        out: &mut Vec<(f64, f64)>,
-    ) {
-        assert!(self.is_fitted(), "GP not fitted: call fit()");
-        let n = self.xs.len();
-        let w = chunk.len();
-        out.clear();
-        self.dist_buf.clear();
-        self.dist_buf.resize(n * w, 0.0);
-        for (i, x) in self.xs.iter().enumerate() {
-            let row = &mut self.dist_buf[i * w..(i + 1) * w];
-            for (c, z) in chunk.iter().enumerate() {
-                row[c] = Kernel::distance(x, z);
-            }
-        }
-        let signal = self.kernel.signal_var();
-        let denom = signal + self.noise_var + JITTERS[self.jitter_idx];
-        for c in 0..w {
-            let mut acc = 0.0;
-            let mut k_lo_max = 0.0f64;
-            for i in 0..n {
-                let (k_lo, k_hi) = bounds.bracket(self.dist_buf[i * w + c]);
-                let a = self.alpha[i];
-                acc += if a >= 0.0 { a * k_lo } else { a * k_hi };
-                if k_lo > k_lo_max {
-                    k_lo_max = k_lo;
-                }
-            }
-            let mu = self.y_mean + self.y_scale * acc;
-            let mu_lb = mu - 1e-9 * (1.0 + mu.abs());
-            let var_ub =
-                (signal - k_lo_max * k_lo_max / denom).max(0.0) * self.y_scale * self.y_scale;
-            out.push((mu_lb, var_ub * (1.0 + 1e-9) + 1e-15));
-        }
-    }
-
-    /// Posterior mean and variance for the selected columns `cols` of the
-    /// distance block laid down by the *last* [`Self::posterior_bounds_block`]
-    /// call, which must have covered the same `w` candidates.
-    ///
-    /// Bit-identical to [`Self::predict`] on the corresponding points —
-    /// the kernel and solve see exactly the distances the bounds pass
-    /// computed, in the same per-candidate order — but the block's
-    /// distances are reused instead of recomputed, so a pruned-scan
-    /// survivor pays the distance pass once, not twice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the GP is not fitted, or (debug builds) if the distance
-    /// block does not match `w` or a column index is out of range.
-    pub fn predict_block_columns(&mut self, w: usize, cols: &[usize], out: &mut Vec<(f64, f64)>) {
-        assert!(self.is_fitted(), "GP not fitted: call fit()");
-        let chol = self.chol.as_ref().expect("GP not fitted: call fit()");
-        let n = self.xs.len();
-        debug_assert_eq!(self.dist_buf.len(), n * w, "stale distance block");
-        let s = cols.len();
-        out.clear();
-        if s == 0 {
-            return;
-        }
-        self.k_star_buf.clear();
-        self.k_star_buf.resize(n * s, 0.0);
-        for i in 0..n {
-            let row = &self.dist_buf[i * w..(i + 1) * w];
-            let dst = &mut self.k_star_buf[i * s..(i + 1) * s];
-            for (j, &c) in cols.iter().enumerate() {
-                dst[j] = row[c];
-            }
-        }
-        self.kernel.eval_from_distance_batch(&mut self.k_star_buf);
-        chol.solve_lower_multi_into(&self.k_star_buf, s, &mut self.v_buf);
-        let signal_var = self.kernel.signal_var();
-        for c in 0..s {
-            // Same accumulation order as linalg::dot (ascending i), so the
-            // sums match the scalar path bit for bit.
-            let mut k_dot_alpha = 0.0;
-            let mut v_dot_v = 0.0;
-            for i in 0..n {
-                k_dot_alpha += self.k_star_buf[i * s + c] * self.alpha[i];
-                let v = self.v_buf[i * s + c];
-                v_dot_v += v * v;
-            }
-            let mu = self.y_mean + self.y_scale * k_dot_alpha;
-            let var = signal_var - v_dot_v;
-            out.push((mu, (var.max(0.0)) * self.y_scale * self.y_scale));
-        }
-    }
-
-    /// A uniform upper bound on the posterior *variance* anywhere: the
-    /// prior variance `σ²_φ · s²` (conditioning on data only shrinks it).
-    pub fn variance_upper_bound(&self) -> f64 {
-        self.kernel.signal_var() * self.y_scale * self.y_scale
-    }
-
     /// The observed inputs.
     pub fn inputs(&self) -> &[Vec<f64>] {
         &self.xs
@@ -563,61 +394,6 @@ impl GaussianProcess {
         self.kernel = kernel;
         self.chol = None;
         self.fitted = 0;
-    }
-}
-
-/// Tabulated monotone bounds on a stationary kernel, used by the
-/// candidate-pruning pass to bracket `k(r)` with one array lookup instead
-/// of an `exp`.
-///
-/// Every kernel in this family is non-increasing in the distance `r`
-/// (property-tested in [`crate::kernel`]), so on a grid with step `h`,
-/// `k((j+1)h) ≤ k(r) ≤ k(jh)` for `r ∈ [jh, (j+1)h)`. Beyond `r_max` the
-/// lower bound is 0 and the upper bound is `k(r_max)`. A hair of slack
-/// (`1e-12`) is added on both sides so the bracket survives the kernels'
-/// own floating-point monotonicity fuzz.
-#[derive(Debug, Clone)]
-pub struct PruneBounds {
-    /// `table[j] = k(j · step)` for `j = 0..=cells`.
-    table: Vec<f64>,
-    inv_step: f64,
-    cells: usize,
-}
-
-/// Monotonicity slack mirroring the kernel property tests.
-const BRACKET_SLACK: f64 = 1e-12;
-
-impl PruneBounds {
-    /// Tabulates `kernel` on `cells + 1` grid points over `[0, r_max]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cells` is zero or `r_max` is not strictly positive.
-    pub fn new(kernel: &Kernel, cells: usize, r_max: f64) -> Self {
-        assert!(cells >= 1, "need at least one cell");
-        assert!(r_max > 0.0 && r_max.is_finite(), "invalid r_max: {r_max}");
-        let step = r_max / cells as f64;
-        let table = (0..=cells)
-            .map(|j| kernel.eval_from_distance(step * j as f64))
-            .collect();
-        PruneBounds {
-            table,
-            inv_step: cells as f64 / r_max,
-            cells,
-        }
-    }
-
-    /// `(lower, upper)` bounds on `k(r)`.
-    #[inline]
-    pub fn bracket(&self, r: f64) -> (f64, f64) {
-        let j = ((r * self.inv_step) as usize).min(self.cells);
-        let hi = self.table[j] + BRACKET_SLACK;
-        let lo = if j < self.cells {
-            (self.table[j + 1] - BRACKET_SLACK).max(0.0)
-        } else {
-            0.0
-        };
-        (lo, hi)
     }
 }
 
@@ -832,114 +608,6 @@ mod tests {
             assert_eq!(mu.to_bits(), mu_b.to_bits());
             assert_eq!(var.to_bits(), var_b.to_bits());
         }
-    }
-
-    #[test]
-    fn prune_bounds_bracket_the_kernel() {
-        use simcore::check::{self, f64s};
-        use simcore::prop_assert;
-        let kernels = [
-            Kernel::paper_default(),
-            Kernel::Matern12 {
-                length_scale: 0.7,
-                signal_var: 1.3,
-            },
-            Kernel::Rbf {
-                length_scale: 2.0,
-                signal_var: 0.5,
-            },
-        ];
-        check::check("prune_bounds_bracket_the_kernel", f64s(0.0..12.0), |&r| {
-            for k in &kernels {
-                let bounds = PruneBounds::new(k, 256, 8.0 * k.length_scale());
-                let (lo, hi) = bounds.bracket(r);
-                let exact = k.eval_from_distance(r);
-                prop_assert!(
-                    lo <= exact && exact <= hi,
-                    "{k:?} at r = {r}: [{lo}, {hi}] misses {exact}"
-                );
-            }
-            Ok(())
-        });
-    }
-
-    #[test]
-    fn mu_lower_bound_never_exceeds_the_posterior_mean() {
-        use simcore::check::{self, f64s, vec as cvec};
-        use simcore::prop_assert;
-        check::check(
-            "mu_lower_bound_never_exceeds_the_posterior_mean",
-            (
-                cvec(cvec(f64s(0.0..1.0), 3..=3), 5..12),
-                cvec(f64s(0.0..1.0), 3..=3),
-            ),
-            |(points, query)| {
-                let mut gp = GaussianProcess::new(Kernel::paper_default(), 2e-3);
-                for (i, p) in points.iter().enumerate() {
-                    gp.add_observation(p.clone(), (i as f64 * 0.9).sin());
-                }
-                gp.fit().unwrap();
-                let bounds = PruneBounds::new(gp.kernel(), 256, 8.0);
-                let (mu, var) = gp.predict(query);
-                prop_assert!(
-                    gp.mu_lower_bound(query, &bounds) <= mu,
-                    "bound above the mean at {query:?}"
-                );
-                prop_assert!(var <= gp.variance_upper_bound() + 1e-12);
-                Ok(())
-            },
-        );
-    }
-
-    #[test]
-    fn posterior_bounds_dominate_the_posterior_and_blocked_form_matches() {
-        use simcore::check::{self, f64s, vec as cvec};
-        use simcore::prop_assert;
-        check::check(
-            "posterior_bounds_dominate_the_posterior_and_blocked_form_matches",
-            (
-                cvec(cvec(f64s(0.0..1.0), 3..=3), 5..12),
-                cvec(cvec(f64s(0.0..1.0), 3..=3), 1..9),
-            ),
-            |(points, queries)| {
-                let mut gp = GaussianProcess::new(Kernel::paper_default(), 2e-3);
-                for (i, p) in points.iter().enumerate() {
-                    gp.add_observation(p.clone(), (i as f64 * 0.9).sin());
-                }
-                gp.fit().unwrap();
-                let bounds = PruneBounds::new(gp.kernel(), 256, 8.0);
-                let chunk: Vec<&[f64]> = queries.iter().map(|q| q.as_slice()).collect();
-                let mut blocked = Vec::new();
-                gp.posterior_bounds_block(&chunk, &bounds, &mut blocked);
-                prop_assert!(blocked.len() == queries.len());
-                for (q, &(mu_lb_b, var_ub_b)) in queries.iter().zip(&blocked) {
-                    let (mu_lb, var_ub) = gp.posterior_bounds(q, &bounds);
-                    prop_assert!(
-                        mu_lb == mu_lb_b && var_ub == var_ub_b,
-                        "blocked bounds diverge from scalar at {q:?}"
-                    );
-                    let (mu, var) = gp.predict(q);
-                    prop_assert!(mu_lb <= mu, "mean bound above the mean at {q:?}");
-                    prop_assert!(
-                        var <= var_ub,
-                        "variance {var} above its bound {var_ub} at {q:?}"
-                    );
-                }
-                // Selecting every other column out of the block must
-                // reproduce the scalar predictions bit for bit.
-                let cols: Vec<usize> = (0..queries.len()).step_by(2).collect();
-                let mut preds = Vec::new();
-                gp.predict_block_columns(queries.len(), &cols, &mut preds);
-                for (&c, &(mu_c, var_c)) in cols.iter().zip(&preds) {
-                    let (mu, var) = gp.predict(&queries[c]);
-                    prop_assert!(
-                        mu == mu_c && var == var_c,
-                        "column predict diverges from scalar at column {c}"
-                    );
-                }
-                Ok(())
-            },
-        );
     }
 
     #[test]

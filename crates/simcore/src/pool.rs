@@ -12,9 +12,9 @@
 //! * workers are spawned with [`std::thread::scope`], so borrowed data
 //!   (the input slice, the closure) needs no `'static` bound and no
 //!   reference counting;
-//! * work is handed out through a chunked atomic cursor — each worker
-//!   claims the next `chunk` indices with one `fetch_add`, which keeps
-//!   contention negligible even for sub-millisecond jobs;
+//! * work is handed out through an atomic cursor — each worker claims
+//!   the next index with one `fetch_add` — and each worker merges its
+//!   results under one lock when it exits;
 //! * every result is tagged with its input index and the output is
 //!   reassembled by index, so `map(n, items, f)` is bit-identical to the
 //!   serial `items.iter().map(f)` for any thread count.
@@ -45,56 +45,41 @@ pub fn available_threads() -> usize {
 }
 
 /// Applies `f` to every element of `items` on up to `threads` scoped
-/// worker threads, returning results in input order (chunk size 1).
+/// worker threads, returning results in input order.
 ///
 /// With `threads <= 1` (or fewer than two items) everything runs on the
 /// calling thread — the parallel and serial paths produce bit-identical
 /// output, so callers can treat the thread count as a pure performance
 /// knob.
+///
+/// # Panics
+///
+/// Propagates the first panic raised inside `f` (after all workers have
+/// stopped), like [`std::thread::scope`].
 pub fn map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    map_chunked(threads, 1, items, f)
-}
-
-/// Like [`map`], but workers claim `chunk` consecutive indices per queue
-/// operation — use a larger chunk when individual jobs are tiny.
-///
-/// # Panics
-///
-/// Propagates the first panic raised inside `f` (after all workers have
-/// stopped), like [`std::thread::scope`].
-pub fn map_chunked<T, R, F>(threads: usize, chunk: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let chunk = chunk.max(1);
     if threads <= 1 || items.len() < 2 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let cursor = AtomicUsize::new(0);
     let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-    // More workers than chunks would only spawn threads that immediately
-    // exit; cap at the number of chunks.
-    let workers = threads.min(items.len().div_ceil(chunk));
+    // More workers than items would only spawn threads that immediately
+    // exit; cap at the number of items.
+    let workers = threads.min(items.len());
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
                 let mut local: Vec<(usize, R)> = Vec::new();
                 loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= items.len() {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= items.len() {
                         break;
                     }
-                    let end = (start + chunk).min(items.len());
-                    for i in start..end {
-                        local.push((i, f(i, &items[i])));
-                    }
+                    local.push((i, f(i, &items[i])));
                 }
                 // One lock per worker lifetime, not per job.
                 results
@@ -123,19 +108,6 @@ mod tests {
         for threads in [2, 3, 4, 8, 64] {
             let parallel = map(threads, &items, |i, &x| x * 3 + i as u64);
             assert_eq!(parallel, serial, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn chunked_matches_serial() {
-        let items: Vec<u64> = (0..100).collect();
-        let serial: Vec<u64> = items.iter().map(|&x| x + 1).collect();
-        for chunk in [1, 3, 7, 100, 1000] {
-            assert_eq!(
-                map_chunked(4, chunk, &items, |_, &x| x + 1),
-                serial,
-                "chunk = {chunk}"
-            );
         }
     }
 
