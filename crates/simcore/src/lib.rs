@@ -9,8 +9,6 @@
 //! * [`EventQueue`] — the deterministic future-event list, a binary heap:
 //!   ties in time are broken by insertion sequence, so replays are
 //!   bit-identical.
-//! * [`arena`] — a slab/free-list pool with generational handles so
-//!   per-event hot state recycles slots instead of heap-allocating.
 //! * [`Simulator`] — a thin driver that pops events and hands them to a
 //!   user-supplied handler together with a scheduling context.
 //! * [`rand`] — an in-tree deterministic PRNG (xoshiro256++) with a
@@ -50,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod check;
 pub mod metrics;
 pub mod pool;

@@ -43,15 +43,11 @@ pub(crate) enum Owner {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct JobKey {
     pub owner: Owner,
-    /// Monotone per-owner instance counter. Identity, RNG streams, and
-    /// trace span args key off this — never off `token`.
+    /// Monotone per-owner instance counter: identity, RNG streams, and
+    /// trace span args key off this.
     pub seq: u64,
     /// Index of the stage within the instance's stage sequence.
     pub stage: usize,
-    /// Raw arena handle of the instance's pooled state
-    /// ([`simcore::arena::Handle::to_raw`]); 0 for owners that pool
-    /// nothing (streams).
-    pub token: u64,
 }
 
 /// A job admitted to a FIFO slot; completion is firm (never preempted).
@@ -285,7 +281,6 @@ mod tests {
             owner: Owner::Stream(StreamId(0)),
             seq,
             stage: 0,
-            token: 0,
         }
     }
 

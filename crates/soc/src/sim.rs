@@ -1,7 +1,6 @@
 //! The SoC simulator: wires streams, sources, and servers to the
 //! discrete-event engine.
 
-use simcore::arena::{Arena, Handle};
 use simcore::stats::{LogHistogram, Running};
 use simcore::trace::{ArgValue, Tracer, TrackId};
 use simcore::{SimTime, Simulator};
@@ -218,10 +217,11 @@ impl StreamTable {
 struct SourceState {
     spec: SourceSpec,
     seq: u64,
-    /// Release time of each in-flight instance, pooled: slots recycle
-    /// through the arena free list, so steady-state releases allocate
-    /// nothing. The raw handle rides in [`JobKey::token`].
-    outstanding: Arena<SimTime>,
+    /// `(seq, release time)` of each in-flight instance, in no order (at
+    /// most `max_outstanding` entries).
+    outstanding: Vec<(u64, SimTime)>,
+    /// High-water mark of `outstanding.len()`.
+    peak_outstanding: usize,
     metrics: SourceMetrics,
 }
 
@@ -449,7 +449,8 @@ impl SocSim {
         self.state.sources.push(SourceState {
             spec,
             seq: 0,
-            outstanding: Arena::new(),
+            outstanding: Vec::new(),
+            peak_outstanding: 0,
             metrics: SourceMetrics::default(),
         });
         self.sim
@@ -476,24 +477,19 @@ impl SocSim {
         self.emit_memory_counters();
     }
 
-    /// High-water mark of in-flight source instances across all sources
-    /// (the peak number of live arena slots — what the pooled release
-    /// state actually cost at its worst).
+    /// High-water mark of in-flight source instances, summed over the
+    /// sources.
     pub fn peak_in_flight(&self) -> usize {
-        self.state
-            .sources
-            .iter()
-            .map(|s| s.outstanding.peak_live())
-            .sum()
+        self.state.sources.iter().map(|s| s.peak_outstanding).sum()
     }
 
-    /// Bytes retained by the per-source in-flight arenas: capacity, not
-    /// just live slots, so it reports what the allocator actually holds.
-    pub fn arena_footprint_bytes(&self) -> usize {
+    /// Bytes retained by the per-source in-flight lists: capacity, not
+    /// just live entries, so it reports what the allocator actually holds.
+    pub fn in_flight_footprint_bytes(&self) -> usize {
         self.state
             .sources
             .iter()
-            .map(|s| s.outstanding.footprint_bytes())
+            .map(|s| s.outstanding.capacity() * std::mem::size_of::<(u64, SimTime)>())
             .sum()
     }
 
@@ -510,8 +506,8 @@ impl SocSim {
             now,
             track,
             "soc",
-            "mem arena bytes",
-            self.arena_footprint_bytes() as f64,
+            "mem in flight bytes",
+            self.in_flight_footprint_bytes() as f64,
         );
         state.tracer.counter(
             now,
@@ -664,7 +660,6 @@ impl SocState {
             owner: Owner::Stream(StreamId(stream)),
             seq: st.seq[stream],
             stage: 0,
-            token: 0,
         };
         self.submit_stage(sched, key);
     }
@@ -673,7 +668,7 @@ impl SocState {
         let now = sched.now();
         let st = &mut self.sources[source];
         sched.schedule_after(st.spec.period, SocEvent::SourceTick { source });
-        if st.outstanding.live() >= st.spec.max_outstanding {
+        if st.outstanding.len() >= st.spec.max_outstanding {
             st.metrics.skipped += 1;
             let skipped = st.metrics.skipped;
             if self.tracer.is_enabled() {
@@ -688,13 +683,13 @@ impl SocState {
             return;
         }
         st.seq += 1;
-        let token = st.outstanding.alloc(now).to_raw();
+        st.outstanding.push((st.seq, now));
+        st.peak_outstanding = st.peak_outstanding.max(st.outstanding.len());
         st.metrics.released += 1;
         let key = JobKey {
             owner: Owner::Source(SourceId(source)),
             seq: st.seq,
             stage: 0,
-            token,
         };
         self.submit_stage(sched, key);
     }
@@ -897,10 +892,11 @@ impl SocState {
             }
             Owner::Source(id) => {
                 let st = &mut self.sources[id.0];
-                // `try_free`: a shrunken stage sequence can complete the
-                // same instance through two paths; the second sees a
-                // stale handle and is a no-op.
-                if let Some(released) = st.outstanding.try_free(Handle::from_raw(key.token)) {
+                // A shrunken stage sequence can complete the same
+                // instance through two paths; the second finds no entry
+                // and is a no-op.
+                if let Some(i) = st.outstanding.iter().position(|&(seq, _)| seq == key.seq) {
+                    let (_, released) = st.outstanding.swap_remove(i);
                     let latency_ms = (now - released).as_millis_f64();
                     st.metrics.latency.record(latency_ms);
                     st.metrics.completions.push(now);
@@ -1264,7 +1260,7 @@ mod tests {
 
     /// Instances of `id` released and not yet completed.
     fn source_in_flight(sim: &SocSim, id: SourceId) -> usize {
-        sim.state.sources[id.0].outstanding.live()
+        sim.state.sources[id.0].outstanding.len()
     }
 
     #[test]
@@ -1333,7 +1329,7 @@ mod tests {
         let sink = Rc::new(RefCell::new(ChromeTraceSink::new()));
         let mut sim = SocSim::new(t);
         sim.set_tracer(Tracer::with_sink(sink.clone()));
-        // max_outstanding 2 with a slow stage: the arena's high-water
+        // max_outstanding 2 with a slow stage: the in-flight high-water
         // mark must reach the cap, and the footprint must be nonzero.
         sim.add_source(SourceSpec::new(
             vec![Stage::compute(gpu, ms(40.0))],
@@ -1342,9 +1338,9 @@ mod tests {
         ));
         sim.run_until(secs(1.0));
         assert_eq!(sim.peak_in_flight(), 2);
-        assert!(sim.arena_footprint_bytes() > 0);
+        assert!(sim.in_flight_footprint_bytes() > 0);
         let buf = sink.borrow().snapshot();
-        for series in ["mem arena bytes", "mem peak in flight"] {
+        for series in ["mem in flight bytes", "mem peak in flight"] {
             assert!(
                 buf.records
                     .iter()
