@@ -17,8 +17,10 @@
 //! runner report gains the merged telemetry totals across cells.
 
 use std::cell::RefCell;
+use std::num::NonZeroUsize;
 use std::rc::Rc;
 
+use hbo_bench::args::flag_or_exit;
 use hbo_bench::harness;
 use hbo_core::HboConfig;
 use marsim::edge::sweep_cell_traced;
@@ -29,18 +31,10 @@ use simcore::trace::{chrome_trace_json, ChromeTraceSink, TraceBuffer, TraceJob, 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let smoke = argv.iter().any(|a| a == "--smoke");
-    let seed: u64 = argv
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| argv.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2024);
-    let trace_path: Option<String> = argv
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| argv.get(i + 1))
-        .cloned();
-    let threads = runner::threads_from_args();
+    let seed: u64 = flag_or_exit(&argv, "--seed").unwrap_or(2024);
+    let trace_path: Option<String> = flag_or_exit(&argv, "--trace");
+    let threads = flag_or_exit::<NonZeroUsize>(&argv, "--threads")
+        .map_or_else(runner::threads_from_env, NonZeroUsize::get);
 
     // SC1 is the heavy scene (decimation matters), CF2 keeps the taskset
     // small enough that every cell runs a full activation quickly.

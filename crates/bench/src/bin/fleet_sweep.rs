@@ -37,7 +37,10 @@
 //! buffers merge in cell order and the Prometheus-style text exposition
 //! is written to `PATH`, byte-identical for any `--threads` setting.
 
+use std::num::NonZeroUsize;
+
 use edgelink::RoutePolicy;
+use hbo_bench::args::flag_or_exit;
 use hbo_bench::harness;
 use hbo_core::WarmCache;
 use marsim::fleet::{run_class_plan, run_fleet_cell_traced, FleetSpec};
@@ -52,28 +55,12 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let smoke = argv.iter().any(|a| a == "--smoke");
     let warm = argv.iter().any(|a| a == "--warm");
-    let seed: u64 = argv
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| argv.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2024);
-    let trace_path: Option<String> = argv
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| argv.get(i + 1))
-        .cloned();
-    let metrics_path: Option<String> = argv
-        .iter()
-        .position(|a| a == "--metrics")
-        .and_then(|i| argv.get(i + 1))
-        .cloned();
-    let trace_sample: Option<usize> = argv
-        .iter()
-        .position(|a| a == "--trace-sample")
-        .and_then(|i| argv.get(i + 1))
-        .and_then(|v| v.parse().ok());
-    let threads = runner::threads_from_args();
+    let seed: u64 = flag_or_exit(&argv, "--seed").unwrap_or(2024);
+    let trace_path: Option<String> = flag_or_exit(&argv, "--trace");
+    let metrics_path: Option<String> = flag_or_exit(&argv, "--metrics");
+    let trace_sample: Option<usize> = flag_or_exit(&argv, "--trace-sample");
+    let threads = flag_or_exit::<NonZeroUsize>(&argv, "--threads")
+        .map_or_else(runner::threads_from_env, NonZeroUsize::get);
 
     // Fixed cluster, growing fleet: the sweep walks one deployment from
     // comfortable (~0.3× capacity) to heavily saturated, where routing
