@@ -14,6 +14,13 @@
 //!   `[R_min, 1]` — handled by the constrained sample spaces in
 //!   [`space`].
 //!
+//! Like skopt, each suggestion scores the whole candidate cloud and takes
+//! the argmax: one batched posterior pass
+//! ([`GaussianProcess::predict_batch`]), one acquisition score per
+//! candidate, and the first of any tied maxima. The scan runs on one
+//! thread: parallelism lives one level up, in the experiment runner,
+//! which runs whole activations side by side.
+//!
 //! The numerical core is a small dense linear-algebra module
 //! ([`linalg`]: Cholesky factorization and triangular solves) — no
 //! external math dependencies.

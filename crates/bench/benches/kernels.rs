@@ -48,7 +48,7 @@ fn grown_bo(
     grown_bo_with(k, bayesopt::BoConfig::default())
 }
 
-/// [`grown_bo`] with a custom optimizer config (pruned / warm variants).
+/// [`grown_bo`] with a custom optimizer config (the warm variant).
 fn grown_bo_with(
     k: usize,
     config: bayesopt::BoConfig,
@@ -134,24 +134,8 @@ fn bench_gp(h: &mut Harness) {
         || grown_bo(20),
         |(mut bo, mut r)| black_box(bo.suggest(&mut r)),
     );
-    // The same suggestion with acquisition-bound candidate pruning: most
-    // of the 1280 candidates skip the full GP posterior (bit-identical
-    // suggestions, pinned by bayesopt's tests).
-    h.bench_batched(
-        "bo_suggest_pruned_k20",
-        || {
-            grown_bo_with(
-                20,
-                bayesopt::BoConfig {
-                    prune: true,
-                    ..bayesopt::BoConfig::default()
-                },
-            )
-        },
-        |(mut bo, mut r)| black_box(bo.suggest(&mut r)),
-    );
-    // The warm-start steady-state suggestion: the 4×-smaller pruned
-    // candidate cloud a cache-seeded session runs with.
+    // The warm-start steady-state suggestion: the 4×-smaller candidate
+    // cloud (256 global + 64 local) a cache-seeded session runs with.
     h.bench_batched(
         "bo_suggest_warm_k20",
         || grown_bo_with(20, bayesopt::BoConfig::warm_default()),

@@ -74,9 +74,9 @@ if sys.argv[2] == "0":
     ):
         if bench not in rows:
             raise SystemExit(f"missing trace overhead row {bench!r}")
-    # The amortized-control-plane rows: pruned and warm-start suggest
-    # variants next to the cold bo_suggest_k20 baseline.
-    for bench in ("bo_suggest_k20", "bo_suggest_pruned_k20", "bo_suggest_warm_k20"):
+    # The amortized-control-plane rows: the warm-start suggest next to
+    # the cold bo_suggest_k20 baseline.
+    for bench in ("bo_suggest_k20", "bo_suggest_warm_k20"):
         if bench not in rows:
             raise SystemExit(f"missing BO suggest row {bench!r}")
 print(f"{sys.argv[1]}: {i} benches, all lines parse")
