@@ -197,11 +197,11 @@ fn bench_substrates(h: &mut Harness) {
     // Tracing overhead on the same one-second SC1-CF1 workload, all three
     // sink configurations in one run so their deltas are same-conditions:
     //
-    // * `disabled` — `Tracer::disabled()`, the same path as
+    // * `disabled` — no tracer in scope, the same path as
     //   `socsim_sc1cf1_1s` above. Their delta is the noise floor; any
     //   eager work sneaking in ahead of an `is_enabled` check shows up
     //   here (EXPERIMENTS.md requires ≤ 2%).
-    // * `null` — a sink is installed, so every instrumentation site fires
+    // * `null` — a sink is in scope, so every instrumentation site fires
     //   and builds its record, but `NullSink` discards it: the record-
     //   construction cost alone.
     // * `chrome` — full in-memory buffering of every span/counter.
@@ -212,10 +212,7 @@ fn bench_substrates(h: &mut Harness) {
     h.bench_batched(
         "trace_overhead_disabled_1s",
         || {
-            let mut app = marsim::MarApp::new_traced(
-                &marsim::ScenarioSpec::sc1_cf1(),
-                simcore::trace::Tracer::disabled(),
-            );
+            let mut app = marsim::MarApp::new(&marsim::ScenarioSpec::sc1_cf1());
             app.place_all_objects();
             app
         },
@@ -224,9 +221,9 @@ fn bench_substrates(h: &mut Harness) {
     h.bench_batched(
         "trace_overhead_null_1s",
         || {
-            let mut app = marsim::MarApp::new_traced(
-                &marsim::ScenarioSpec::sc1_cf1(),
+            let mut app = simcore::trace::observe(
                 simcore::trace::Tracer::new(simcore::trace::NullSink),
+                || marsim::MarApp::new(&marsim::ScenarioSpec::sc1_cf1()),
             );
             app.place_all_objects();
             app
@@ -239,9 +236,9 @@ fn bench_substrates(h: &mut Harness) {
             let sink = std::rc::Rc::new(std::cell::RefCell::new(
                 simcore::trace::ChromeTraceSink::new(),
             ));
-            let mut app = marsim::MarApp::new_traced(
-                &marsim::ScenarioSpec::sc1_cf1(),
+            let mut app = simcore::trace::observe(
                 simcore::trace::Tracer::with_sink(std::rc::Rc::clone(&sink)),
+                || marsim::MarApp::new(&marsim::ScenarioSpec::sc1_cf1()),
             );
             app.place_all_objects();
             (app, sink)
@@ -257,9 +254,9 @@ fn bench_substrates(h: &mut Harness) {
             let sink = std::rc::Rc::new(std::cell::RefCell::new(
                 simcore::metrics::AggregatingSink::default(),
             ));
-            let mut app = marsim::MarApp::new_traced(
-                &marsim::ScenarioSpec::sc1_cf1(),
+            let mut app = simcore::trace::observe(
                 simcore::trace::Tracer::with_sink(std::rc::Rc::clone(&sink)),
+                || marsim::MarApp::new(&marsim::ScenarioSpec::sc1_cf1()),
             );
             app.place_all_objects();
             (app, sink)
@@ -286,7 +283,7 @@ fn bench_substrates(h: &mut Harness) {
                 specs,
                 11,
             );
-            edgelink::ClusterSim::new_traced(params, sessions, simcore::trace::Tracer::disabled())
+            edgelink::ClusterSim::new(params, sessions, simcore::QueueKind::Heap)
         },
         |mut sim| {
             sim.run_for_secs(1.0);
@@ -313,7 +310,7 @@ fn bench_substrates(h: &mut Harness) {
                 specs,
                 11,
             );
-            edgelink::ClusterSim::new_traced(params, sessions, simcore::trace::Tracer::disabled())
+            edgelink::ClusterSim::new(params, sessions, simcore::QueueKind::Heap)
         },
         |mut sim| {
             sim.run_for_secs(1.0);
@@ -335,7 +332,7 @@ fn bench_substrates(h: &mut Harness) {
                 edgelink::LinkParams::wifi(),
                 edgelink::RoutePolicy::ShortestQueue,
             );
-            edgelink::ClusterSim::new_traced(params, sessions, simcore::trace::Tracer::disabled())
+            edgelink::ClusterSim::new(params, sessions, simcore::QueueKind::Heap)
         },
         |mut sim| {
             sim.run_for_secs(1.0);
@@ -358,10 +355,9 @@ fn bench_substrates(h: &mut Harness) {
             let sink = std::rc::Rc::new(std::cell::RefCell::new(
                 simcore::metrics::AggregatingSink::default(),
             ));
-            let sim = edgelink::ClusterSim::new_traced(
-                params,
-                sessions,
+            let sim = simcore::trace::observe(
                 simcore::trace::Tracer::with_sink(std::rc::Rc::clone(&sink)),
+                || edgelink::ClusterSim::new(params, sessions, simcore::QueueKind::Heap),
             );
             (sim, sink)
         },

@@ -18,7 +18,7 @@
 use bayesopt::{Acquisition, BoConfig, Kernel};
 use hbo_bench::{harness, Table};
 use hbo_core::HboConfig;
-use marsim::runner::{self, SweepJob, SweepResult};
+use marsim::runner::{self, ObserveConfig, SweepJob, SweepResult};
 use marsim::ScenarioSpec;
 
 const SEEDS: [u64; 5] = [11, 23, 47, 2024, 9001];
@@ -71,7 +71,7 @@ fn with_kernel(kernel: Kernel) -> HboConfig {
 }
 
 fn main() {
-    let threads = runner::threads_from_args();
+    let threads = runner::threads_or_exit();
 
     let acquisition_variants: Vec<(&str, HboConfig)> = vec![
         (
@@ -131,7 +131,13 @@ fn main() {
     for (label, config) in acquisition_variants.iter().chain(&kernel_variants) {
         jobs.extend(variant_jobs(label, config));
     }
-    let sweep = runner::run_sweep("ablation_bo", jobs, SEEDS[0], threads);
+    let sweep = runner::run_sweep(
+        "ablation_bo",
+        jobs,
+        SEEDS[0],
+        threads,
+        &ObserveConfig::default(),
+    );
 
     let mut t = Table::new(
         "Ablation — acquisition function (SC1-CF1, 5 seeds, lower cost is better)",

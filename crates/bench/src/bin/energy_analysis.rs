@@ -25,7 +25,7 @@ fn main() {
     let result = compare_baselines(&spec, &HboConfig::default(), seeds::FIG5);
     let power = PowerModel::phone_default();
 
-    let threads = runner::threads_from_args();
+    let threads = runner::threads_or_exit();
     let (reports, runner_report) =
         runner::run_map("energy_analysis", threads, &Baseline::ALL, |_, &b| {
             let outcome = result.outcome(b);

@@ -37,18 +37,18 @@
 //! cargo run --release -p hbo-bench --bin explore -- SC2-CF2 --replicates 8 --threads 4
 //! ```
 
+use hbo_bench::args::SweepArgs;
 use hbo_bench::harness;
 use hbo_core::{Baseline, HboConfig, WarmCache};
-use marsim::experiment::{compare_baselines, run_hbo, run_hbo_traced, run_hbo_warm};
-use marsim::runner::{self, ObserveConfig, SweepJob};
+use marsim::experiment::{compare_baselines, run_hbo, run_hbo_warm};
+use marsim::runner::{self, SweepJob};
 use marsim::ScenarioSpec;
-use simcore::metrics::with_observers;
 use simcore::rng::mix;
-use simcore::trace::{chrome_trace_json, TraceJob};
 
 struct Args {
+    /// `--seed`, `--threads`, `--trace`, `--metrics`, `--trace-sample`.
+    sweep: SweepArgs,
     scenario: String,
-    seed: u64,
     weight: f64,
     iterations: usize,
     initial: usize,
@@ -57,16 +57,13 @@ struct Args {
     baselines: bool,
     warm: bool,
     replicates: usize,
-    threads: Option<usize>,
-    trace: Option<String>,
-    metrics: Option<String>,
-    trace_sample: Option<usize>,
 }
 
 fn parse_args() -> Result<Args, String> {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut args = Args {
+        sweep: SweepArgs::parse(&argv, runner::threads_env().as_deref())?,
         scenario: "SC1-CF1".to_owned(),
-        seed: 2024,
         weight: 2.5,
         iterations: 15,
         initial: 5,
@@ -75,12 +72,7 @@ fn parse_args() -> Result<Args, String> {
         baselines: false,
         warm: false,
         replicates: 1,
-        threads: None,
-        trace: None,
-        metrics: None,
-        trace_sample: None,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     let value = |i: &mut usize| -> Result<String, String> {
         *i += 1;
@@ -90,7 +82,8 @@ fn parse_args() -> Result<Args, String> {
     };
     while i < argv.len() {
         match argv[i].as_str() {
-            "--seed" => args.seed = value(&mut i)?.parse().map_err(|e| format!("seed: {e}"))?,
+            // Parsed by `SweepArgs` above; skip the value.
+            "--seed" | "--threads" | "--trace" | "--metrics" | "--trace-sample" => i += 1,
             "--weight" => {
                 args.weight = value(&mut i)?.parse().map_err(|e| format!("weight: {e}"))?
             }
@@ -121,22 +114,6 @@ fn parse_args() -> Result<Args, String> {
                 if args.replicates == 0 {
                     return Err("replicates must be >= 1".to_owned());
                 }
-            }
-            "--threads" => {
-                args.threads = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("threads: {e}"))?,
-                )
-            }
-            "--trace" => args.trace = Some(value(&mut i)?),
-            "--metrics" => args.metrics = Some(value(&mut i)?),
-            "--trace-sample" => {
-                args.trace_sample = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("trace-sample: {e}"))?,
-                )
             }
             "--help" | "-h" => return Err("help".to_owned()),
             other if !other.starts_with('-') => args.scenario = other.to_owned(),
@@ -173,22 +150,6 @@ fn print_best(run: &marsim::experiment::HboRunResult) {
         run.best.cost,
         run.iterations_to_converge()
     );
-}
-
-fn write_trace(path: &str, json: &str) {
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("error: cannot write trace to {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("trace written to {path}");
-}
-
-fn write_metrics(path: &str, text: &str) {
-    if let Err(e) = std::fs::write(path, text) {
-        eprintln!("error: cannot write metrics to {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("metrics written to {path}");
 }
 
 fn main() {
@@ -230,11 +191,12 @@ fn main() {
         ..HboConfig::default()
     };
 
+    let seed = args.sweep.seed;
     println!(
         "scenario {} on {} (seed {}, w = {}, {}+{} iterations, distance {:.2} m)\n",
         spec.name,
         spec.device.name,
-        args.seed,
+        seed,
         args.weight,
         args.initial,
         args.iterations,
@@ -242,7 +204,7 @@ fn main() {
     );
 
     if args.baselines {
-        let result = compare_baselines(&spec, &config, args.seed);
+        let result = compare_baselines(&spec, &config, seed);
         for b in Baseline::ALL {
             let o = result.outcome(b);
             println!(
@@ -261,8 +223,8 @@ fn main() {
         // run 2 (a derived seed, so a genuinely different activation)
         // hits and seeds its BO design from it.
         let mut cache = WarmCache::new();
-        let cold = run_hbo_warm(&spec, &config, args.seed, &mut cache);
-        let warm = run_hbo_warm(&spec, &config, mix(args.seed, 1), &mut cache);
+        let cold = run_hbo_warm(&spec, &config, seed, &mut cache);
+        let warm = run_hbo_warm(&spec, &config, mix(seed, 1), &mut cache);
         for (label, r) in [("cold", &cold), ("warm", &warm)] {
             println!(
                 "{label}: hit={} windows={} bo_suggests={} converged_at={}",
@@ -278,17 +240,17 @@ fn main() {
         // Replicate sweep: seeds derived from (--seed, replicate index) on
         // the runner, so the merged statistics are bit-identical for any
         // --threads setting.
-        let threads = args.threads.unwrap_or_else(runner::threads_from_env);
         let jobs: Vec<SweepJob> = (0..args.replicates)
             .map(|r| SweepJob::derived(format!("rep{}", r + 1), spec.clone(), config.clone()))
             .collect();
-        let observe = ObserveConfig {
-            traced: args.trace.is_some(),
-            trace_sample: args.trace_sample,
-            metrics: args.metrics.is_some(),
-        };
-        let sweep = runner::run_sweep_observed("explore", jobs, args.seed, threads, observe);
-        for o in &sweep.outcomes {
+        let sweep = runner::run_sweep(
+            "explore",
+            jobs,
+            seed,
+            args.sweep.threads,
+            &args.sweep.observe(),
+        );
+        for o in sweep.outcomes.iter().map(|o| &o.value) {
             print!("{} (seed {:>20}) ", o.label, o.seed);
             print_best(&o.run);
         }
@@ -305,37 +267,24 @@ fn main() {
             );
         }
         harness::emit_runner_report(&sweep.report);
-        if let Some(path) = &args.trace {
-            match sweep.trace_json() {
-                Some(json) => write_trace(path, &json),
-                // --trace-sample 0 keeps detail for no replicate at all.
-                None => eprintln!("trace {path} skipped: no replicate sampled"),
+        let mut exports = args.sweep.clone();
+        if sweep.outcomes.iter().all(|o| o.trace.is_none()) {
+            // --trace-sample 0 keeps detail for no replicate at all.
+            if let Some(path) = exports.trace.take() {
+                eprintln!("trace {path} skipped: no replicate sampled");
             }
         }
-        if let Some(path) = &args.metrics {
-            let text = sweep.metrics_text().expect("metrics collected");
-            write_metrics(path, &text);
-        }
+        exports.write_exports(&sweep.outcomes, |_, o| o.label.clone());
     } else {
-        let run = if args.trace.is_some() || args.metrics.is_some() {
-            let (run, trace, metrics) =
-                with_observers(args.trace.is_some(), args.metrics.is_some(), |tracer| {
-                    run_hbo_traced(&spec, &config, args.seed, tracer)
-                });
-            if let (Some(path), Some(buffer)) = (&args.trace, trace) {
-                let job = TraceJob {
-                    name: spec.name.clone(),
-                    buffer,
-                };
-                write_trace(path, &chrome_trace_json(&[job]));
-            }
-            if let (Some(path), Some(m)) = (&args.metrics, metrics) {
-                write_metrics(path, &m.render_prometheus());
-            }
-            run
-        } else {
-            run_hbo(&spec, &config, args.seed)
-        };
+        // One activation: traced whenever --trace is given
+        // (--trace-sample does not apply).
+        let observed = args
+            .sweep
+            .observe()
+            .run(args.sweep.trace.is_some(), || run_hbo(&spec, &config, seed));
+        args.sweep
+            .write_exports(std::slice::from_ref(&observed), |_, _| spec.name.clone());
+        let run = observed.value;
         for (i, r) in run.records.iter().enumerate() {
             println!(
                 "iter {:>2}: x={:.2} alloc={} Q={:.3} eps={:.3} cost={:+.3}",

@@ -150,7 +150,7 @@ fn fig2c_script() -> SubFigure {
 fn main() {
     let device = DeviceProfile::galaxy_s22();
     let zoo = ModelZoo::galaxy_s22();
-    let threads = runner::threads_from_args();
+    let threads = runner::threads_or_exit();
 
     let figures = [fig2a_script(), fig2b_script(), fig2c_script()];
     let (traces, report) = runner::run_map("fig2", threads, &figures, |_, f| {

@@ -8,23 +8,29 @@
 
 use hbo_bench::{harness, seeds, Series, Table};
 use hbo_core::HboConfig;
-use marsim::runner::{self, SweepJob};
+use marsim::runner::{self, ObserveConfig, SweepJob};
 use marsim::ScenarioSpec;
 
 fn main() {
     let config = HboConfig::default();
-    let threads = runner::threads_from_args();
+    let threads = runner::threads_or_exit();
     // The four scenarios as a flat parallel job list, each pinned to the
     // historic figure seed so the published numbers stay bit-identical.
     let jobs: Vec<SweepJob> = ScenarioSpec::all_four()
         .into_iter()
         .map(|spec| SweepJob::seeded(spec.name.clone(), spec, config.clone(), seeds::FIG4))
         .collect();
-    let sweep = runner::run_sweep("fig4_table3", jobs, seeds::FIG4, threads);
+    let sweep = runner::run_sweep(
+        "fig4_table3",
+        jobs,
+        seeds::FIG4,
+        threads,
+        &ObserveConfig::default(),
+    );
     let runs: Vec<_> = ScenarioSpec::all_four()
         .into_iter()
         .zip(&sweep.outcomes)
-        .map(|(spec, o)| (spec, o.run.clone()))
+        .map(|(spec, o)| (spec, o.value.run.clone()))
         .collect();
 
     // Fig. 4a — allocation proportions chosen per scenario.

@@ -83,7 +83,7 @@ fn main() {
     // Tail latency (not in the paper, but what a MAR user feels): p95 per
     // system, re-measured over a longer window. The five baseline
     // re-measurements are independent simulations — run them in parallel.
-    let threads = runner::threads_from_args();
+    let threads = runner::threads_or_exit();
     let (tails, report) = runner::run_map("fig5_table4", threads, &Baseline::ALL, |_, &b| {
         let o = result.outcome(b);
         let mut app = MarApp::new(&spec);

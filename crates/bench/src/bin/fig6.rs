@@ -79,7 +79,7 @@ fn main() {
     let allocations = [run.best.point.allocation.clone(), static_alloc.clone()];
     let (measurements, report) = runner::run_map(
         "fig6",
-        runner::threads_from_args(),
+        runner::threads_or_exit(),
         &allocations,
         |_, allocation| {
             let mut app = MarApp::new(&spec);

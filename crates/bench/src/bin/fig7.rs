@@ -8,7 +8,7 @@
 
 use hbo_bench::{harness, seeds, Series};
 use hbo_core::HboConfig;
-use marsim::runner::{self, SweepJob, SweepOutcome};
+use marsim::runner::{self, ObserveConfig, SweepJob, SweepOutcome};
 use marsim::ScenarioSpec;
 
 fn print_study(name: &str, outcomes: &[&SweepOutcome]) {
@@ -57,7 +57,7 @@ fn print_study(name: &str, outcomes: &[&SweepOutcome]) {
 
 fn main() {
     let config = HboConfig::default();
-    let threads = runner::threads_from_args();
+    let threads = runner::threads_or_exit();
     let specs = [ScenarioSpec::sc1_cf2(), ScenarioSpec::sc2_cf2()];
     // Flat scenario × replicate job list, each replicate pinned to the
     // historic seed offset so the published series stay bit-identical.
@@ -72,7 +72,13 @@ fn main() {
             ));
         }
     }
-    let sweep = runner::run_sweep("fig7", jobs, seeds::FIG7, threads);
+    let sweep = runner::run_sweep(
+        "fig7",
+        jobs,
+        seeds::FIG7,
+        threads,
+        &ObserveConfig::default(),
+    );
 
     for spec in &specs {
         print_study(&spec.name, &sweep.labeled(&spec.name));

@@ -115,7 +115,7 @@ fn main() {
     // Both policy studies share the same scripted timeline and seed, so
     // they are independent jobs: run them concurrently on the runner and
     // print in figure order afterwards.
-    let threads = runner::threads_from_args();
+    let threads = runner::threads_or_exit();
     let policies = [
         (
             "Fig. 8a — event-based activation (ours)",

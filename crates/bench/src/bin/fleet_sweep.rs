@@ -37,35 +37,24 @@
 //! buffers merge in cell order and the Prometheus-style text exposition
 //! is written to `PATH`, byte-identical for any `--threads` setting.
 
-use std::num::NonZeroUsize;
-
 use edgelink::RoutePolicy;
-use hbo_bench::args::flag_or_exit;
+use hbo_bench::args::SweepArgs;
 use hbo_bench::harness;
 use hbo_core::WarmCache;
-use marsim::fleet::{run_class_plan, run_fleet_cell_traced, FleetSpec};
+use marsim::fleet::{run_class_plan, run_fleet_cell, FleetSpec};
 use marsim::runner::{self, job_seed, MetricSummary};
 use marsim::TelemetrySummary;
-use simcore::metrics::{head_sample, with_observers, MetricsBuffer};
 use simcore::rng::mix;
 use simcore::stats::Running;
-use simcore::trace::{chrome_trace_json, TraceBuffer, TraceJob, Tracer};
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = argv.iter().any(|a| a == "--smoke");
-    let warm = argv.iter().any(|a| a == "--warm");
-    let seed: u64 = flag_or_exit(&argv, "--seed").unwrap_or(2024);
-    let trace_path: Option<String> = flag_or_exit(&argv, "--trace");
-    let metrics_path: Option<String> = flag_or_exit(&argv, "--metrics");
-    let trace_sample: Option<usize> = flag_or_exit(&argv, "--trace-sample");
-    let threads = flag_or_exit::<NonZeroUsize>(&argv, "--threads")
-        .map_or_else(runner::threads_from_env, NonZeroUsize::get);
+    let args = SweepArgs::from_env();
+    let warm = std::env::args().any(|a| a == "--warm");
 
     // Fixed cluster, growing fleet: the sweep walks one deployment from
     // comfortable (~0.3× capacity) to heavily saturated, where routing
     // policy and load shedding dominate the tail.
-    let (fleets, horizon): (Vec<usize>, f64) = if smoke {
+    let (fleets, horizon): (Vec<usize>, f64) = if args.smoke {
         (vec![12], 4.0)
     } else {
         (vec![64, 256, 1024, 4096], 30.0)
@@ -82,8 +71,8 @@ fn main() {
             let spec = FleetSpec::mar_default(fleet).with_horizon(horizon);
             let class_idxs: Vec<usize> = (0..spec.classes.len()).collect();
             let snapshot = cache.clone();
-            let seed_base = mix(mix(seed, 0x9A11_0001), epoch as u64);
-            let (plans, _) = runner::run_map("fleet_plan", threads, &class_idxs, |_, &i| {
+            let seed_base = mix(mix(args.seed, 0x9A11_0001), epoch as u64);
+            let (plans, _) = runner::run_map("fleet_plan", args.threads, &class_idxs, |_, &i| {
                 run_class_plan(&spec, i, seed_base, &snapshot)
             });
             for p in &plans {
@@ -98,43 +87,35 @@ fn main() {
         .iter()
         .flat_map(|&n| RoutePolicy::ALL.iter().map(move |&p| (n, p)))
         .collect();
-    let traced = trace_path.is_some();
-    let want_metrics = metrics_path.is_some();
-    let cell_seeds: Vec<u64> = (0..cells.len()).map(|i| job_seed(seed, i as u64)).collect();
+    let cell_seeds: Vec<u64> = (0..cells.len())
+        .map(|i| job_seed(args.seed, i as u64))
+        .collect();
     // Which cells keep full Chrome detail: all of them without
     // --trace-sample, otherwise the K with the smallest seed-derived
     // hashes — a pure function of (--seed, cell seeds), so the same
     // cells on every rerun and every --threads value.
-    let sampled: Vec<bool> = match (traced, trace_sample) {
-        (true, Some(k)) => head_sample(seed, &cell_seeds, k),
-        (true, None) => vec![true; cells.len()],
-        (false, _) => vec![false; cells.len()],
-    };
-    let (outcomes, mut report) =
-        runner::run_map("fleet_sweep", threads, &cells, |i, &(fleet, policy)| {
+    let observe = args.observe();
+    let sampled = observe.sampled(args.seed, &cell_seeds);
+    let (outcomes, mut report) = runner::run_observed(
+        "fleet_sweep",
+        args.threads,
+        &cells,
+        &observe,
+        &sampled,
+        |i, &(fleet, policy)| {
             let spec = FleetSpec::mar_default(fleet).with_horizon(horizon);
-            let cell_seed = cell_seeds[i];
-            if sampled[i] || want_metrics {
-                with_observers(sampled[i], want_metrics, |tracer| {
-                    run_fleet_cell_traced(&spec, policy, cell_seed, tracer)
-                })
-            } else {
-                (
-                    run_fleet_cell_traced(&spec, policy, cell_seed, Tracer::disabled()),
-                    None,
-                    None,
-                )
-            }
-        });
-    for (r, _, _) in &outcomes {
-        println!("{}", r.row);
+            run_fleet_cell(&spec, policy, cell_seeds[i])
+        },
+    );
+    for o in &outcomes {
+        println!("{}", o.value.row);
     }
     // Merge per-cell telemetry and metrics in cell order (deterministic
     // for any thread count).
     let mut telemetry = plan_telemetry;
     let mut completed = Running::new();
     let mut mean_ms = Running::new();
-    for (r, _, _) in &outcomes {
+    for r in outcomes.iter().map(|o| &o.value) {
         telemetry.merge(&r.telemetry);
         completed.record(r.completed as f64);
         if let Some(m) = r.mean_ms {
@@ -155,37 +136,8 @@ fn main() {
     ];
     harness::emit_runner_report(&report);
 
-    if let Some(path) = trace_path {
-        let jobs: Vec<TraceJob> = outcomes
-            .iter()
-            .zip(&cells)
-            .filter_map(|((_, trace, _), &(fleet, policy))| {
-                trace.as_ref().map(|buffer: &TraceBuffer| TraceJob {
-                    name: format!("fleet{fleet} {}", policy.name()),
-                    buffer: buffer.clone(),
-                })
-            })
-            .collect();
-        if let Err(e) = std::fs::write(&path, chrome_trace_json(&jobs)) {
-            eprintln!("error: cannot write trace to {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("trace written to {path}");
-    }
-
-    if let Some(path) = metrics_path {
-        // Per-cell aggregates merge in cell order, so the exposition is
-        // byte-identical for any --threads setting.
-        let mut merged = MetricsBuffer::default();
-        for (_, _, metrics) in &outcomes {
-            if let Some(m) = metrics {
-                merged.merge(m);
-            }
-        }
-        if let Err(e) = std::fs::write(&path, merged.render_prometheus()) {
-            eprintln!("error: cannot write metrics to {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("metrics written to {path}");
-    }
+    args.write_exports(&outcomes, |i, _| {
+        let (fleet, policy) = cells[i];
+        format!("fleet{fleet} {}", policy.name())
+    });
 }

@@ -43,7 +43,7 @@ fn main() {
     let scenario_ids: Vec<u64> = (0..N_SCENARIOS as u64).collect();
     let (verdicts, report) = runner::run_map(
         "generalization",
-        runner::threads_from_args(),
+        runner::threads_or_exit(),
         &scenario_ids,
         |_, &i| {
             let spec = random_scenario(31_000 + i, &SynthConfig::default());

@@ -330,7 +330,7 @@ impl ClusterParams {
 /// uplink and downlink `mix(mix(master, 0x5EED_0002/3), i)` — and its
 /// seed, which places it on the cell, from
 /// [`SharedCell::placement_seed`]`(master_seed, i)`. Hand the result to
-/// [`ClusterSim::new_traced`].
+/// [`ClusterSim::new`].
 pub fn one_server(
     link: LinkParams,
     server: ServerParams,
@@ -583,27 +583,22 @@ impl ClusterSim {
     /// Builds the cluster world; each session's first submission is
     /// scheduled at its arrival time plus its deterministic jitter.
     ///
+    /// The sim records into the tracer in scope when it is built
+    /// ([`Tracer::current`]): each session's uplink and downlink radio and
+    /// each server worker lane get a span track, each server a counter
+    /// track for its admission queue, each shared cell a track for its
+    /// per-direction utilization and active flows, and a `mem` track
+    /// carries the memory accounting.
+    ///
+    /// The [`QueueKind`] argument is ignored; see its docs for why it is
+    /// still here.
+    ///
     /// # Panics
     ///
     /// Panics if the params are invalid or a session departs at or
     /// before it arrives.
-    ///
-    /// The [`QueueKind`] argument is ignored; see its docs for why it is
-    /// still here.
     pub fn new(params: ClusterParams, sessions: Vec<SessionSpec>, _queue: QueueKind) -> Self {
-        Self::new_traced(params, sessions, Tracer::disabled())
-    }
-
-    /// Like [`ClusterSim::new`], but with a tracer: each session's uplink
-    /// and downlink radio and each server worker lane get a span track,
-    /// each server a counter track for its admission queue, each shared
-    /// cell a track for its per-direction utilization and active flows,
-    /// and a `mem` track carries the memory accounting.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`ClusterSim::new`].
-    pub fn new_traced(params: ClusterParams, sessions: Vec<SessionSpec>, tracer: Tracer) -> Self {
+        let tracer = Tracer::current();
         params.validate();
         let mut sim = Simulator::new();
         let start = sim.now();
@@ -1377,7 +1372,7 @@ mod tests {
     use crate::medium::CellParams;
 
     fn cluster_sim(params: ClusterParams, sessions: Vec<SessionSpec>) -> ClusterSim {
-        ClusterSim::new_traced(params, sessions, Tracer::disabled())
+        ClusterSim::new(params, sessions, QueueKind::Heap)
     }
 
     fn quiet_link() -> LinkParams {
@@ -1865,7 +1860,9 @@ mod tests {
         link.loss_prob = 0.3; // force retransmissions
         let sink = Rc::new(RefCell::new(ChromeTraceSink::new()));
         let (params, sessions) = one_server(link, ServerParams::small(), None, clients(2), 11);
-        let mut sim = ClusterSim::new_traced(params, sessions, Tracer::with_sink(sink.clone()));
+        let mut sim = simcore::trace::observe(Tracer::with_sink(sink.clone()), || {
+            cluster_sim(params, sessions)
+        });
         sim.run_for_secs(5.0);
         let buf = sink.borrow().snapshot();
         // Tracks: per session up/down, per server lane, plus the server's
@@ -1912,7 +1909,7 @@ mod tests {
                     clients(3),
                     9,
                 );
-                let mut sim = ClusterSim::new_traced(params, sessions, tracer);
+                let mut sim = simcore::trace::observe(tracer, || cluster_sim(params, sessions));
                 sim.run_for_secs(10.0);
                 all_samples(&sim)
             };

@@ -59,8 +59,7 @@ mod properties {
 
     use simcore::check::{self, f64s, u64s, usizes};
     use simcore::rng::mix;
-    use simcore::trace::Tracer;
-    use simcore::{prop_assert, prop_assert_eq, SimDuration};
+    use simcore::{prop_assert, prop_assert_eq, QueueKind, SimDuration};
 
     use crate::cluster::{
         one_server, ClientSpec, ClusterParams, ClusterRadio, ClusterSim, RoutePolicy, ServerSpec,
@@ -144,7 +143,7 @@ mod properties {
                 (four_servers(link, policy, radio), sessions)
             }
         };
-        ClusterSim::new_traced(params, sessions, Tracer::disabled())
+        ClusterSim::new(params, sessions, QueueKind::Heap)
     }
 
     fn mar_clients(n: usize) -> Vec<ClientSpec> {

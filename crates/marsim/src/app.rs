@@ -97,24 +97,20 @@ impl MarApp {
     /// Builds the app for a scenario: all AI tasks running (allocated to
     /// their static best resources), no objects placed yet.
     ///
+    /// The underlying [`SocSim`] records into the tracer in scope when
+    /// the app is built ([`simcore::trace::observe`]): every processor
+    /// slot gets a span track and every queue a counter series. Tracing
+    /// never changes the simulation.
+    ///
     /// # Panics
     ///
     /// Panics if the scenario references models missing from the device's
     /// zoo.
     pub fn new(spec: &ScenarioSpec) -> Self {
-        Self::new_traced(spec, simcore::trace::Tracer::disabled())
-    }
-
-    /// Builds the app like [`Self::new`] with a tracer installed on the
-    /// underlying [`SocSim`]: every processor slot gets a span track and
-    /// every queue a counter series. A disabled tracer makes this
-    /// identical to [`Self::new`] (the simulation is bit-identical either
-    /// way).
-    pub fn new_traced(spec: &ScenarioSpec, tracer: simcore::trace::Tracer) -> Self {
         let device = spec.device.clone();
         let (topo, procs) = device.topology();
         let mut sim = SocSim::new(topo);
-        sim.set_tracer(tracer);
+        sim.set_tracer(simcore::trace::Tracer::current());
         let zoo = spec.zoo();
 
         // Render loop: starts with an empty scene (prep only).

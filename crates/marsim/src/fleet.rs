@@ -33,7 +33,7 @@ use hbo_core::{HboConfig, LookupKey, ScenarioSignature, TaskProfile, WarmCache};
 use nnmodel::ModelZoo;
 use simcore::rand::{Rng, SeedableRng, StdRng};
 use simcore::rng::mix;
-use simcore::trace::Tracer;
+use simcore::trace::{observe, Tracer};
 use simcore::QueueKind;
 use soc::DeviceProfile;
 
@@ -337,26 +337,16 @@ pub struct FleetCellResult {
 
 /// Runs one fleet cell: generate the population from `seed`, serve it
 /// with `policy` for the spec's horizon, and pool cluster-level stats.
+/// Under a tracer ([`simcore::trace::observe`]) the cluster records
+/// per-server queue depth and busy-lane counters, and per-cell
+/// utilization when the radio is shared.
 pub fn run_fleet_cell(spec: &FleetSpec, policy: RoutePolicy, seed: u64) -> FleetCellResult {
-    run_fleet_cell_traced(spec, policy, seed, Tracer::disabled())
-}
-
-/// [`run_fleet_cell`] with a tracer on the cluster (per-server queue
-/// depth and busy-lane counters; per-cell utilization when the radio is
-/// shared). A disabled tracer reproduces [`run_fleet_cell`]
-/// bit-identically.
-pub fn run_fleet_cell_traced(
-    spec: &FleetSpec,
-    policy: RoutePolicy,
-    seed: u64,
-    tracer: Tracer,
-) -> FleetCellResult {
     let sessions = spec.sessions(seed);
     let session_count = sessions.len();
     let client_windows = spec.client_windows(&sessions);
     let params = mar_cluster(spec.link, policy);
     let server_count = params.servers.len();
-    let mut sim = ClusterSim::new_traced(params, sessions, tracer);
+    let mut sim = ClusterSim::new(params, sessions, spec.queue);
     sim.run_for_secs(spec.horizon_secs);
     let m = sim.metrics();
     let mut servers = String::from("[");
@@ -430,22 +420,27 @@ pub fn mobility_medium() -> SharedMedium {
     }
 }
 
-/// Runs the stadium sweep's mobility/handover cell: the fleet population
-/// walks across [`mobility_medium`]'s two cells while offloading, and the
-/// row reports handovers next to the usual latency stats.
-pub fn run_mobility_cell(spec: &FleetSpec, seed: u64) -> FleetCellResult {
-    run_mobility_cell_traced(spec, seed, Tracer::disabled())
+/// [`run_fleet_cell`] under `tracer`. Kept only for the `perfbench`
+/// harness, which still calls it.
+pub fn run_fleet_cell_traced(
+    spec: &FleetSpec,
+    policy: RoutePolicy,
+    seed: u64,
+    tracer: Tracer,
+) -> FleetCellResult {
+    observe(tracer, || run_fleet_cell(spec, policy, seed))
 }
 
-/// [`run_mobility_cell`] with a tracer on the cluster (per-cell
-/// utilization and active-flow counters land in the trace). A disabled
-/// tracer reproduces [`run_mobility_cell`] bit-identically.
-pub fn run_mobility_cell_traced(spec: &FleetSpec, seed: u64, tracer: Tracer) -> FleetCellResult {
+/// Runs the stadium sweep's mobility/handover cell: the fleet population
+/// walks across [`mobility_medium`]'s two cells while offloading, and the
+/// row reports handovers next to the usual latency stats. Under a tracer
+/// the per-cell utilization and active-flow counters land in the trace.
+pub fn run_mobility_cell(spec: &FleetSpec, seed: u64) -> FleetCellResult {
     let sessions = spec.sessions(seed);
     let session_count = sessions.len();
     let mut params = mar_cluster(spec.link, RoutePolicy::ShortestQueue);
     params.radio = ClusterRadio::Shared(mobility_medium());
-    let mut sim = ClusterSim::new_traced(params, sessions, tracer);
+    let mut sim = ClusterSim::new(params, sessions, spec.queue);
     sim.run_for_secs(spec.horizon_secs);
     let m = sim.metrics();
     let row = JsonRow::new("stadium_mobility")

@@ -58,8 +58,7 @@ pub mod userstudy;
 
 pub use app::{task_period_ms, MarApp, Measurement, TASK_GAP_MS, TASK_JITTER_MS, TASK_PERIOD_MS};
 pub use edge::{
-    run_edge_hbo_warm, stadium_cell, stadium_cell_traced, EdgeMeasurement, EdgeSpec,
-    EdgeSystemOutcome, EdgeWorld,
+    run_edge_hbo_warm, stadium_cell, EdgeMeasurement, EdgeSpec, EdgeSystemOutcome, EdgeWorld,
 };
 pub use experiment::{
     run_hbo_warm, run_hbo_warm_keyed, scenario_signature, BaselineOutcome, ExperimentResult,
@@ -67,7 +66,7 @@ pub use experiment::{
 };
 pub use fleet::{
     class_signature, run_class_plan, run_fleet_cell, run_fleet_cell_traced, run_mobility_cell,
-    run_mobility_cell_traced, DeviceClass, FleetCellResult, FleetPlanResult, FleetSpec,
+    DeviceClass, FleetCellResult, FleetPlanResult, FleetSpec,
 };
 pub use rows::JsonRow;
 pub use runner::{RunnerReport, SweepJob, SweepOutcome, SweepResult};

@@ -19,12 +19,23 @@
 //!
 //! The thread count comes from `--threads N` on the command line, the
 //! `HBO_THREADS` environment variable, or the machine's available
-//! parallelism, in that order ([`threads_from_args`]).
+//! parallelism, in that order ([`threads`]). A zero or non-integer value
+//! is an error that names the flag or the variable, never a silent
+//! fallback.
+//!
+//! Observation is one value, [`ObserveConfig`]: [`run_observed`] runs any
+//! job list under it (head-sampling, per-job sinks with their tracer in
+//! scope), and [`merged_trace_json`] / [`merged_metrics`] merge what the
+//! jobs collected in job order. [`run_sweep`] is that runner applied to
+//! HBO activations.
 //!
 //! Each binary reports its sweep as one JSON line (a [`RunnerReport`],
 //! emitted through `hbo_bench::harness`) so wall time and merged metrics
 //! are machine-diffable across PRs.
 
+use std::fmt::Display;
+use std::num::NonZeroUsize;
+use std::str::FromStr;
 use std::time::Instant;
 
 use hbo_core::HboConfig;
@@ -33,9 +44,13 @@ use simcore::pool;
 use simcore::stats::Running;
 use simcore::trace::{chrome_trace_json, TraceBuffer, TraceJob};
 
-use crate::experiment::{run_hbo, run_hbo_traced, HboRunResult};
+use crate::experiment::{run_hbo, HboRunResult};
 use crate::scenario::ScenarioSpec;
 use crate::telemetry::TelemetrySummary;
+
+/// The environment variable that sets the worker-thread count when
+/// `--threads` is absent.
+pub const THREADS_ENV: &str = "HBO_THREADS";
 
 /// Derives the independent seed for job `job_index` of a sweep rooted at
 /// `master_seed` (splitmix64 mixing via [`simcore::rng::mix`]).
@@ -43,27 +58,59 @@ pub fn job_seed(master_seed: u64, job_index: u64) -> u64 {
     simcore::rng::mix(master_seed, job_index)
 }
 
-/// Thread count from the `HBO_THREADS` environment variable, falling back
-/// to the machine's available parallelism. Invalid or zero values fall
-/// back too.
-pub fn threads_from_env() -> usize {
-    std::env::var("HBO_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(pool::available_threads)
+/// The value after `flag` in `argv`, parsed as `T`.
+///
+/// Returns `Ok(None)` when `flag` is absent, and an error naming the flag
+/// and the value when the value is missing or does not parse.
+pub fn flag_value<T>(argv: &[String], flag: &str) -> Result<Option<T>, String>
+where
+    T: FromStr,
+    T::Err: Display,
+{
+    let Some(i) = argv.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let value = argv
+        .get(i + 1)
+        .ok_or_else(|| format!("{flag}: missing value"))?;
+    value
+        .parse()
+        .map(Some)
+        .map_err(|e| format!("{flag}: invalid value {value:?} ({e})"))
 }
 
-/// Thread count for an experiment binary: `--threads N` from the command
-/// line when present, otherwise [`threads_from_env`].
-pub fn threads_from_args() -> usize {
-    let argv: Vec<String> = std::env::args().collect();
-    argv.iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| argv.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(threads_from_env)
+/// The worker-thread count: `--threads N` in `argv`, else `env` (the
+/// value of [`THREADS_ENV`], if set), else the machine's available
+/// parallelism. Zero, a non-integer or a missing value is an error
+/// naming the flag or the variable and the value. A pure function of
+/// its inputs, so tests never touch the process environment.
+pub fn threads(argv: &[String], env: Option<&str>) -> Result<usize, String> {
+    if let Some(n) = flag_value::<NonZeroUsize>(argv, "--threads")? {
+        return Ok(n.get());
+    }
+    match env {
+        None => Ok(pool::available_threads()),
+        Some(value) => value
+            .trim()
+            .parse::<NonZeroUsize>()
+            .map(NonZeroUsize::get)
+            .map_err(|e| format!("{THREADS_ENV}: invalid value {value:?} ({e})")),
+    }
+}
+
+/// The process's [`THREADS_ENV`] value, if the variable is set.
+pub fn threads_env() -> Option<String> {
+    std::env::var_os(THREADS_ENV).map(|v| v.to_string_lossy().into_owned())
+}
+
+/// [`threads`] from the process's own arguments and environment, for a
+/// binary's `main`: on an error, prints it and exits with status 2.
+pub fn threads_or_exit() -> usize {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    threads(&argv, threads_env().as_deref()).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// One job of an HBO activation sweep.
@@ -119,17 +166,11 @@ pub struct SweepOutcome {
     pub seed: u64,
     /// The full activation result.
     pub run: HboRunResult,
-    /// The job's trace buffer, when the sweep ran with tracing enabled
-    /// ([`run_sweep_traced`]) and this job was head-sampled (or sampling
-    /// was off).
-    pub trace: Option<TraceBuffer>,
-    /// The job's aggregated metrics, when the sweep ran with metrics
-    /// collection enabled ([`run_sweep_observed`]).
-    pub metrics: Option<MetricsBuffer>,
 }
 
-/// What a sweep observes while it runs: Chrome tracing, deterministic
-/// head-sampling of that tracing, and streaming metric aggregation.
+/// What a run observes: Chrome tracing, deterministic head-sampling of
+/// that tracing, and streaming metric aggregation. The default observes
+/// nothing.
 #[derive(Debug, Clone, Default)]
 pub struct ObserveConfig {
     /// Attach a per-job Chrome trace sink (subject to `trace_sample`).
@@ -145,14 +186,102 @@ pub struct ObserveConfig {
 }
 
 impl ObserveConfig {
-    /// Tracing on or off, no sampling, no metrics — the historical
-    /// [`run_sweep_traced`] behaviour.
+    /// Tracing on or off, no sampling, no metrics.
     pub fn traced(traced: bool) -> Self {
         ObserveConfig {
             traced,
             ..ObserveConfig::default()
         }
     }
+
+    /// Which jobs keep full Chrome detail, given each job's seed: every
+    /// job when tracing without `trace_sample`, the `k` jobs
+    /// [`head_sample`] picks with it, and none without tracing. A pure
+    /// function of `(master_seed, seeds)`, so the same jobs are sampled
+    /// on every rerun and for every thread count.
+    pub fn sampled(&self, master_seed: u64, seeds: &[u64]) -> Vec<bool> {
+        match (self.traced, self.trace_sample) {
+            (true, Some(k)) => head_sample(master_seed, seeds, k),
+            (traced, _) => vec![traced; seeds.len()],
+        }
+    }
+
+    /// Runs one job: `f` runs under this job's sinks (a Chrome buffer
+    /// when `sampled`, the aggregator when `metrics` is on) with their
+    /// tracer in scope, and its value comes back with what they
+    /// collected. Observation never perturbs the simulations.
+    pub fn run<R>(&self, sampled: bool, f: impl FnOnce() -> R) -> Observed<R> {
+        let (value, trace, metrics) = with_observers(sampled, self.metrics, |_| f());
+        Observed {
+            value,
+            trace,
+            metrics,
+        }
+    }
+}
+
+/// One job's value and what its observers collected.
+#[derive(Debug, Clone)]
+pub struct Observed<R> {
+    /// What the job returned.
+    pub value: R,
+    /// The job's Chrome trace buffer, when it was traced and sampled.
+    pub trace: Option<TraceBuffer>,
+    /// The job's aggregated metrics, when metrics were on.
+    pub metrics: Option<MetricsBuffer>,
+}
+
+/// Runs a job list on `threads` workers, job `i` under the observers
+/// that `observe` and `sampled[i]` select ([`ObserveConfig::run`]).
+///
+/// Sinks are per job, on the worker that runs it, so nothing is shared
+/// across threads. With `f` a pure function of `(index, item)`, every
+/// value and every buffer, and so the merged trace and exposition, is
+/// bit-identical for every thread count and to an unobserved run.
+pub fn run_observed<T, R, F>(
+    label: impl Into<String>,
+    threads: usize,
+    items: &[T],
+    observe: &ObserveConfig,
+    sampled: &[bool],
+    f: F,
+) -> (Vec<Observed<R>>, RunnerReport)
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    run_map(label, threads, items, |i, item| {
+        observe.run(sampled[i], || f(i, item))
+    })
+}
+
+/// Merges the jobs' Chrome buffers in job order into one trace-event
+/// JSON document: one Chrome `pid` per traced job, named by `name(index,
+/// value)`. Jobs without a buffer are skipped.
+pub fn merged_trace_json<R>(jobs: &[Observed<R>], name: impl Fn(usize, &R) -> String) -> String {
+    let traces: Vec<TraceJob> = jobs
+        .iter()
+        .enumerate()
+        .filter_map(|(i, job)| {
+            job.trace.as_ref().map(|buffer| TraceJob {
+                name: name(i, &job.value),
+                buffer: buffer.clone(),
+            })
+        })
+        .collect();
+    chrome_trace_json(&traces)
+}
+
+/// Merges the jobs' metric buffers in job order. `None` when no job was
+/// metered.
+pub fn merged_metrics<R>(jobs: &[Observed<R>]) -> Option<MetricsBuffer> {
+    let mut metered = jobs.iter().filter_map(|job| job.metrics.as_ref());
+    let mut merged = metered.next()?.clone();
+    for m in metered {
+        merged.merge(m);
+    }
+    Some(merged)
 }
 
 /// A merged metric: a name plus its [`Running`] accumulator.
@@ -228,8 +357,9 @@ impl RunnerReport {
 /// merged report.
 #[derive(Debug, Clone)]
 pub struct SweepResult {
-    /// One outcome per job, in job-index order.
-    pub outcomes: Vec<SweepOutcome>,
+    /// One outcome per job, in job-index order, with what its observers
+    /// collected.
+    pub outcomes: Vec<Observed<SweepOutcome>>,
     /// Merged statistics and timing.
     pub report: RunnerReport,
 }
@@ -237,140 +367,61 @@ pub struct SweepResult {
 impl SweepResult {
     /// The outcomes whose label matches `label`, in job order.
     pub fn labeled<'a>(&'a self, label: &str) -> Vec<&'a SweepOutcome> {
-        self.outcomes.iter().filter(|o| o.label == label).collect()
-    }
-
-    /// Merges the per-job trace buffers (job-index order, one Chrome
-    /// `pid` per job) into one Chrome trace-event JSON document. `None`
-    /// when the sweep ran without tracing.
-    pub fn trace_json(&self) -> Option<String> {
-        if self.outcomes.iter().all(|o| o.trace.is_none()) {
-            return None;
-        }
-        let jobs: Vec<TraceJob> = self
-            .outcomes
+        self.outcomes
             .iter()
-            .filter_map(|o| {
-                o.trace.as_ref().map(|buffer| TraceJob {
-                    name: o.label.clone(),
-                    buffer: buffer.clone(),
-                })
-            })
-            .collect();
-        Some(chrome_trace_json(&jobs))
+            .map(|o| &o.value)
+            .filter(|o| o.label == label)
+            .collect()
     }
 
-    /// Merges the per-job [`MetricsBuffer`]s in job-index order and
-    /// renders the deterministic Prometheus-style text exposition. `None`
-    /// when the sweep ran without metrics collection.
+    /// The merged Chrome trace, one `pid` per traced job named by its
+    /// label ([`merged_trace_json`]). `None` when no job was traced.
+    pub fn trace_json(&self) -> Option<String> {
+        self.outcomes
+            .iter()
+            .any(|o| o.trace.is_some())
+            .then(|| merged_trace_json(&self.outcomes, |_, o| o.label.clone()))
+    }
+
+    /// The merged Prometheus-style exposition ([`merged_metrics`]).
+    /// `None` when the sweep ran without metrics.
     pub fn metrics_text(&self) -> Option<String> {
-        self.merged_metrics().map(|m| m.render_prometheus())
-    }
-
-    /// Merges the per-job [`MetricsBuffer`]s in job-index order. `None`
-    /// when the sweep ran without metrics collection.
-    pub fn merged_metrics(&self) -> Option<MetricsBuffer> {
-        let mut merged: Option<MetricsBuffer> = None;
-        for o in &self.outcomes {
-            if let Some(m) = &o.metrics {
-                match &mut merged {
-                    Some(acc) => acc.merge(m),
-                    None => merged = Some(m.clone()),
-                }
-            }
-        }
-        merged
+        merged_metrics(&self.outcomes).map(|m| m.render_prometheus())
     }
 }
 
-/// Runs a flat HBO-activation job list on `threads` workers.
+/// Runs a flat HBO-activation job list on `threads` workers under
+/// `observe`: [`run_observed`] applied to [`run_hbo`], with each job's
+/// seed from [`SweepJob::seed`] or [`job_seed`].
 ///
 /// Per-job iteration statistics (cost, quality, normalized latency) are
 /// accumulated into independent [`Running`]s inside each job and merged
 /// with [`Running::merge`] in job-index order afterwards; per-job scalars
 /// (best cost, iterations-to-converge) are recorded in the same order.
 /// Both are therefore independent of scheduling, and the whole sweep is
-/// bit-identical for every thread count.
+/// bit-identical for every thread count and to an unobserved sweep.
 pub fn run_sweep(
     label: impl Into<String>,
     jobs: Vec<SweepJob>,
     master_seed: u64,
     threads: usize,
+    observe: &ObserveConfig,
 ) -> SweepResult {
-    run_sweep_traced(label, jobs, master_seed, threads, false)
-}
-
-/// [`run_sweep`] with optional tracing: when `traced` is set, each job
-/// runs with its own [`ChromeTraceSink`](simcore::trace::ChromeTraceSink)
-/// (sinks are per-worker-job, so nothing is shared across threads) and
-/// returns its buffer for deterministic job-index-order merging via
-/// [`SweepResult::trace_json`].
-/// Tracing never perturbs the simulations, so every metric — and the
-/// merged trace itself — is bit-identical across thread counts and to an
-/// untraced run.
-pub fn run_sweep_traced(
-    label: impl Into<String>,
-    jobs: Vec<SweepJob>,
-    master_seed: u64,
-    threads: usize,
-    traced: bool,
-) -> SweepResult {
-    run_sweep_observed(
-        label,
-        jobs,
-        master_seed,
-        threads,
-        ObserveConfig::traced(traced),
-    )
-}
-
-/// [`run_sweep`] with the full observability surface: optional Chrome
-/// tracing with deterministic seed-derived head-sampling, and optional
-/// streaming metric aggregation ([`simcore::metrics::AggregatingSink`]).
-///
-/// Sampling decisions depend only on `(master_seed, per-job seed)`, so
-/// the same `k` jobs keep full Chrome detail on every rerun and every
-/// `--threads` value. Sinks are per-worker-job (nothing shared across
-/// threads) and observation never perturbs the simulations, so every
-/// metric — the merged trace and the merged metrics text included — is
-/// bit-identical across thread counts and to an unobserved run.
-pub fn run_sweep_observed(
-    label: impl Into<String>,
-    jobs: Vec<SweepJob>,
-    master_seed: u64,
-    threads: usize,
-    observe: ObserveConfig,
-) -> SweepResult {
-    let start = Instant::now();
     let seeds: Vec<u64> = jobs
         .iter()
         .enumerate()
         .map(|(i, job)| job.seed.unwrap_or_else(|| job_seed(master_seed, i as u64)))
         .collect();
-    let sampled: Vec<bool> = match (observe.traced, observe.trace_sample) {
-        (true, Some(k)) => head_sample(master_seed, &seeds, k),
-        (true, None) => vec![true; jobs.len()],
-        (false, _) => vec![false; jobs.len()],
-    };
-    let outcomes: Vec<SweepOutcome> = pool::map(threads, &jobs, |i, job| {
-        let seed = seeds[i];
-        let (run, trace, metrics) = if sampled[i] || observe.metrics {
-            with_observers(sampled[i], observe.metrics, |tracer| {
-                run_hbo_traced(&job.scenario, &job.config, seed, tracer)
-            })
-        } else {
-            (run_hbo(&job.scenario, &job.config, seed), None, None)
-        };
-        SweepOutcome {
-            job_index: i,
-            label: job.label.clone(),
-            seed,
-            run,
-            trace,
-            metrics,
-        }
-    });
-    let wall_secs = start.elapsed().as_secs_f64();
+    let sampled = observe.sampled(master_seed, &seeds);
+    let (outcomes, mut report) =
+        run_observed(label, threads, &jobs, observe, &sampled, |i, job| {
+            SweepOutcome {
+                job_index: i,
+                label: job.label.clone(),
+                seed: seeds[i],
+                run: run_hbo(&job.scenario, &job.config, seeds[i]),
+            }
+        });
 
     // Per-job accumulators, merged in index order (parallel Welford).
     let mut iter_cost = Running::new();
@@ -379,7 +430,7 @@ pub fn run_sweep_observed(
     let mut best_cost = Running::new();
     let mut iters_to_converge = Running::new();
     let mut telemetry = TelemetrySummary::default();
-    for o in &outcomes {
+    for o in outcomes.iter().map(|o| &o.value) {
         let mut job_cost = Running::new();
         let mut job_quality = Running::new();
         let mut job_epsilon = Running::new();
@@ -399,20 +450,14 @@ pub fn run_sweep_observed(
         name: name.to_owned(),
         stats,
     };
-    let report = RunnerReport {
-        label: label.into(),
-        wall_secs,
-        jobs: outcomes.len(),
-        threads,
-        metrics: vec![
-            metric("best_cost", best_cost),
-            metric("iters_to_converge", iters_to_converge),
-            metric("iter_cost", iter_cost),
-            metric("iter_quality", iter_quality),
-            metric("iter_epsilon", iter_epsilon),
-        ],
-        telemetry: Some(telemetry),
-    };
+    report.metrics = vec![
+        metric("best_cost", best_cost),
+        metric("iters_to_converge", iters_to_converge),
+        metric("iter_cost", iter_cost),
+        metric("iter_quality", iter_quality),
+        metric("iter_epsilon", iter_epsilon),
+    ];
+    report.telemetry = Some(telemetry);
     SweepResult { outcomes, report }
 }
 
@@ -476,12 +521,63 @@ mod tests {
         jobs
     }
 
+    fn values(r: &SweepResult) -> impl Iterator<Item = &SweepOutcome> {
+        r.outcomes.iter().map(|o| &o.value)
+    }
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn flag_values_parse_strictly() {
+        let a = argv(&["--smoke", "--seed", "7", "--trace", "t.json"]);
+        assert_eq!(flag_value::<u64>(&a, "--seed"), Ok(Some(7)));
+        assert_eq!(
+            flag_value::<String>(&a, "--trace"),
+            Ok(Some("t.json".to_string()))
+        );
+        assert_eq!(flag_value::<u64>(&a, "--metrics"), Ok(None));
+        let err = flag_value::<u64>(&argv(&["--seed", "abc"]), "--seed").unwrap_err();
+        assert!(err.starts_with("--seed: invalid value \"abc\""), "{err}");
+        assert_eq!(
+            flag_value::<u64>(&argv(&["--smoke", "--seed"]), "--seed"),
+            Err("--seed: missing value".to_string())
+        );
+    }
+
+    #[test]
+    fn thread_counts_come_from_the_flag_then_the_variable() {
+        assert_eq!(threads(&argv(&["--threads", "3"]), Some("5")), Ok(3));
+        assert_eq!(threads(&argv(&[]), Some(" 5 ")), Ok(5));
+        assert_eq!(threads(&argv(&[]), None), Ok(pool::available_threads()));
+    }
+
+    #[test]
+    fn zero_or_malformed_thread_counts_name_the_flag_or_the_variable() {
+        for (args, env, name, value) in [
+            (&["--threads", "0"][..], None, "--threads", "0"),
+            (&["--threads", "x"][..], Some("2"), "--threads", "x"),
+            (&[][..], Some("0"), THREADS_ENV, "0"),
+            (&[][..], Some("abc"), THREADS_ENV, "abc"),
+            (&[][..], Some(""), THREADS_ENV, ""),
+        ] {
+            let err = threads(&argv(args), env).unwrap_err();
+            assert!(err.starts_with(name), "{err}");
+            assert!(err.contains(&format!("{value:?}")), "{err}");
+        }
+        assert_eq!(
+            threads(&argv(&["--threads"]), None),
+            Err("--threads: missing value".to_string())
+        );
+    }
+
     #[test]
     fn four_thread_sweep_is_bit_identical_to_one_thread() {
-        let serial = run_sweep("det", demo_jobs(), 42, 1);
-        let parallel = run_sweep("det", demo_jobs(), 42, 4);
+        let serial = run_sweep("det", demo_jobs(), 42, 1, &ObserveConfig::default());
+        let parallel = run_sweep("det", demo_jobs(), 42, 4, &ObserveConfig::default());
         assert_eq!(serial.outcomes.len(), parallel.outcomes.len());
-        for (a, b) in serial.outcomes.iter().zip(&parallel.outcomes) {
+        for (a, b) in values(&serial).zip(values(&parallel)) {
             assert_eq!(a.job_index, b.job_index);
             assert_eq!(a.seed, b.seed);
             assert_eq!(a.run.best.point, b.run.best.point);
@@ -496,9 +592,9 @@ mod tests {
     fn explicit_seeds_override_derivation() {
         let mut jobs = demo_jobs();
         jobs[1].seed = Some(777);
-        let result = run_sweep("seeded", jobs, 9, 2);
-        assert_eq!(result.outcomes[0].seed, job_seed(9, 0));
-        assert_eq!(result.outcomes[1].seed, 777);
+        let result = run_sweep("seeded", jobs, 9, 2, &ObserveConfig::default());
+        assert_eq!(result.outcomes[0].value.seed, job_seed(9, 0));
+        assert_eq!(result.outcomes[1].value.seed, 777);
     }
 
     #[test]
@@ -567,7 +663,7 @@ mod tests {
 
     #[test]
     fn report_renders_one_json_line() {
-        let result = run_sweep("json", demo_jobs(), 1, 2);
+        let result = run_sweep("json", demo_jobs(), 1, 2, &ObserveConfig::default());
         let line = result.report.to_json();
         assert!(line.starts_with("{\"runner\":\"json\",\"jobs\":4,\"threads\":2,"));
         assert!(line.contains("\"best_cost\":{\"count\":4,"));
@@ -581,16 +677,16 @@ mod tests {
             trace_sample: Some(2),
             metrics: true,
         };
-        let serial = run_sweep_observed("obs", demo_jobs(), 42, 1, observe.clone());
-        let parallel = run_sweep_observed("obs", demo_jobs(), 42, 4, observe);
-        let plain = run_sweep("obs", demo_jobs(), 42, 1);
+        let serial = run_sweep("obs", demo_jobs(), 42, 1, &observe);
+        let parallel = run_sweep("obs", demo_jobs(), 42, 4, &observe);
+        let plain = run_sweep("obs", demo_jobs(), 42, 1, &ObserveConfig::default());
 
         // Exactly k jobs keep Chrome detail; the same jobs either way.
         let traced_jobs = |r: &SweepResult| -> Vec<usize> {
             r.outcomes
                 .iter()
                 .filter(|o| o.trace.is_some())
-                .map(|o| o.job_index)
+                .map(|o| o.value.job_index)
                 .collect()
         };
         assert_eq!(traced_jobs(&serial).len(), 2);
@@ -604,7 +700,7 @@ mod tests {
         assert!(text.contains("# TYPE mar_span_count counter"));
 
         // Observation never perturbs the simulations.
-        for (a, b) in serial.outcomes.iter().zip(&plain.outcomes) {
+        for (a, b) in values(&serial).zip(values(&plain)) {
             assert_eq!(a.seed, b.seed);
             assert_eq!(a.run.best.cost, b.run.best.cost);
             assert_eq!(a.run.best_cost_trace, b.run.best_cost_trace);
@@ -614,7 +710,7 @@ mod tests {
 
     #[test]
     fn untraced_observed_sweep_collects_no_buffers() {
-        let result = run_sweep_observed("off", demo_jobs(), 3, 2, ObserveConfig::default());
+        let result = run_sweep("off", demo_jobs(), 3, 2, &ObserveConfig::default());
         assert!(result.outcomes.iter().all(|o| o.trace.is_none()));
         assert!(result.outcomes.iter().all(|o| o.metrics.is_none()));
         assert!(result.metrics_text().is_none());
@@ -623,7 +719,7 @@ mod tests {
 
     #[test]
     fn labeled_filters_outcomes() {
-        let result = run_sweep("lbl", demo_jobs(), 5, 2);
+        let result = run_sweep("lbl", demo_jobs(), 5, 2, &ObserveConfig::default());
         assert_eq!(result.labeled("SC2-CF2/r0").len(), 1);
         assert_eq!(result.labeled("nope").len(), 0);
     }

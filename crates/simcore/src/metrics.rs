@@ -36,8 +36,8 @@ use std::rc::Rc;
 use crate::rng::mix;
 use crate::stats::LogHistogram;
 use crate::trace::{
-    ArgValue, ChromeTraceSink, TeeSink, TraceBuffer, TracePhase, TraceRecord, TraceSink, Tracer,
-    TrackDef, TrackId,
+    observe, ArgValue, ChromeTraceSink, TeeSink, TraceBuffer, TracePhase, TraceRecord, TraceSink,
+    Tracer, TrackDef, TrackId,
 };
 
 /// Domain-separation tag for [`head_sample`] draws, so the sampling
@@ -875,14 +875,16 @@ pub fn head_sample(master_seed: u64, seeds: &[u64], k: usize) -> Vec<bool> {
 /// Runs `f` under the sink combination selected by `chrome` /
 /// `metrics` and returns what each sink collected: the full-detail
 /// Chrome buffer for sampled jobs, the bounded aggregate for metered
-/// ones, both through one [`TeeSink`] when a job is both. The sweep
-/// binaries and the runner share this so the four combinations live in
-/// one place.
+/// ones, both through one [`TeeSink`] when a job is both. The tracer is
+/// in scope ([`observe`]) while `f` runs, so every simulation `f` builds
+/// records into it; `f` also gets it as its argument. With neither sink
+/// the scope holds a disabled tracer.
 pub fn with_observers<R>(
     chrome: bool,
     metrics: bool,
     f: impl FnOnce(Tracer) -> R,
 ) -> (R, Option<TraceBuffer>, Option<MetricsBuffer>) {
+    let f = |tracer: Tracer| observe(tracer.clone(), || f(tracer));
     match (chrome, metrics) {
         (true, true) => {
             let sink = Rc::new(RefCell::new(TeeSink {
@@ -1158,6 +1160,13 @@ mod tests {
         let ((), c3, a3) = with_observers(false, false, |tr| {
             assert!(!tr.is_enabled());
         });
+        // The tracer handed in is also the one in scope.
+        let ((), chrome, _) = with_observers(true, false, |_| {
+            let tracer = Tracer::current();
+            let a = tracer.register_track("soc", "CPU");
+            tracer.instant(t(1.0), a, "soc", "tick", &[]);
+        });
+        assert_eq!(chrome.expect("chrome buffer").records.len(), 1);
         assert!(c3.is_none() && a3.is_none());
     }
 }

@@ -13,7 +13,7 @@
 
 use hbo_core::HboConfig;
 use hbo_suite::prelude::*;
-use marsim::runner::{self, SweepJob};
+use marsim::runner::{self, ObserveConfig, SweepJob};
 use nnmodel::ModelZoo;
 
 fn main() {
@@ -29,7 +29,13 @@ fn main() {
         .iter()
         .map(|spec| SweepJob::seeded(spec.name.clone(), spec.clone(), HboConfig::default(), 11))
         .collect();
-    let sweep = runner::run_sweep("device_comparison", jobs, 11, runner::threads_from_args());
+    let sweep = runner::run_sweep(
+        "device_comparison",
+        jobs,
+        11,
+        runner::threads_or_exit(),
+        &ObserveConfig::default(),
+    );
 
     for (spec, outcome) in scenarios.iter().zip(&sweep.outcomes) {
         let zoo = ModelZoo::for_device(&spec.device.name);
@@ -41,7 +47,7 @@ fn main() {
             println!("  {:<22} -> {d} ({l:.1} ms isolated)", m.name());
         }
 
-        let run = &outcome.run;
+        let run = &outcome.value.run;
         println!(
             "HBO under load:  x = {:.2}, allocation = {}",
             run.best.point.x,

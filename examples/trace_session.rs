@@ -6,8 +6,8 @@
 //! ```
 //!
 //! The activation runs a four-client MAR session with **Edge** in the
-//! allocation space, with a [`simcore::trace::ChromeTraceSink`] installed
-//! across every layer of the stack. The written file (default
+//! allocation space, with a [`simcore::trace::ChromeTraceSink`] in scope
+//! ([`simcore::trace::observe`]) across every layer of the stack. The written file (default
 //! `trace_session.json`) loads directly in <https://ui.perfetto.dev> or
 //! `chrome://tracing` and shows, on separate tracks:
 //!
@@ -26,8 +26,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use hbo_suite::prelude::*;
-use marsim::edge::{run_edge_hbo_traced, EdgeSpec};
-use simcore::trace::{chrome_trace_json, chrome_trace_stats, ChromeTraceSink, TraceJob, Tracer};
+use marsim::edge::{run_edge_hbo, EdgeSpec};
+use simcore::trace::{
+    chrome_trace_json, chrome_trace_stats, observe, ChromeTraceSink, TraceJob, Tracer,
+};
 
 fn main() {
     let path = std::env::args()
@@ -42,7 +44,9 @@ fn main() {
     };
 
     let sink = Rc::new(RefCell::new(ChromeTraceSink::new()));
-    let run = run_edge_hbo_traced(&spec, &config, 2024, Tracer::with_sink(Rc::clone(&sink)));
+    let run = observe(Tracer::with_sink(Rc::clone(&sink)), || {
+        run_edge_hbo(&spec, &config, 2024)
+    });
 
     let job = TraceJob {
         name: format!("{} edge session", spec.name),
