@@ -116,6 +116,34 @@ cmp "$trace_dir/observed_rows.txt" "$trace_dir/plain_rows.txt"
 cargo run --release --offline -q -p hbo-bench --bin check_json -- \
   "$trace_dir/fleet_sampled.json"
 
+# Observed-export smoke: the trace of edge_offload and the trace and
+# exposition of stadium_sweep must be byte-identical across --threads
+# 1/2 too (per-job sinks, merged in job order), like explore's trace and
+# fleet_sweep's exposition above.
+echo "==> observed exports: edge_offload and stadium_sweep across threads"
+for threads in 1 2; do
+  cargo run --release --offline -q -p hbo-bench --bin edge_offload -- \
+    --smoke --threads "$threads" --trace "$trace_dir/edge_t$threads.json" >/dev/null 2>&1
+  cargo run --release --offline -q -p hbo-bench --bin stadium_sweep -- \
+    --smoke --threads "$threads" --trace "$trace_dir/stadium_t$threads.json" \
+    --metrics "$trace_dir/stadium_metrics_t$threads.txt" >/dev/null 2>&1
+done
+cmp "$trace_dir/edge_t1.json" "$trace_dir/edge_t2.json"
+cmp "$trace_dir/stadium_t1.json" "$trace_dir/stadium_t2.json"
+cmp "$trace_dir/stadium_metrics_t1.txt" "$trace_dir/stadium_metrics_t2.txt"
+
+# Strict thread counts: a zero or malformed --threads or HBO_THREADS is a
+# usage error (status 2), never a silent fallback to another count.
+echo "==> strict thread counts: --threads 0 and HBO_THREADS=abc exit 2"
+status=0
+cargo run --release --offline -q -p hbo-bench --bin fig4_table3 -- \
+  --threads 0 >/dev/null 2>&1 || status=$?
+test "$status" -eq 2
+status=0
+HBO_THREADS=abc cargo run --release --offline -q -p hbo-bench --bin fig4_table3 \
+  >/dev/null 2>&1 || status=$?
+test "$status" -eq 2
+
 # Bench smoke: a tiny-N run of the kernels bench must still emit
 # parseable rows, so the tracked perf baseline can't silently rot when
 # bench fixtures or the harness change. The rows go to a temp file: the
