@@ -47,7 +47,6 @@ mod baselines;
 mod cost;
 mod lookup;
 mod profile;
-mod session;
 mod warm;
 
 pub use activation::{ActivationDecision, ActivationPolicy, ActivationReason, PeriodicPolicy};
@@ -61,5 +60,4 @@ pub use bayesopt::BoConfig;
 pub use cost::{cost, normalized_latency, reward};
 pub use lookup::{LookupKey, LookupTable, StoredConfig, DEFAULT_LOOKUP_CAPACITY};
 pub use profile::TaskProfile;
-pub use session::{HboSession, SessionConfig, SessionStep};
 pub use warm::{ScenarioSignature, WarmCache, DEFAULT_WARM_CAPACITY};
