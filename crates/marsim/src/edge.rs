@@ -26,11 +26,9 @@ pub use edgelink::{Direction, LinkParams, ServerParams, SharedCell};
 
 use edgelink::{one_server, ClientSpec, ClusterSim};
 use hbo_core::{
-    best_local_allocation, edge_only_allocation, HboConfig, HboController, HboPoint, StoredConfig,
-    TaskProfile, WarmCache,
+    best_local_allocation, edge_only_allocation, HboConfig, HboPoint, TaskProfile, WarmCache,
 };
 use nnmodel::Delegate;
-use simcore::rand::SeedableRng;
 use simcore::rng::mix;
 use simcore::stats::Running;
 use simcore::trace::{observe, Tracer};
@@ -38,15 +36,12 @@ use simcore::{QueueKind, SimTime};
 
 use crate::app::{task_period_ms, MarApp, TASK_GAP_MS, TASK_JITTER_MS};
 use crate::experiment::{
-    point_from_stored, scenario_signature, seed_fits, trace_hbo_window, warm_variant, HboRunResult,
-    WarmRunResult, CONTROL_PERIOD_SECS,
+    run_activation, run_warm, scenario_signature, HboRunResult, Plant, WarmRunResult,
+    CONTROL_PERIOD_SECS, WARMUP_SECS,
 };
 use crate::rows::{fmt_opt_ms, JsonRow};
 use crate::scenario::ScenarioSpec;
 use crate::telemetry::TelemetrySummary;
-
-/// Warm-up before the first measurement (mirrors `experiment::run_hbo`).
-const WARMUP_SECS: f64 = 1.0;
 
 /// The edge deployment a scenario offloads to: link profile, server
 /// sizing, fleet size, and per-request payloads.
@@ -431,6 +426,28 @@ impl EdgeWorld {
     }
 }
 
+impl Plant for EdgeWorld {
+    fn app(&self) -> &MarApp {
+        &self.app
+    }
+    fn app_mut(&mut self) -> &mut MarApp {
+        &mut self.app
+    }
+    fn allocation(&self) -> Vec<Delegate> {
+        EdgeWorld::allocation(self)
+    }
+    fn apply(&mut self, point: &HboPoint) {
+        EdgeWorld::apply(self, point)
+    }
+    fn measure(&mut self, secs: f64) -> (f64, f64, SimTime) {
+        let m = self.measure_for_secs(secs);
+        (m.quality, m.epsilon, m.at)
+    }
+    fn telemetry(&self) -> TelemetrySummary {
+        EdgeWorld::telemetry(self)
+    }
+}
+
 /// Best on-device latency of a (possibly edge-extended) profile.
 fn best_local_ms(p: &TaskProfile) -> f64 {
     [Delegate::Cpu, Delegate::Gpu, Delegate::Nnapi]
@@ -451,83 +468,23 @@ fn percentile(sorted: &[f64], q: f64) -> Option<f64> {
     Some(sorted[idx])
 }
 
-/// One full HBO activation on an [`EdgeWorld`]: identical to
-/// [`crate::experiment::run_hbo`] but with Edge in the decision space and
-/// the fleet measurement in the loop. Under a tracer
-/// ([`simcore::trace::observe`]), SoC spans, per-window radio/server-lane
-/// spans, `"hbo"` control-window spans, and BO per-suggest spans all land
-/// in one buffer, and the result stays bit-identical.
+/// One full HBO activation on an [`EdgeWorld`]: [`crate::experiment::run_hbo`]
+/// with Edge in the decision space and the fleet measurement in the
+/// loop. Under a tracer ([`simcore::trace::observe`]), SoC spans,
+/// per-window radio/server-lane spans, `"hbo"` control-window spans, and
+/// BO per-suggest spans all land in one buffer, and the result stays
+/// bit-identical.
 ///
 /// # Panics
 ///
 /// Panics if `spec.edge` is `None`.
 pub fn run_edge_hbo(spec: &ScenarioSpec, config: &HboConfig, seed: u64) -> HboRunResult {
-    run_edge_hbo_inner(spec, config, seed, None)
-}
-
-/// The shared edge-activation loop behind [`run_edge_hbo`] and
-/// [`run_edge_hbo_warm`] (mirrors `experiment::run_hbo_inner`).
-fn run_edge_hbo_inner(
-    spec: &ScenarioSpec,
-    config: &HboConfig,
-    seed: u64,
-    warm_seed: Option<&StoredConfig>,
-) -> HboRunResult {
-    let tracer = Tracer::current();
-    let mut world = EdgeWorld::new(spec, mix(seed, 0xED6E_0001));
-    let hbo_track = tracer.register_track("hbo", "hbo control");
-    world.place_all_objects();
-    world.run_for_secs(WARMUP_SECS);
-    let mut hbo = HboController::new(spec.profiles(), config.clone());
-    hbo.set_tracer(tracer.clone());
-    let mut rng = simcore::rand::StdRng::seed_from_u64(seed);
-    let incumbent = hbo.incumbent_point(
-        world.allocation(),
-        world.app().scene().overall_ratio().min(1.0),
-    );
-    world.apply(&incumbent);
-    let start = world.app().now();
-    let m = world.measure_for_secs(CONTROL_PERIOD_SECS);
-    hbo.observe(incumbent, m.quality, m.epsilon);
-    trace_hbo_window(&tracer, hbo_track, 0, start, m.at, &hbo.records()[0]);
-    let mut seeded_windows = 1u64; // the incumbent costs no suggest call
-    if let Some(stored) = warm_seed {
-        let point = point_from_stored(stored);
-        world.apply(&point);
-        let start = world.app().now();
-        let m = world.measure_for_secs(CONTROL_PERIOD_SECS);
-        hbo.observe(point, m.quality, m.epsilon);
-        trace_hbo_window(&tracer, hbo_track, 1, start, m.at, &hbo.records()[1]);
-        seeded_windows += 1;
-    }
-    while !hbo.is_done() {
-        hbo.set_trace_now(world.app().now());
-        let point = hbo.next_point(&mut rng);
-        world.apply(&point);
-        let start = world.app().now();
-        let m = world.measure_for_secs(CONTROL_PERIOD_SECS);
-        hbo.observe(point, m.quality, m.epsilon);
-        let iter = hbo.completed_iterations() - 1;
-        trace_hbo_window(&tracer, hbo_track, iter, start, m.at, &hbo.records()[iter]);
-    }
-    let best = hbo
-        .best()
-        .expect("activation ran at least one iteration")
-        .clone();
-    let mut telemetry = world.telemetry();
-    telemetry.bo_suggests = hbo.completed_iterations() as u64 - seeded_windows;
-    HboRunResult {
-        scenario: spec.name.clone(),
-        best_cost_trace: hbo.best_cost_trace(),
-        records: hbo.records().to_vec(),
-        best,
-        telemetry,
-    }
+    run_activation(spec, config, seed, activation_world(spec, seed), None)
 }
 
 /// [`run_edge_hbo`] with the fleet-wide warm-start cache in the loop
-/// (mirrors [`crate::experiment::run_hbo_warm`], with the edge dimension
-/// in the signature and a 4-simplex seed guard).
+/// (as [`crate::experiment::run_hbo_warm`], with the edge dimension in
+/// the signature and a 4-simplex seed guard).
 ///
 /// # Panics
 ///
@@ -539,31 +496,20 @@ pub fn run_edge_hbo_warm(
     cache: &mut WarmCache,
 ) -> WarmRunResult {
     let signature = scenario_signature(spec);
-    let seed_config = cache
-        .find(&signature)
-        .filter(|s| seed_fits(s, spec))
-        .cloned();
-    let warm_hit = seed_config.is_some();
-    let mut run = match &seed_config {
-        Some(stored) => run_edge_hbo_inner(spec, &warm_variant(config), seed, Some(stored)),
-        None => run_edge_hbo_inner(spec, config, seed, None),
-    };
-    run.telemetry.warm_hits = warm_hit as u64;
-    run.telemetry.warm_misses = !warm_hit as u64;
-    cache.store(
+    run_warm(
+        spec,
+        config,
+        seed,
+        cache,
         signature,
-        StoredConfig {
-            c: run.best.point.c.clone(),
-            x: run.best.point.x,
-            allocation: run.best.point.allocation.clone(),
-            reward: -run.best.cost,
-        },
-    );
-    WarmRunResult {
-        run,
-        warm_hit,
-        signature,
-    }
+        activation_world(spec, seed),
+    )
+}
+
+/// The world an activation with run seed `seed` drives; its edge streams
+/// derive from a tag of that seed.
+fn activation_world(spec: &ScenarioSpec, seed: u64) -> EdgeWorld {
+    EdgeWorld::new(spec, mix(seed, 0xED6E_0001))
 }
 
 /// The measured outcome of one system on an edge scenario.
