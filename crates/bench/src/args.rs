@@ -21,9 +21,8 @@ use marsim::runner::{
 /// | `--metrics PATH` | write the merged Prometheus exposition to `PATH` | off |
 /// | `--trace-sample K` | keep Chrome detail for `K` head-sampled jobs | every job |
 ///
-/// Flags a binary does not use are still checked: `edge_offload` writes
-/// no exposition and samples no trace, but `--trace-sample x` is an error
-/// there too.
+/// Any other argument is an error (`unknown flag`), unless the binary
+/// reads it itself (`fleet_sweep --warm`, `explore`'s own flags).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepArgs {
     /// `--smoke`.
@@ -41,27 +40,61 @@ pub struct SweepArgs {
     pub trace_sample: Option<usize>,
 }
 
+/// The shared flags that take a value.
+const VALUE_FLAGS: [&str; 5] = [
+    "--seed",
+    "--threads",
+    "--trace",
+    "--metrics",
+    "--trace-sample",
+];
+
 impl SweepArgs {
     /// Parses `argv` (without the program name) and the thread-count
-    /// variable's value `threads_env`. The error names the flag or the
-    /// variable and the value.
-    pub fn parse(argv: &[String], threads_env: Option<&str>) -> Result<Self, String> {
+    /// variable's value `threads_env`. Besides the six flags and their
+    /// values, `argv` may hold only the value-less flags in `own`, which
+    /// the binary reads itself. The error names the unknown flag, or the
+    /// flag or the variable and the value.
+    pub fn parse(argv: &[String], threads_env: Option<&str>, own: &[&str]) -> Result<Self, String> {
+        let (shared, rest) = Self::split(argv);
+        if let Some(a) = rest
+            .iter()
+            .find(|a| *a != "--smoke" && !own.contains(&a.as_str()))
+        {
+            return Err(format!("unknown flag {a}"));
+        }
         Ok(SweepArgs {
-            smoke: argv.iter().any(|a| a == "--smoke"),
-            seed: flag_value(argv, "--seed")?.unwrap_or(2024),
-            threads: runner::threads(argv, threads_env)?,
-            trace: flag_value(argv, "--trace")?,
-            metrics: flag_value(argv, "--metrics")?,
-            trace_sample: flag_value(argv, "--trace-sample")?,
+            smoke: rest.iter().any(|a| a == "--smoke"),
+            seed: flag_value(&shared, "--seed")?.unwrap_or(2024),
+            threads: runner::threads(&shared, threads_env)?,
+            trace: flag_value(&shared, "--trace")?,
+            metrics: flag_value(&shared, "--metrics")?,
+            trace_sample: flag_value(&shared, "--trace-sample")?,
         })
+    }
+
+    /// Splits `argv` into the shared flags that take a value, each with
+    /// its value, and every other argument, both in order.
+    pub fn split(argv: &[String]) -> (Vec<String>, Vec<String>) {
+        let (mut shared, mut rest) = (Vec::new(), Vec::new());
+        let mut args = argv.iter().cloned();
+        while let Some(a) = args.next() {
+            if VALUE_FLAGS.contains(&a.as_str()) {
+                shared.push(a);
+                shared.extend(args.next());
+            } else {
+                rest.push(a);
+            }
+        }
+        (shared, rest)
     }
 
     /// [`SweepArgs::parse`] of the process's own arguments and
     /// environment, for a binary's `main`: on an error, prints it and
     /// exits with status 2.
-    pub fn from_env() -> Self {
+    pub fn from_env(own: &[&str]) -> Self {
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        Self::parse(&argv, runner::threads_env().as_deref()).unwrap_or_else(|e| {
+        Self::parse(&argv, runner::threads_env().as_deref(), own).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2)
         })
@@ -109,7 +142,7 @@ mod tests {
 
     #[test]
     fn absent_flag_is_none() {
-        let a = SweepArgs::parse(&argv(&["--smoke"]), Some("3")).unwrap();
+        let a = SweepArgs::parse(&argv(&["--smoke"]), Some("3"), &[]).unwrap();
         assert_eq!(
             a,
             SweepArgs {
@@ -140,6 +173,7 @@ mod tests {
                 "4",
             ]),
             Some("abc"),
+            &[],
         )
         .unwrap();
         assert_eq!((a.seed, a.threads), (7, 2));
@@ -165,7 +199,7 @@ mod tests {
             (&[][..], Some("0"), runner::THREADS_ENV, "0"),
             (&[][..], Some("abc"), runner::THREADS_ENV, "abc"),
         ] {
-            let err = SweepArgs::parse(&argv(args), env).unwrap_err();
+            let err = SweepArgs::parse(&argv(args), env, &[]).unwrap_err();
             assert!(err.starts_with(name), "{err}");
             assert!(err.contains(&format!("\"{value}\"")), "{err}");
         }
@@ -174,8 +208,37 @@ mod tests {
     #[test]
     fn a_trailing_flag_without_a_value_is_an_error() {
         assert_eq!(
-            SweepArgs::parse(&argv(&["--smoke", "--seed"]), None),
+            SweepArgs::parse(&argv(&["--smoke", "--seed"]), None, &[]),
             Err("--seed: missing value".to_string())
+        );
+    }
+
+    #[test]
+    fn unknown_flags_are_errors_unless_the_binary_reads_them() {
+        for (args, own, unknown) in [
+            (&["--smok"][..], &[][..], "--smok"),
+            (&["--smoke", "--bogus-flag"][..], &[][..], "--bogus-flag"),
+            (&["--seed", "7", "8"][..], &[][..], "8"),
+            (&["--warm"][..], &[][..], "--warm"),
+            (
+                &["--warm", "--baselines"][..],
+                &["--warm"][..],
+                "--baselines",
+            ),
+        ] {
+            assert_eq!(
+                SweepArgs::parse(&argv(args), None, own),
+                Err(format!("unknown flag {unknown}"))
+            );
+        }
+        let a = SweepArgs::parse(&argv(&["--warm", "--seed", "7"]), Some("1"), &["--warm"]);
+        assert_eq!(a.map(|a| a.seed), Ok(7));
+        assert_eq!(
+            SweepArgs::split(&argv(&["SC1-CF1", "--seed", "7", "--smoke", "--trace"])),
+            (
+                argv(&["--seed", "7", "--trace"]),
+                argv(&["SC1-CF1", "--smoke"])
+            )
         );
     }
 }

@@ -4,6 +4,7 @@
 //!
 //! ```text
 //! edge_offload [--smoke] [--seed N] [--threads T] [--trace PATH]
+//!              [--metrics PATH] [--trace-sample K]
 //! ```
 //!
 //! Emits one JSON line per `(cell, system)` row plus the runner report.
@@ -13,18 +14,21 @@
 //!
 //! With `--trace PATH` every cell's HBO activation records a span/counter
 //! trace (one Chrome `pid` per cell, in cell order) written to `PATH` as
-//! Chrome trace-event JSON; the emitted rows stay byte-identical, and the
-//! runner report gains the merged telemetry totals across cells.
+//! Chrome trace-event JSON; `--trace-sample K` keeps Chrome detail for
+//! `K` head-sampled cells only, and `--metrics PATH` writes the merged
+//! Prometheus exposition of every cell. The emitted rows stay
+//! byte-identical, and the runner report gains the merged telemetry
+//! totals across cells.
 
 use hbo_bench::args::SweepArgs;
 use hbo_bench::harness;
 use hbo_core::HboConfig;
 use marsim::edge::sweep_cell;
-use marsim::runner::{self, job_seed, ObserveConfig};
+use marsim::runner::{self, job_seed};
 use marsim::{ScenarioSpec, TelemetrySummary};
 
 fn main() {
-    let args = SweepArgs::from_env();
+    let args = SweepArgs::from_env(&[]);
 
     // SC1 is the heavy scene (decimation matters), CF2 keeps the taskset
     // small enough that every cell runs a full activation quickly.
@@ -51,9 +55,7 @@ fn main() {
     let cell_seeds: Vec<u64> = (0..cells.len())
         .map(|i| job_seed(args.seed, i as u64))
         .collect();
-    // Every cell is traced under --trace; this sweep samples no trace
-    // and writes no exposition.
-    let observe = ObserveConfig::traced(args.trace.is_some());
+    let observe = args.observe();
     let sampled = observe.sampled(args.seed, &cell_seeds);
     let (outcomes, mut report) = runner::run_observed(
         "edge_offload",

@@ -60,9 +60,9 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (shared, argv) = SweepArgs::split(&std::env::args().skip(1).collect::<Vec<_>>());
     let mut args = Args {
-        sweep: SweepArgs::parse(&argv, runner::threads_env().as_deref())?,
+        sweep: SweepArgs::parse(&shared, runner::threads_env().as_deref(), &[])?,
         scenario: "SC1-CF1".to_owned(),
         weight: 2.5,
         iterations: 15,
@@ -82,8 +82,6 @@ fn parse_args() -> Result<Args, String> {
     };
     while i < argv.len() {
         match argv[i].as_str() {
-            // Parsed by `SweepArgs` above; skip the value.
-            "--seed" | "--threads" | "--trace" | "--metrics" | "--trace-sample" => i += 1,
             "--weight" => {
                 args.weight = value(&mut i)?.parse().map_err(|e| format!("weight: {e}"))?
             }

@@ -48,7 +48,7 @@ use simcore::rng::mix;
 use simcore::stats::Running;
 
 fn main() {
-    let args = SweepArgs::from_env();
+    let args = SweepArgs::from_env(&["--warm"]);
     let warm = std::env::args().any(|a| a == "--warm");
 
     // Fixed cluster, growing fleet: the sweep walks one deployment from

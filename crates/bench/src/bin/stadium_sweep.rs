@@ -36,7 +36,7 @@ use marsim::runner::{self, job_seed};
 use marsim::{ScenarioSpec, TelemetrySummary};
 
 fn main() {
-    let args = SweepArgs::from_env();
+    let args = SweepArgs::from_env(&[]);
 
     // SC1-CF2 keeps the taskset small enough for a full activation per
     // population cell; the stadium cell's capacity (80/160 Mbit/s) is

@@ -116,19 +116,23 @@ cmp "$trace_dir/observed_rows.txt" "$trace_dir/plain_rows.txt"
 cargo run --release --offline -q -p hbo-bench --bin check_json -- \
   "$trace_dir/fleet_sampled.json"
 
-# Observed-export smoke: the trace of edge_offload and the trace and
-# exposition of stadium_sweep must be byte-identical across --threads
-# 1/2 too (per-job sinks, merged in job order), like explore's trace and
-# fleet_sweep's exposition above.
+# Observed-export smoke: the trace and exposition of edge_offload and of
+# stadium_sweep must be byte-identical across --threads 1/2 too (per-job
+# sinks, merged in job order), like explore's trace and fleet_sweep's
+# exposition above.
 echo "==> observed exports: edge_offload and stadium_sweep across threads"
 for threads in 1 2; do
   cargo run --release --offline -q -p hbo-bench --bin edge_offload -- \
     --smoke --threads "$threads" --trace "$trace_dir/edge_t$threads.json" >/dev/null 2>&1
+  cargo run --release --offline -q -p hbo-bench --bin edge_offload -- \
+    --smoke --threads "$threads" --metrics "$trace_dir/edge_metrics_t$threads.txt" >/dev/null 2>&1
   cargo run --release --offline -q -p hbo-bench --bin stadium_sweep -- \
     --smoke --threads "$threads" --trace "$trace_dir/stadium_t$threads.json" \
     --metrics "$trace_dir/stadium_metrics_t$threads.txt" >/dev/null 2>&1
 done
 cmp "$trace_dir/edge_t1.json" "$trace_dir/edge_t2.json"
+cmp "$trace_dir/edge_metrics_t1.txt" "$trace_dir/edge_metrics_t2.txt"
+grep -q '# TYPE mar_span_count counter' "$trace_dir/edge_metrics_t1.txt"
 cmp "$trace_dir/stadium_t1.json" "$trace_dir/stadium_t2.json"
 cmp "$trace_dir/stadium_metrics_t1.txt" "$trace_dir/stadium_metrics_t2.txt"
 
@@ -142,6 +146,14 @@ test "$status" -eq 2
 status=0
 HBO_THREADS=abc cargo run --release --offline -q -p hbo-bench --bin fig4_table3 \
   >/dev/null 2>&1 || status=$?
+test "$status" -eq 2
+
+# Unknown flags: a sweep rejects an argument it does not know (status 2)
+# instead of ignoring it, so a typo never runs the full sweep silently.
+echo "==> unknown flags: stadium_sweep --smoke --bogus-flag exits 2"
+status=0
+cargo run --release --offline -q -p hbo-bench --bin stadium_sweep -- \
+  --smoke --bogus-flag >/dev/null 2>&1 || status=$?
 test "$status" -eq 2
 
 # Bench smoke: a tiny-N run of the kernels bench must still emit
