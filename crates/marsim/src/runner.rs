@@ -186,14 +186,6 @@ pub struct ObserveConfig {
 }
 
 impl ObserveConfig {
-    /// Tracing on or off, no sampling, no metrics.
-    pub fn traced(traced: bool) -> Self {
-        ObserveConfig {
-            traced,
-            ..ObserveConfig::default()
-        }
-    }
-
     /// Which jobs keep full Chrome detail, given each job's seed: every
     /// job when tracing without `trace_sample`, the `k` jobs
     /// [`head_sample`] picks with it, and none without tracing. A pure
