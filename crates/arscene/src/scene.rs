@@ -58,11 +58,6 @@ impl VirtualObject {
         &self.name
     }
 
-    /// Maximum (full-quality) triangle count.
-    pub fn max_triangles(&self) -> u64 {
-        self.max_triangles
-    }
-
     /// Current decimation ratio `R`.
     pub fn ratio(&self) -> f64 {
         self.ratio
@@ -76,11 +71,6 @@ impl VirtualObject {
     /// The trained degradation model.
     pub fn model(&self) -> &DegradationModel {
         &self.model
-    }
-
-    /// The per-object distance multiplier.
-    pub fn distance_factor(&self) -> f64 {
-        self.distance_factor
     }
 }
 

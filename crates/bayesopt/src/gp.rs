@@ -318,16 +318,6 @@ impl GaussianProcess {
         out
     }
 
-    /// The observed inputs.
-    pub fn inputs(&self) -> &[Vec<f64>] {
-        &self.xs
-    }
-
-    /// The observed targets.
-    pub fn targets(&self) -> &[f64] {
-        &self.ys
-    }
-
     /// The smallest observed target (the incumbent for minimization).
     pub fn best_observed(&self) -> Option<f64> {
         self.ys.iter().copied().min_by(f64::total_cmp)

@@ -33,7 +33,7 @@
 //!
 //! // Minimize (z - 0.3)^2 on [0, 1].
 //! let space = BoxSpace::new(vec![(0.0, 1.0)]);
-//! let mut bo = BoOptimizer::new(space, BoConfig::default());
+//! let mut bo = BoOptimizer::new(space, BoConfig::default(), 5);
 //! let mut rng = simcore::rand::StdRng::seed_from_u64(7);
 //! for _ in 0..25 {
 //!     let z = bo.suggest(&mut rng);

@@ -72,22 +72,6 @@ impl Matrix {
         self.data[r * self.cols + c] = v;
     }
 
-    /// Matrix–vector product `self * x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols`.
-    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "dimension mismatch");
-        (0..self.rows)
-            .map(|r| {
-                (0..self.cols)
-                    .map(|c| self.data[r * self.cols + c] * x[c])
-                    .sum()
-            })
-            .collect()
-    }
-
     /// True if `|self - other|` is entrywise below `tol`.
     pub fn approx_eq(&self, other: &Matrix, tol: f64) -> bool {
         self.rows == other.rows
@@ -141,8 +125,9 @@ impl std::error::Error for NotPositiveDefinite {}
 /// let a = Matrix::from_fn(2, 2, |r, c| if r == c { 2.0 } else { 0.5 });
 /// let chol = Cholesky::new(&a).unwrap();
 /// let x = chol.solve(&[1.0, 1.0]);
-/// let b = a.mul_vec(&x);
-/// assert!((b[0] - 1.0).abs() < 1e-12 && (b[1] - 1.0).abs() < 1e-12);
+/// // A x = b, row by row.
+/// assert!((2.0 * x[0] + 0.5 * x[1] - 1.0).abs() < 1e-12);
+/// assert!((0.5 * x[0] + 2.0 * x[1] - 1.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cholesky {
@@ -500,12 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_vec_works() {
-        let a = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f64);
-        assert_eq!(a.mul_vec(&[1.0, 1.0, 1.0]), vec![3.0, 12.0]);
-    }
-
-    #[test]
     fn helpers() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert!((euclidean(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-12);
@@ -543,8 +522,8 @@ mod tests {
                 prop_assert!(recon.approx_eq(&a, 1e-9));
                 // A x == b after solve.
                 let x = chol.solve(b);
-                let back = a.mul_vec(&x);
-                for (u, v) in back.iter().zip(b) {
+                let back = (0..4).map(|r| (0..4).map(|c| a.get(r, c) * x[c]).sum::<f64>());
+                for (u, v) in back.zip(b) {
                     prop_assert!((u - v).abs() < 1e-7, "{u} vs {v}");
                 }
                 Ok(())

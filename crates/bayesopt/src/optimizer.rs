@@ -18,8 +18,6 @@ pub struct BoConfig {
     pub noise_var: f64,
     /// Acquisition function (paper: EI).
     pub acquisition: Acquisition,
-    /// Random initial designs before the surrogate takes over (paper: 5).
-    pub n_initial: usize,
     /// Global random candidates scored per suggestion.
     pub n_candidates: usize,
     /// Local perturbations of the incumbent scored per suggestion.
@@ -38,7 +36,6 @@ impl Default for BoConfig {
             kernel: Kernel::paper_default(),
             noise_var: 2e-3,
             acquisition: Acquisition::default(),
-            n_initial: 5,
             n_candidates: 1024,
             n_local: 256,
             local_scale: 0.15,
@@ -73,6 +70,7 @@ impl BoConfig {
 pub struct BoOptimizer<S> {
     space: S,
     config: BoConfig,
+    n_initial: usize,
     observations: Vec<(Vec<f64>, f64)>,
     surrogate: GaussianProcess,
     tracer: Tracer,
@@ -81,12 +79,13 @@ pub struct BoOptimizer<S> {
 }
 
 impl<S: SampleSpace> BoOptimizer<S> {
-    /// Creates an optimizer with no observations.
+    /// Creates an optimizer with no observations whose first `n_initial`
+    /// suggestions are random designs (paper: 5).
     ///
     /// # Panics
     ///
     /// Panics if the config asks for zero candidates.
-    pub fn new(space: S, config: BoConfig) -> Self {
+    pub fn new(space: S, config: BoConfig, n_initial: usize) -> Self {
         assert!(
             config.n_candidates + config.n_local > 0,
             "need at least one candidate per suggestion"
@@ -94,6 +93,7 @@ impl<S: SampleSpace> BoOptimizer<S> {
         BoOptimizer {
             space,
             config,
+            n_initial,
             observations: Vec::new(),
             surrogate: GaussianProcess::new(config.kernel, config.noise_var),
             tracer: Tracer::disabled(),
@@ -124,11 +124,6 @@ impl<S: SampleSpace> BoOptimizer<S> {
         &self.space
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &BoConfig {
-        &self.config
-    }
-
     /// Number of observations recorded so far.
     pub fn len(&self) -> usize {
         self.observations.len()
@@ -137,12 +132,6 @@ impl<S: SampleSpace> BoOptimizer<S> {
     /// True if no observations have been recorded.
     pub fn is_empty(&self) -> bool {
         self.observations.is_empty()
-    }
-
-    /// All `(point, cost)` observations in insertion order — the dataset
-    /// `D` of the paper.
-    pub fn history(&self) -> &[(Vec<f64>, f64)] {
-        &self.observations
     }
 
     /// The best (lowest-cost) observation so far.
@@ -161,7 +150,7 @@ impl<S: SampleSpace> BoOptimizer<S> {
     /// plus local perturbations of the incumbent. Falls back to random
     /// sampling if the surrogate cannot be fitted.
     pub fn suggest(&mut self, rng: &mut dyn RngCore) -> Vec<f64> {
-        if self.observations.len() < self.config.n_initial {
+        if self.observations.len() < self.n_initial {
             let z = self.space.sample(rng);
             self.trace_instant("random design", &z, f64::NAN);
             return z;
@@ -308,13 +297,16 @@ mod tests {
     use crate::space::{BoxSpace, SimplexBoxSpace};
     use simcore::rand::SeedableRng;
 
+    /// Random designs before the surrogate takes over (the paper's 5).
+    const N_INITIAL: usize = 5;
+
     fn rng(seed: u64) -> simcore::rand::StdRng {
         simcore::rand::StdRng::seed_from_u64(seed)
     }
 
     fn run_quadratic(seed: u64, iters: usize) -> f64 {
         let space = BoxSpace::new(vec![(0.0, 1.0), (0.0, 1.0)]);
-        let mut bo = BoOptimizer::new(space, BoConfig::default());
+        let mut bo = BoOptimizer::new(space, BoConfig::default(), N_INITIAL);
         let mut r = rng(seed);
         for _ in 0..iters {
             let z = bo.suggest(&mut r);
@@ -357,21 +349,20 @@ mod tests {
     #[test]
     fn initial_phase_is_random_design() {
         let space = BoxSpace::new(vec![(0.0, 1.0)]);
-        let mut bo = BoOptimizer::new(space, BoConfig::default());
+        let mut bo = BoOptimizer::new(space, BoConfig::default(), N_INITIAL);
         let mut r = rng(0);
-        for i in 0..BoConfig::default().n_initial {
+        for i in 0..N_INITIAL {
             let z = bo.suggest(&mut r);
             bo.observe(z, i as f64);
         }
         assert_eq!(bo.len(), 5);
-        assert_eq!(bo.history().len(), 5);
     }
 
     #[test]
     fn works_on_the_hbo_simplex_space() {
         // Minimize a cost that prefers c ≈ (0.2, 0.3, 0.5), x ≈ 0.8.
         let space = SimplexBoxSpace::new(3, 0.2, 1.0);
-        let mut bo = BoOptimizer::new(space, BoConfig::default());
+        let mut bo = BoOptimizer::new(space, BoConfig::default(), N_INITIAL);
         let mut r = rng(42);
         let target = [0.2, 0.3, 0.5, 0.8];
         for _ in 0..30 {
@@ -386,7 +377,7 @@ mod tests {
     #[test]
     fn best_cost_is_monotone_in_history_prefix() {
         let space = BoxSpace::new(vec![(0.0, 1.0)]);
-        let mut bo = BoOptimizer::new(space, BoConfig::default());
+        let mut bo = BoOptimizer::new(space, BoConfig::default(), N_INITIAL);
         let mut r = rng(9);
         let mut best_so_far = f64::INFINITY;
         for _ in 0..15 {
@@ -402,7 +393,7 @@ mod tests {
     #[test]
     fn reset_clears_the_dataset() {
         let space = BoxSpace::new(vec![(0.0, 1.0)]);
-        let mut bo = BoOptimizer::new(space, BoConfig::default());
+        let mut bo = BoOptimizer::new(space, BoConfig::default(), N_INITIAL);
         bo.observe(vec![0.5], 1.0);
         assert!(!bo.is_empty());
         bo.reset();
@@ -413,10 +404,10 @@ mod tests {
     #[test]
     fn reset_clears_the_persistent_surrogate_and_reenters_random_design() {
         let space = BoxSpace::new(vec![(0.0, 1.0)]);
-        let mut bo = BoOptimizer::new(space, BoConfig::default());
+        let mut bo = BoOptimizer::new(space, BoConfig::default(), N_INITIAL);
         let mut r = rng(3);
         // Drive past the random-design phase so the surrogate gets fitted.
-        for _ in 0..BoConfig::default().n_initial + 2 {
+        for _ in 0..N_INITIAL + 2 {
             let z = bo.suggest(&mut r);
             let cost = (z[0] - 0.4).powi(2);
             bo.observe(z, cost);
@@ -446,7 +437,6 @@ mod tests {
         // Everything else matches the paper configuration.
         assert_eq!(warm.kernel, cold.kernel);
         assert_eq!(warm.acquisition, cold.acquisition);
-        assert_eq!(warm.n_initial, cold.n_initial);
     }
 
     #[test]
@@ -457,7 +447,7 @@ mod tests {
 
         let run = |traced: bool| {
             let space = BoxSpace::new(vec![(0.0, 1.0), (0.0, 1.0)]);
-            let mut bo = BoOptimizer::new(space, BoConfig::default());
+            let mut bo = BoOptimizer::new(space, BoConfig::default(), N_INITIAL);
             let sink = Rc::new(RefCell::new(ChromeTraceSink::new()));
             if traced {
                 bo.set_tracer(Tracer::with_sink(Rc::clone(&sink)));
@@ -495,7 +485,7 @@ mod tests {
     #[should_panic(expected = "infeasible")]
     fn infeasible_observation_panics() {
         let space = BoxSpace::new(vec![(0.0, 1.0)]);
-        let mut bo = BoOptimizer::new(space, BoConfig::default());
+        let mut bo = BoOptimizer::new(space, BoConfig::default(), N_INITIAL);
         bo.observe(vec![7.0], 1.0);
     }
 
@@ -503,7 +493,7 @@ mod tests {
     #[should_panic(expected = "non-finite")]
     fn nan_cost_panics() {
         let space = BoxSpace::new(vec![(0.0, 1.0)]);
-        let mut bo = BoOptimizer::new(space, BoConfig::default());
+        let mut bo = BoOptimizer::new(space, BoConfig::default(), N_INITIAL);
         bo.observe(vec![0.5], f64::NAN);
     }
 
@@ -511,7 +501,7 @@ mod tests {
     fn deterministic_given_seed() {
         let run = |seed| {
             let space = SimplexBoxSpace::new(3, 0.2, 1.0);
-            let mut bo = BoOptimizer::new(space, BoConfig::default());
+            let mut bo = BoOptimizer::new(space, BoConfig::default(), N_INITIAL);
             let mut r = rng(seed);
             for _ in 0..10 {
                 let z = bo.suggest(&mut r);

@@ -56,7 +56,7 @@ fn grown_bo_with(
     bayesopt::BoOptimizer<bayesopt::space::SimplexBoxSpace>,
     StdRng,
 ) {
-    let mut bo = bayesopt::BoOptimizer::new(hbo_space(), config);
+    let mut bo = bayesopt::BoOptimizer::new(hbo_space(), config, 5);
     let mut r = StdRng::seed_from_u64(BO_BENCH_SEED);
     for _ in 0..k {
         let z = bo.suggest(&mut r);

@@ -85,46 +85,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as CSV (RFC 4180-ish: cells containing commas or quotes
-    /// are quoted, quotes doubled), header row first — for piping results
-    /// into a plotting tool.
-    pub fn to_csv(&self) -> String {
-        fn cell(s: &str) -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_owned()
-            }
-        }
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| cell(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| cell(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders as a GitHub-flavored markdown table (for EXPERIMENTS.md).
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("### {}\n\n", self.title));
-        out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
-        out.push_str(&format!("|{}\n", "---|".repeat(self.headers.len())));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
 }
 
 /// A labeled numeric series (one line of a figure), rendered as aligned
@@ -148,11 +108,6 @@ impl Series {
     pub fn push(&mut self, x: f64, y: f64) -> &mut Self {
         self.points.push((x, y));
         self
-    }
-
-    /// The collected points.
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
     }
 
     /// The series label.
@@ -184,15 +139,6 @@ impl Series {
         let mut out = format!("-- {} {}\n", self.label, self.sparkline());
         for &(x, y) in &self.points {
             out.push_str(&format!("   {x:>10.2}  {y:>12.4}\n"));
-        }
-        out
-    }
-
-    /// Renders as two-column CSV (`x,y`) with the label as a comment line.
-    pub fn to_csv(&self) -> String {
-        let mut out = format!("# {}\nx,y\n", self.label);
-        for &(x, y) in &self.points {
-            out.push_str(&format!("{x},{y}\n"));
         }
         out
     }
@@ -240,15 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn markdown_has_separator() {
-        let mut t = Table::new("T", vec!["a".into()]);
-        t.row(vec!["1".into()]);
-        let md = t.render_markdown();
-        assert!(md.contains("|---|"));
-        assert!(md.contains("| 1 |"));
-    }
-
-    #[test]
     #[should_panic(expected = "cell count mismatch")]
     fn bad_row_panics() {
         Table::new("T", vec!["a".into()]).row(vec![]);
@@ -273,27 +210,6 @@ mod tests {
         assert!(sum.contains("mean=2.000"));
         assert!(sum.contains("n=2"));
         assert!(s.render().contains("lat"));
-    }
-
-    #[test]
-    fn csv_quotes_special_cells() {
-        let mut t = Table::new("T", vec!["a".into(), "b".into()]);
-        t.row(vec!["plain".into(), "has,comma".into()]);
-        t.row(vec!["has\"quote".into(), "x".into()]);
-        let csv = t.to_csv();
-        assert!(csv.starts_with("a,b\n"));
-        assert!(csv.contains("\"has,comma\""));
-        assert!(csv.contains("\"has\"\"quote\""));
-    }
-
-    #[test]
-    fn series_csv_round_trips_points() {
-        let mut s = Series::new("lat");
-        s.push(1.0, 2.5).push(2.0, 3.5);
-        let csv = s.to_csv();
-        assert!(csv.starts_with("# lat\n"));
-        assert!(csv.contains("1,2.5\n"));
-        assert!(csv.contains("2,3.5\n"));
     }
 
     #[test]

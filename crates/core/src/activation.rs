@@ -116,11 +116,6 @@ impl ActivationPolicy {
         self.streak = 0;
     }
 
-    /// Clears the reference (e.g. the scene emptied).
-    pub fn clear_reference(&mut self) {
-        self.reference = None;
-    }
-
     /// Evaluates one monitoring sample of the live reward `B_t`.
     ///
     /// The drift must persist for [`Self::debounce`] consecutive samples
@@ -258,10 +253,13 @@ mod tests {
     fn reference_lifecycle() {
         let mut p = ActivationPolicy::paper_default();
         assert_eq!(p.reference(), None);
+        assert_eq!(
+            p.check(0.7),
+            ActivationDecision::Activate(ActivationReason::FirstPlacement)
+        );
         p.set_reference(0.7);
         assert_eq!(p.reference(), Some(0.7));
-        p.clear_reference();
-        assert!(matches!(p.check(0.7), ActivationDecision::Activate(_)));
+        assert_eq!(p.check(0.7), ActivationDecision::Hold);
     }
 
     #[test]

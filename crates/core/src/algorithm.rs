@@ -41,10 +41,6 @@ pub struct HboConfig {
 
 impl Default for HboConfig {
     fn default() -> Self {
-        let bo = BoConfig {
-            n_initial: 5,
-            ..BoConfig::default()
-        };
         HboConfig {
             w: 2.5,
             r_min: 0.2,
@@ -52,7 +48,7 @@ impl Default for HboConfig {
             iterations: 15,
             cost_mode: CostMode::QualityAndLatency,
             optimize_triangles: true,
-            bo,
+            bo: BoConfig::default(),
         }
     }
 }
@@ -89,9 +85,10 @@ pub struct IterationRecord {
 /// The HBO algorithm driver for one activation: repeatedly call
 /// [`HboController::next_point`], apply the configuration to the app,
 /// measure `(Q, ε)` over a control period, and feed it back through
-/// [`HboController::observe`]. After [`HboController::total_iterations`]
-/// rounds, [`HboController::best`] is "the configuration that obtained the
-/// lowest cost value … used until the next activation."
+/// [`HboController::observe`]. Once [`HboController::is_done`] (after
+/// `n_initial + iterations` rounds), [`HboController::best`] is "the
+/// configuration that obtained the lowest cost value … used until the next
+/// activation."
 #[derive(Debug)]
 pub struct HboController {
     profiles: Vec<TaskProfile>,
@@ -133,12 +130,10 @@ impl HboController {
             Delegate::COUNT - 1
         };
         let space = SimplexBoxSpace::new(n_resources, x_lo, x_hi);
-        let mut bo_config = config.bo;
-        bo_config.n_initial = config.n_initial;
         HboController {
+            bo: BoOptimizer::new(space, config.bo, config.n_initial),
             profiles,
             config,
-            bo: BoOptimizer::new(space, bo_config),
             records: Vec::new(),
         }
     }
@@ -148,18 +143,13 @@ impl HboController {
         &self.profiles
     }
 
-    /// The controller configuration.
-    pub fn config(&self) -> &HboConfig {
-        &self.config
-    }
-
     /// Expected latency `τ^e` per task (Eq. 4 denominators).
     pub fn expected_latencies(&self) -> Vec<f64> {
         self.profiles.iter().map(|p| p.expected_latency()).collect()
     }
 
     /// Total rounds of one activation: initialization plus BO iterations.
-    pub fn total_iterations(&self) -> usize {
+    fn total_iterations(&self) -> usize {
         self.config.n_initial + self.config.iterations
     }
 
@@ -221,9 +211,8 @@ impl HboController {
         }
     }
 
-    /// Builds the full configuration for a raw BO vector (used both by
-    /// [`Self::next_point`] and when re-applying a stored solution).
-    pub fn point_from_z(&self, z: Vec<f64>) -> HboPoint {
+    /// Builds the full configuration for a raw BO vector.
+    fn point_from_z(&self, z: Vec<f64>) -> HboPoint {
         let (c, x) = {
             let (c, x) = self.bo.space().split(&z);
             (c.to_vec(), x)

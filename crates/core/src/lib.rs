@@ -6,7 +6,9 @@
 //! allocation → sensitivity-weighted triangle distribution → measurement →
 //! database update), the event-based activation policy (Section IV-E), the
 //! four comparison baselines of Section V-A (SMQ, SML, BNT, AllN), and the
-//! lookup-table extension sketched as future work in Section VI.
+//! lookup-table extension sketched as future work in Section VI. One
+//! bounded store of converged configurations ([`ConfigStore`]) backs both
+//! that [`LookupTable`] and the fleet-wide [`WarmCache`].
 //!
 //! The crate is *environment-agnostic*: it produces configurations
 //! ([`HboPoint`]: resource-usage vector `c`, triangle ratio `x`, concrete
@@ -47,6 +49,7 @@ mod baselines;
 mod cost;
 mod lookup;
 mod profile;
+mod store;
 mod warm;
 
 pub use activation::{ActivationDecision, ActivationPolicy, ActivationReason, PeriodicPolicy};
@@ -58,6 +61,7 @@ pub use baselines::{
 };
 pub use bayesopt::BoConfig;
 pub use cost::{cost, normalized_latency, reward};
-pub use lookup::{LookupKey, LookupTable, StoredConfig, DEFAULT_LOOKUP_CAPACITY};
+pub use lookup::{LookupKey, LookupTable};
 pub use profile::TaskProfile;
-pub use warm::{ScenarioSignature, WarmCache, DEFAULT_WARM_CAPACITY};
+pub use store::{ConfigStore, StoredConfig};
+pub use warm::{ScenarioSignature, WarmCache};

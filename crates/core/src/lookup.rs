@@ -1,18 +1,18 @@
 //! The lookup-table extension sketched in Section VI ("Dynamic
 //! Environment"): memoize environmental conditions → chosen configuration,
 //! and skip an activation when the current conditions approximately match
-//! a stored entry.
+//! a stored entry. The table is the crate's one [`ConfigStore`], keyed by
+//! [`LookupKey`].
 
-use std::collections::HashMap;
+use simcore::rng::fnv1a;
 
-use nnmodel::Delegate;
+use crate::store::{ConfigStore, StoredConfig};
 
 /// Quantized environmental conditions, as the paper proposes: "maximum
 /// triangle count, average distances, and task configurations".
 ///
-/// The `Ord` derive gives keys a total order the bounded table uses to
-/// break eviction ties deterministically despite `HashMap` iteration
-/// order.
+/// The `Ord` derive gives keys the total order the store iterates in and
+/// breaks eviction and [`LookupTable::find_similar`] ties by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LookupKey {
     /// Fingerprint of the taskset (names + counts).
@@ -45,46 +45,13 @@ impl LookupKey {
 
     /// Fingerprints a taskset from its task names (order-insensitive).
     pub fn fingerprint_taskset<'a>(names: impl Iterator<Item = &'a str>) -> u64 {
-        let mut acc: u64 = 0;
-        for name in names {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for b in name.bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            acc = acc.wrapping_add(h); // commutative: order-insensitive
-        }
-        acc
+        // Wrapping sum is commutative: order-insensitive.
+        names.fold(0, |acc, name| acc.wrapping_add(fnv1a(name.as_bytes())))
     }
 }
 
-/// A stored solution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoredConfig {
-    /// Resource-usage proportions `c`.
-    pub c: Vec<f64>,
-    /// Triangle ratio `x`.
-    pub x: f64,
-    /// Concrete per-task allocation.
-    pub allocation: Vec<Delegate>,
-    /// The reward the configuration achieved when stored.
-    pub reward: f64,
-}
-
-/// Default bound on [`LookupTable`] entries — generous for one session
-/// (a handful of conditions), tight enough that a fleet of millions of
-/// churning sessions cannot grow the table without limit.
-pub const DEFAULT_LOOKUP_CAPACITY: usize = 4096;
-
-/// The memoization table.
-///
-/// Bounded: at most `capacity` conditions are retained. When a new
-/// condition arrives at capacity, the entry with the lowest reward is
-/// evicted — unless the newcomer is no better than that worst resident,
-/// in which case the newcomer is dropped instead (better-reward-wins,
-/// extended across keys). Ties break on the key's total order, so
-/// eviction is deterministic even though the backing store is a
-/// `HashMap`.
+/// The Section VI memoization table: a [`ConfigStore`] keyed by
+/// [`LookupKey`].
 ///
 /// # Example
 ///
@@ -95,94 +62,20 @@ pub const DEFAULT_LOOKUP_CAPACITY: usize = 4096;
 /// let key = LookupKey::quantize(42, 1_000_000, 1.2);
 /// assert!(table.find(&key).is_none());
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct LookupTable {
-    entries: HashMap<LookupKey, StoredConfig>,
-    capacity: usize,
-}
+pub type LookupTable = ConfigStore<LookupKey>;
 
-impl Default for LookupTable {
-    fn default() -> Self {
-        LookupTable::with_capacity(DEFAULT_LOOKUP_CAPACITY)
-    }
-}
-
-impl LookupTable {
-    /// Creates an empty table with the default capacity.
-    pub fn new() -> Self {
-        LookupTable::default()
-    }
-
-    /// Creates an empty table bounded to `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity >= 1, "capacity must be at least 1");
-        LookupTable {
-            entries: HashMap::new(),
-            capacity,
-        }
-    }
-
-    /// The bound on stored conditions.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of stored conditions.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Stores (or overwrites) the solution for a condition, keeping the
-    /// better-reward entry on collision. At capacity, a new condition
-    /// displaces the worst-reward resident only if it beats it (ties keep
-    /// the resident; among equally-bad residents the smallest key goes).
-    pub fn store(&mut self, key: LookupKey, config: StoredConfig) {
-        match self.entries.get(&key) {
-            Some(existing) if existing.reward >= config.reward => return,
-            Some(_) => {
-                self.entries.insert(key, config);
-                return;
-            }
-            None => {}
-        }
-        if self.entries.len() >= self.capacity {
-            let worst = self
-                .entries
-                .iter()
-                .min_by(|a, b| a.1.reward.total_cmp(&b.1.reward).then_with(|| a.0.cmp(b.0)))
-                .map(|(k, v)| (*k, v.reward))
-                .expect("capacity >= 1, so a full table is non-empty");
-            if worst.1 >= config.reward {
-                return; // the newcomer is no better than the worst resident
-            }
-            self.entries.remove(&worst.0);
-        }
-        self.entries.insert(key, config);
-    }
-
-    /// Exact-bucket lookup.
-    pub fn find(&self, key: &LookupKey) -> Option<&StoredConfig> {
-        self.entries.get(key)
-    }
-
+impl ConfigStore<LookupKey> {
     /// Fuzzy lookup: accepts a stored condition whose buckets differ by at
     /// most one step in `T^max` and distance (same taskset), preferring
-    /// the exact match and then the highest stored reward.
+    /// the exact match and then the highest stored reward. Among
+    /// neighbours with equal rewards the largest key wins — the one
+    /// eviction would keep.
     pub fn find_similar(&self, key: &LookupKey) -> Option<&StoredConfig> {
         if let Some(exact) = self.find(key) {
             return Some(exact);
         }
-        self.entries
-            .iter()
+        // `max_by` keeps the last of equal maxima over ascending keys.
+        self.iter()
             .filter(|(k, _)| {
                 k.taskset == key.taskset
                     && k.tmax_bucket.abs_diff(key.tmax_bucket) <= 1
@@ -196,6 +89,7 @@ impl LookupTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nnmodel::Delegate;
 
     fn config(reward: f64) -> StoredConfig {
         StoredConfig {
@@ -244,57 +138,55 @@ mod tests {
         assert_eq!(t.find(&key).unwrap().reward, 0.9);
     }
 
+    /// Distinct keys, ascending in `k`.
+    fn key(k: u64) -> LookupKey {
+        LookupKey::quantize(k, 500_000, 1.0)
+    }
+
+    /// A table holding keys `0..capacity`, key `k` with reward `reward(k)`.
+    fn full(reward: impl Fn(u64) -> f64) -> LookupTable {
+        let mut t = LookupTable::new();
+        for k in 0..t.capacity() as u64 {
+            t.store(key(k), config(reward(k)));
+        }
+        assert_eq!(t.len(), t.capacity());
+        t
+    }
+
     #[test]
     fn capacity_bounds_the_table_with_deterministic_eviction() {
         // Regression: the table used to be an unbounded HashMap, which
-        // leaks at millions-of-sessions scale.
-        let mut t = LookupTable::with_capacity(2);
-        assert_eq!(t.capacity(), 2);
-        let k1 = LookupKey::quantize(1, 500_000, 1.0);
-        let k2 = LookupKey::quantize(2, 500_000, 1.0);
-        let k3 = LookupKey::quantize(3, 500_000, 1.0);
-        t.store(k1, config(0.5));
-        t.store(k2, config(0.8));
-        // A better newcomer displaces the worst resident (k1).
-        t.store(k3, config(0.7));
-        assert_eq!(t.len(), 2);
-        assert!(t.find(&k1).is_none(), "worst entry must be evicted");
-        assert!(t.find(&k2).is_some() && t.find(&k3).is_some());
+        // leaks at millions-of-sessions scale. Key 5 is the unique worst.
+        let mut t = full(|k| if k == 5 { 0.1 } else { 0.5 });
+        let newcomer = key(t.capacity() as u64);
+        // A better newcomer displaces the worst resident.
+        t.store(newcomer, config(0.2));
+        assert_eq!(t.len(), t.capacity());
+        assert!(t.find(&key(5)).is_none(), "worst entry must be evicted");
+        assert!(t.find(&newcomer).is_some());
         // A worse newcomer is dropped, not admitted.
-        let k4 = LookupKey::quantize(4, 500_000, 1.0);
-        t.store(k4, config(0.1));
-        assert_eq!(t.len(), 2);
-        assert!(t.find(&k4).is_none());
+        let late = key(t.capacity() as u64 + 1);
+        t.store(late, config(0.2));
+        assert_eq!(t.len(), t.capacity());
+        assert!(t.find(&late).is_none());
         // Same-key better-reward updates never trigger eviction.
-        t.store(k2, config(0.9));
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.find(&k2).unwrap().reward, 0.9);
+        t.store(newcomer, config(0.9));
+        assert_eq!(t.len(), t.capacity());
+        assert_eq!(t.find(&newcomer).unwrap().reward, 0.9);
     }
 
     #[test]
     fn eviction_ties_break_on_key_order() {
-        // Two residents with equal rewards: the smaller key goes,
-        // regardless of HashMap iteration order.
-        let mut t = LookupTable::with_capacity(2);
-        let lo = LookupKey::quantize(1, 500_000, 1.0);
-        let hi = LookupKey::quantize(9, 500_000, 1.0);
-        assert!(lo < hi);
-        t.store(hi, config(0.5));
-        t.store(lo, config(0.5));
-        t.store(LookupKey::quantize(5, 500_000, 1.0), config(0.6));
-        assert!(t.find(&lo).is_none(), "tie must evict the smaller key");
-        assert!(t.find(&hi).is_some());
+        // Every resident is equally bad: the smallest key goes.
+        let mut t = full(|_| 0.5);
+        t.store(key(t.capacity() as u64), config(0.6));
+        assert!(t.find(&key(0)).is_none(), "tie must evict the smallest key");
+        assert!(t.find(&key(1)).is_some());
     }
 
     #[test]
     fn default_capacity_is_applied() {
-        assert_eq!(LookupTable::new().capacity(), DEFAULT_LOOKUP_CAPACITY);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be at least 1")]
-    fn zero_capacity_panics() {
-        LookupTable::with_capacity(0);
+        assert_eq!(LookupTable::new().capacity(), 4096);
     }
 
     #[test]
@@ -315,5 +207,34 @@ mod tests {
             ..stored
         };
         assert!(t.find_similar(&other).is_none());
+    }
+
+    #[test]
+    fn find_similar_ties_pick_the_larger_key_in_any_insertion_order() {
+        let probe = LookupKey::quantize(1, 1_000_000, 1.0);
+        let below = LookupKey {
+            distance_bucket: probe.distance_bucket - 1,
+            ..probe
+        };
+        let above = LookupKey {
+            distance_bucket: probe.distance_bucket + 1,
+            ..probe
+        };
+        assert!(below < above);
+        for order in [[below, above], [above, below]] {
+            let mut t = LookupTable::new();
+            for (i, k) in order.into_iter().enumerate() {
+                // Equal rewards, distinguishable configurations.
+                t.store(
+                    k,
+                    StoredConfig {
+                        x: i as f64,
+                        ..config(0.8)
+                    },
+                );
+            }
+            let expected = t.find(&above).unwrap().x;
+            assert_eq!(t.find_similar(&probe).unwrap().x, expected);
+        }
     }
 }

@@ -2,31 +2,24 @@
 //! configurations, shared *across* sessions.
 //!
 //! [`crate::lookup`] memoizes conditions within one session's lifetime
-//! (the paper's Section VI sketch); this module generalizes it to the
-//! control plane of a whole fleet. A session about to run an HBO
-//! activation first computes its [`ScenarioSignature`] — device
-//! fingerprint, model multiset, quantized offered-load band, edge
+//! (the paper's Section VI sketch); this module applies the same
+//! [`ConfigStore`] to the control plane of a whole fleet. A session about
+//! to run an HBO activation first computes its [`ScenarioSignature`] —
+//! device fingerprint, model multiset, quantized offered-load band, edge
 //! capability — and, on a cache hit, seeds its BO design with the cached
 //! converged configuration instead of starting from pure random design.
 //! After converging it stores its own best back, better-reward-wins.
 //!
-//! Everything here is deterministic by construction:
-//!
-//! * storage is a `BTreeMap`, so iteration follows the signature's total
-//!   order, never insertion or hash order;
-//! * eviction at capacity removes the minimum of `(reward, signature)` —
-//!   a pure function of the cache contents;
-//! * [`WarmCache::merge`] folds another cache in ascending signature
-//!   order with the same better-reward-wins rule, so merging per-job
-//!   shadow caches in job-index order gives one well-defined result for
-//!   any worker-thread count (the property the parallel sweeps pin).
+//! The store is deterministic by construction (see [`crate::store`]), and
+//! [`WarmCache::merge`] folds another cache in ascending signature order
+//! with the same better-reward-wins rule, so merging per-job shadow
+//! caches in job-index order gives one well-defined result for any
+//! worker-thread count (the property the parallel sweeps pin).
 
-use std::collections::BTreeMap;
+use simcore::rng::fnv1a;
 
-use crate::lookup::{LookupKey, StoredConfig};
-
-/// Default bound on [`WarmCache`] entries.
-pub const DEFAULT_WARM_CAPACITY: usize = 4096;
+use crate::lookup::LookupKey;
+use crate::store::{ConfigStore, StoredConfig};
 
 /// Quantized identity of the conditions one session optimizes under.
 ///
@@ -68,7 +61,7 @@ impl ScenarioSignature {
             "invalid offered load: {load}"
         );
         ScenarioSignature {
-            device: LookupKey::fingerprint_taskset(std::iter::once(device_name)),
+            device: fnv1a(device_name.as_bytes()),
             taskset: LookupKey::fingerprint_taskset(models),
             load_band: (2.0 * load.log2()).round() as i32,
             edge,
@@ -76,7 +69,8 @@ impl ScenarioSignature {
     }
 }
 
-/// The bounded, deterministic fleet-wide warm-start cache.
+/// The fleet-wide warm-start cache: a [`ConfigStore`] keyed by
+/// [`ScenarioSignature`].
 ///
 /// # Example
 ///
@@ -93,89 +87,12 @@ impl ScenarioSignature {
 /// );
 /// assert_eq!(cache.find(&sig).unwrap().reward, 0.7);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarmCache {
-    entries: BTreeMap<ScenarioSignature, StoredConfig>,
-    capacity: usize,
-}
+pub type WarmCache = ConfigStore<ScenarioSignature>;
 
-impl Default for WarmCache {
-    fn default() -> Self {
-        WarmCache::with_capacity(DEFAULT_WARM_CAPACITY)
-    }
-}
-
-impl WarmCache {
-    /// Creates an empty cache with the default capacity.
-    pub fn new() -> Self {
-        WarmCache::default()
-    }
-
-    /// Creates an empty cache bounded to `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity >= 1, "capacity must be at least 1");
-        WarmCache {
-            entries: BTreeMap::new(),
-            capacity,
-        }
-    }
-
-    /// The bound on stored entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of stored entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Looks up the converged configuration for a signature.
-    pub fn find(&self, sig: &ScenarioSignature) -> Option<&StoredConfig> {
-        self.entries.get(sig)
-    }
-
+impl ConfigStore<ScenarioSignature> {
     /// The stored entries in ascending signature order.
     pub fn entries(&self) -> impl Iterator<Item = (&ScenarioSignature, &StoredConfig)> {
-        self.entries.iter()
-    }
-
-    /// Stores a converged configuration, better-reward-wins: an existing
-    /// entry for the signature survives unless the newcomer's reward is
-    /// strictly higher. At capacity, a new signature displaces the
-    /// minimum of `(reward, signature)` only if it beats that resident's
-    /// reward; otherwise the newcomer is dropped.
-    pub fn store(&mut self, sig: ScenarioSignature, config: StoredConfig) {
-        match self.entries.get(&sig) {
-            Some(existing) if existing.reward >= config.reward => return,
-            Some(_) => {
-                self.entries.insert(sig, config);
-                return;
-            }
-            None => {}
-        }
-        if self.entries.len() >= self.capacity {
-            let worst = self
-                .entries
-                .iter()
-                .min_by(|a, b| a.1.reward.total_cmp(&b.1.reward).then_with(|| a.0.cmp(b.0)))
-                .map(|(k, v)| (*k, v.reward))
-                .expect("capacity >= 1, so a full cache is non-empty");
-            if worst.1 >= config.reward {
-                return;
-            }
-            self.entries.remove(&worst.0);
-        }
-        self.entries.insert(sig, config);
+        self.iter()
     }
 
     /// Folds another cache into this one, in ascending signature order,
@@ -183,7 +100,7 @@ impl WarmCache {
     /// caches in job-index order therefore produces one well-defined
     /// result regardless of which worker thread ran which job.
     pub fn merge(&mut self, other: &WarmCache) {
-        for (sig, config) in &other.entries {
+        for (sig, config) in other.entries() {
             self.store(*sig, config.clone());
         }
     }
@@ -274,15 +191,18 @@ mod tests {
 
     #[test]
     fn capacity_bounds_the_cache() {
-        let mut cache = WarmCache::with_capacity(2);
+        let mut cache = WarmCache::new();
         cache.store(sig("a", 10.0), config(0.5));
-        cache.store(sig("b", 10.0), config(0.8));
+        for k in 1..cache.capacity() {
+            cache.store(sig(&format!("device{k}"), 10.0), config(0.8));
+        }
+        assert_eq!(cache.len(), cache.capacity());
         cache.store(sig("c", 10.0), config(0.7));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.len(), cache.capacity());
         assert!(cache.find(&sig("a", 10.0)).is_none(), "worst must go");
         // A newcomer no better than the worst resident is dropped.
         cache.store(sig("d", 10.0), config(0.1));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.len(), cache.capacity());
         assert!(cache.find(&sig("d", 10.0)).is_none());
     }
 

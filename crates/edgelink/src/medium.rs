@@ -807,12 +807,6 @@ impl<K: Copy> Medium<K> {
         )
     }
 
-    /// Effective (cross-traffic-adjusted) capacity of `cell` for `dir` at
-    /// the last solve instant, Mbit/s.
-    pub fn effective_capacity_mbps(&self, cell: usize, dir: Direction) -> f64 {
-        self.params.cells[cell].effective_mbps(dir, self.resolved_at)
-    }
-
     /// Total handovers across all clients.
     pub fn handovers(&self) -> u64 {
         self.handovers

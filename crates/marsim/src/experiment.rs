@@ -349,21 +349,11 @@ impl BaselineOutcome {
 
 /// Applies a fixed configuration to a fresh app and measures it over an
 /// extended window.
-fn evaluate_fixed(
-    spec: &ScenarioSpec,
-    allocation: &[Delegate],
-    x: f64,
-    uniform_decimation: bool,
-) -> Measurement {
+fn evaluate_fixed(spec: &ScenarioSpec, allocation: &[Delegate], x: f64) -> Measurement {
     let mut app = MarApp::new(spec);
     app.place_all_objects();
     app.set_allocation(allocation);
-    if uniform_decimation {
-        // SML-style naive reduction (no sensitivity weighting).
-        app.set_uniform_ratio(x.clamp(0.0, 1.0));
-    } else {
-        app.set_triangle_ratio(x);
-    }
+    app.set_triangle_ratio(x);
     app.run_for_secs(WARMUP_SECS);
     app.measure_for_secs(2.0 * CONTROL_PERIOD_SECS)
 }
@@ -378,12 +368,7 @@ pub fn compare_baselines(spec: &ScenarioSpec, config: &HboConfig, seed: u64) -> 
     let mut outcomes = Vec::new();
 
     // HBO: re-apply the chosen configuration and measure it fresh.
-    let hbo_measure = evaluate_fixed(
-        spec,
-        &hbo_run.best.point.allocation,
-        hbo_run.best.point.x,
-        false,
-    );
+    let hbo_measure = evaluate_fixed(spec, &hbo_run.best.point.allocation, hbo_run.best.point.x);
     outcomes.push(BaselineOutcome {
         baseline: Baseline::Hbo,
         allocation: hbo_run.best.point.allocation.clone(),
@@ -392,7 +377,7 @@ pub fn compare_baselines(spec: &ScenarioSpec, config: &HboConfig, seed: u64) -> 
     });
 
     // SMQ: HBO's triangle ratio (same TD), static allocation.
-    let smq = evaluate_fixed(spec, &static_alloc, hbo_run.best.point.x, false);
+    let smq = evaluate_fixed(spec, &static_alloc, hbo_run.best.point.x);
     outcomes.push(BaselineOutcome {
         baseline: Baseline::Smq,
         allocation: static_alloc.clone(),
@@ -407,7 +392,7 @@ pub fn compare_baselines(spec: &ScenarioSpec, config: &HboConfig, seed: u64) -> 
     // (GPU-affine tasks sharing the GPU among themselves), so the sweep is
     // bounded below by R_min and settles at the largest ratio whose
     // latency meets the achievable target.
-    let floor = evaluate_fixed(spec, &static_alloc, config.r_min, false);
+    let floor = evaluate_fixed(spec, &static_alloc, config.r_min);
     let target_eps = hbo_measure.epsilon.max(floor.epsilon) * 1.05;
     let mut lo = config.r_min;
     let mut hi = 1.0;
@@ -415,7 +400,7 @@ pub fn compare_baselines(spec: &ScenarioSpec, config: &HboConfig, seed: u64) -> 
     let mut sml_measure = floor;
     for _ in 0..7 {
         let mid = 0.5 * (lo + hi);
-        let m = evaluate_fixed(spec, &static_alloc, mid, false);
+        let m = evaluate_fixed(spec, &static_alloc, mid);
         if m.epsilon <= target_eps {
             // Latency target met: try to keep more quality.
             sml_x = mid;
@@ -439,7 +424,7 @@ pub fn compare_baselines(spec: &ScenarioSpec, config: &HboConfig, seed: u64) -> 
         ..config.clone()
     };
     let bnt_run = run_hbo(spec, &bnt_config, seed ^ 0x517c_c1b7_2722_0a95);
-    let bnt_measure = evaluate_fixed(spec, &bnt_run.best.point.allocation, 1.0, false);
+    let bnt_measure = evaluate_fixed(spec, &bnt_run.best.point.allocation, 1.0);
     outcomes.push(BaselineOutcome {
         baseline: Baseline::Bnt,
         allocation: bnt_run.best.point.allocation.clone(),
@@ -449,7 +434,7 @@ pub fn compare_baselines(spec: &ScenarioSpec, config: &HboConfig, seed: u64) -> 
 
     // AllN: everything on NNAPI (when compatible), full quality.
     let alln = all_nnapi_allocation(&profiles);
-    let alln_measure = evaluate_fixed(spec, &alln, 1.0, false);
+    let alln_measure = evaluate_fixed(spec, &alln, 1.0);
     outcomes.push(BaselineOutcome {
         baseline: Baseline::AllN,
         allocation: alln,
@@ -457,19 +442,13 @@ pub fn compare_baselines(spec: &ScenarioSpec, config: &HboConfig, seed: u64) -> 
         measurement: alln_measure,
     });
 
-    ExperimentResult {
-        scenario: spec.name.clone(),
-        hbo_run,
-        outcomes,
-    }
+    ExperimentResult { hbo_run, outcomes }
 }
 
 /// HBO and every baseline on one scenario — the data behind Fig. 5 and
 /// Table IV.
 #[derive(Debug, Clone)]
 pub struct ExperimentResult {
-    /// Scenario label.
-    pub scenario: String,
     /// The underlying HBO activation.
     pub hbo_run: HboRunResult,
     /// Outcomes in [`Baseline::ALL`] order.
@@ -528,7 +507,7 @@ mod tests {
         let spec = ScenarioSpec::sc1_cf1();
         let config = quick_config();
         let run = run_hbo(&spec, &config, 3);
-        let alln = evaluate_fixed(&spec, &all_nnapi_allocation(&spec.profiles()), 1.0, false);
+        let alln = evaluate_fixed(&spec, &all_nnapi_allocation(&spec.profiles()), 1.0);
         let hbo_reward = hbo_core::reward(run.best.quality, run.best.epsilon, config.w);
         let alln_reward = alln.reward(config.w);
         assert!(

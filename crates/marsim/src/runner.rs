@@ -488,7 +488,7 @@ mod tests {
     use super::*;
     use simcore::check::{self, u64s};
     use simcore::prop_assert;
-    use simcore::rand::{Rng, SeedableRng, StdRng};
+    use simcore::rand::{RngCore, SeedableRng, StdRng};
 
     fn quick_config() -> HboConfig {
         HboConfig {
@@ -634,7 +634,7 @@ mod tests {
         check::check("job_seed_streams_distinct", u64s(..), |&master| {
             let mut seen = std::collections::HashSet::new();
             for job_index in 0..256u64 {
-                let first: u64 = StdRng::seed_from_u64(job_seed(master, job_index)).gen();
+                let first = StdRng::seed_from_u64(job_seed(master, job_index)).next_u64();
                 prop_assert!(
                     seen.insert(first),
                     "jobs of master seed {master} collide at index {job_index}"

@@ -114,9 +114,7 @@ impl RaterPanel {
     pub fn score_condition(&self, q: f64, condition: &str) -> Vec<f64> {
         let mut scores = Vec::with_capacity(self.raters.len());
         for (i, rater) in self.raters.iter().enumerate() {
-            let stream =
-                simcore::rng::RngFactory::new(self.seed).indexed_stream(condition, i as u64);
-            let mut rng = stream;
+            let mut rng = simcore::rng::indexed_stream(self.seed, condition, i as u64);
             scores.push(rater.score(q, &mut rng));
         }
         scores

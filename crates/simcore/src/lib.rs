@@ -11,19 +11,19 @@
 //!   bit-identical.
 //! * [`Simulator`] — a thin driver that pops events and hands them to a
 //!   user-supplied handler together with a scheduling context.
-//! * [`rand`] — an in-tree deterministic PRNG (xoshiro256++) with a
-//!   `rand`-crate-shaped API, so the workspace builds hermetically with no
-//!   registry dependencies.
-//! * [`rng`] — named, independently seeded RNG streams so that adding a new
-//!   random consumer does not perturb existing ones.
+//! * [`rand`] — an in-tree deterministic PRNG (xoshiro256++) with the
+//!   slice of the `rand`-crate API the workspace calls, so it builds
+//!   hermetically with no registry dependencies.
+//! * [`rng`] — named, independently seeded RNG streams (so that adding a
+//!   new random consumer does not perturb existing ones), seed mixing,
+//!   and the workspace's one FNV-1a hash.
 //! * [`check`] — a seeded property-testing mini-framework (case
 //!   generation, shrinking, failure-seed reporting) replacing `proptest`.
 //! * [`pool`] — a dependency-free scoped worker-thread pool whose
 //!   parallel `map` is bit-identical to the serial one, backing the
 //!   deterministic experiment runner in `marsim`.
 //! * [`stats`] — online statistics (Welford mean/variance, time-weighted
-//!   averages, sliding windows, log-bucket histograms) used by the metric
-//!   collectors.
+//!   averages, log-bucket histograms) used by the metric collectors.
 //! * [`trace`] — deterministic span/counter tracing with Chrome
 //!   trace-event (Perfetto-loadable) export; zero overhead when the
 //!   [`trace::Tracer`] handle is disabled.

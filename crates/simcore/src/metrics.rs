@@ -15,8 +15,8 @@
 //!   power-of-two resolution. When a sample lands beyond the last
 //!   bucket, adjacent bucket pairs merge in place and the bucket width
 //!   doubles — O(1) amortized per sample, capacity never grows, so
-//!   aggregator memory is bounded by configuration instead of by
-//!   simulated time.
+//!   aggregator memory is bounded by fixed caps instead of by simulated
+//!   time.
 //! * [`MetricsBuffer`] is the plain-data snapshot (`Send`, mergeable in
 //!   job-index order exactly like trace buffers) with a deterministic
 //!   Prometheus-style text exposition
@@ -51,35 +51,20 @@ fn duration_histogram() -> LogHistogram {
     LogHistogram::new(100.0, 1.3, 80)
 }
 
-/// Memory configuration of an [`AggregatingSink`]. Every bound is a
-/// hard cap: the sink's footprint depends on this struct, never on how
-/// many events flow through it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AggConfig {
-    /// Bucket count of each counter series' [`DownsampleRing`]. Must be
-    /// a power of two ≥ 2.
-    pub ring_capacity: usize,
-    /// Initial ring bucket width in nanoseconds; doubles on every
-    /// downsample. Must be ≥ 1.
-    pub ring_bucket_ns: u64,
-    /// Cap on distinct `(track, name)` series per kind (spans and
-    /// counters separately). Events for series beyond the cap are
-    /// counted in [`MetricsBuffer::overflow_events`] and dropped.
-    pub max_series: usize,
-}
+// Memory bounds of an [`AggregatingSink`]. Every bound is a hard cap:
+// the sink's footprint depends on these, never on how many events flow
+// through it. 512 buckets × 1 ms initial width covers a 512 ms cell at
+// full resolution and a 30 s horizon after 6 downsamples (~59 ms
+// buckets) — a few tens of KB per counter series.
 
-impl Default for AggConfig {
-    fn default() -> Self {
-        AggConfig {
-            // 512 buckets × 1 ms initial width covers a 512 ms cell at
-            // full resolution and a 30 s horizon after 6 downsamples
-            // (~59 ms buckets) — a few tens of KB per counter series.
-            ring_capacity: 512,
-            ring_bucket_ns: 1_000_000,
-            max_series: 256,
-        }
-    }
-}
+/// Bucket count of each counter series' [`DownsampleRing`].
+const RING_CAPACITY: usize = 512;
+/// Initial ring bucket width in nanoseconds; doubles on every downsample.
+const RING_BUCKET_NS: u64 = 1_000_000;
+/// Cap on distinct `(track, name)` series per kind (spans and counters
+/// separately). Events for series beyond the cap are counted in
+/// [`MetricsBuffer::overflow_events`] and dropped.
+const MAX_SERIES: usize = 256;
 
 /// One bucket of a [`DownsampleRing`]: the fold of every counter sample
 /// whose timestamp fell inside the bucket's window.
@@ -220,7 +205,7 @@ impl DownsampleRing {
     ///
     /// Panics if the capacities differ or the widths are not
     /// power-of-two multiples of one another (they always are when both
-    /// rings share an [`AggConfig`]).
+    /// rings come from one [`AggregatingSink`]).
     pub fn merge(&mut self, other: &DownsampleRing) {
         assert_eq!(
             self.capacity, other.capacity,
@@ -273,13 +258,6 @@ pub struct SpanStats {
     pub max_ns: u64,
     /// Log-bucketed duration histogram (ns) for p50/p95/p99.
     pub histogram: LogHistogram,
-}
-
-impl SpanStats {
-    /// Mean span duration in nanoseconds, `None` when empty.
-    pub fn mean_ns(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.total_ns as f64 / self.count as f64)
-    }
 }
 
 /// Streaming statistics plus the bounded time series for one
@@ -598,11 +576,11 @@ struct CounterSeries {
 /// A [`TraceSink`] that folds the event stream into bounded streaming
 /// aggregates instead of buffering it: per-`(track, span-name)` duration
 /// statistics and per-`(track, counter-name)` [`DownsampleRing`] time
-/// series. Memory is bounded by its [`AggConfig`], never by the number
-/// of events. Snapshot with [`AggregatingSink::snapshot`].
-#[derive(Debug, Clone)]
+/// series. Memory is bounded by fixed caps (256 series per kind, 512
+/// ring buckets per counter series), never by the number of events.
+/// Snapshot with [`AggregatingSink::snapshot`].
+#[derive(Debug, Clone, Default)]
 pub struct AggregatingSink {
-    config: AggConfig,
     tracks: Vec<TrackDef>,
     spans: Vec<SpanSeries>,
     counters: Vec<CounterSeries>,
@@ -621,41 +599,7 @@ pub struct AggregatingSink {
     malformed_counters: u64,
 }
 
-impl Default for AggregatingSink {
-    fn default() -> Self {
-        Self::new(AggConfig::default())
-    }
-}
-
 impl AggregatingSink {
-    /// Creates an empty sink with the given memory bounds.
-    pub fn new(config: AggConfig) -> Self {
-        assert!(config.max_series >= 1, "max_series must be >= 1");
-        // Validate the ring parameters once here, not on first sample.
-        drop(DownsampleRing::new(
-            config.ring_capacity,
-            config.ring_bucket_ns,
-        ));
-        AggregatingSink {
-            config,
-            tracks: Vec::new(),
-            spans: Vec::new(),
-            counters: Vec::new(),
-            open: Vec::new(),
-            last_span: 0,
-            last_counter: 0,
-            instants: 0,
-            unmatched_ends: 0,
-            overflow_events: 0,
-            malformed_counters: 0,
-        }
-    }
-
-    /// The sink's memory bounds.
-    pub fn config(&self) -> &AggConfig {
-        &self.config
-    }
-
     /// Resolves the collected aggregates into a plain-data
     /// [`MetricsBuffer`] (track ids become `(process, track)` names so
     /// buffers from different jobs merge by identity, not by
@@ -729,7 +673,7 @@ impl AggregatingSink {
             s.histogram.record(dur_ns as f64);
             return;
         }
-        if self.spans.len() >= self.config.max_series {
+        if self.spans.len() >= MAX_SERIES {
             self.overflow_events += 1;
             return;
         }
@@ -769,11 +713,11 @@ impl AggregatingSink {
             c.ring.record(at_ns, value);
             return;
         }
-        if self.counters.len() >= self.config.max_series {
+        if self.counters.len() >= MAX_SERIES {
             self.overflow_events += 1;
             return;
         }
-        let mut ring = DownsampleRing::new(self.config.ring_capacity, self.config.ring_bucket_ns);
+        let mut ring = DownsampleRing::new(RING_CAPACITY, RING_BUCKET_NS);
         ring.record(at_ns, value);
         self.last_counter = self.counters.len();
         self.counters.push(CounterSeries {
@@ -1023,13 +967,10 @@ mod tests {
 
     #[test]
     fn series_cap_bounds_memory_and_counts_overflow() {
-        let sink = Rc::new(RefCell::new(AggregatingSink::new(AggConfig {
-            max_series: 2,
-            ..AggConfig::default()
-        })));
+        let sink = Rc::new(RefCell::new(AggregatingSink::default()));
         let tracer = Tracer::with_sink(Rc::clone(&sink));
         let a = tracer.register_track("p", "t");
-        for i in 0..5 {
+        for i in 0..MAX_SERIES + 3 {
             tracer.complete(
                 t(1.0),
                 SimDuration::from_millis_f64(1.0),
@@ -1040,7 +981,7 @@ mod tests {
             );
         }
         let snap = sink.borrow().snapshot();
-        assert_eq!(snap.spans.len(), 2);
+        assert_eq!(snap.spans.len(), MAX_SERIES);
         assert_eq!(snap.overflow_events, 3);
     }
 

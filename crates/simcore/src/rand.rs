@@ -2,11 +2,11 @@
 //!
 //! This workspace builds hermetically — no registry crates — so the PRNG
 //! machinery the simulators and optimizers need lives here instead of in
-//! the external `rand` crate. The module deliberately mirrors the subset
-//! of `rand`'s API surface the workspace uses ([`SeedableRng`],
-//! [`RngCore`], [`Rng::gen`], [`Rng::gen_range`], [`Rng::gen_bool`],
-//! [`SliceRandom::shuffle`], and a Box–Muller [`Normal`] distribution) so
-//! call sites read identically to idiomatic `rand` code.
+//! the external `rand` crate. The module mirrors exactly the subset of
+//! `rand`'s API surface the workspace uses ([`SeedableRng`], [`RngCore`],
+//! [`Rng::gen`] for `f64`, [`Rng::gen_range`] over `f64`, `u64` and
+//! `usize` ranges) so call sites read identically to idiomatic `rand`
+//! code.
 //!
 //! The generator is xoshiro256++ seeded through splitmix64: fast, well
 //! tested statistically, and — crucially for reproducible experiments —
@@ -46,32 +46,11 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 pub trait RngCore {
     /// Next raw 64-bit word.
     fn next_u64(&mut self) -> u64;
-
-    /// Next raw 32-bit word (upper half of [`next_u64`](Self::next_u64)).
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Fills `dest` with random bytes.
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let word = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&word[..chunk.len()]);
-        }
-    }
 }
 
 impl<R: RngCore + ?Sized> RngCore for &mut R {
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
-    }
-
-    fn next_u32(&mut self) -> u32 {
-        (**self).next_u32()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        (**self).fill_bytes(dest)
     }
 }
 
@@ -125,7 +104,7 @@ impl RngCore for StdRng {
 }
 
 /// Values drawable uniformly from a generator's raw words ("standard"
-/// distribution): `f64`/`f32` in `[0, 1)`, full-range integers, `bool`.
+/// distribution): `f64` in `[0, 1)`.
 pub trait StandardSample: Sized {
     /// Draws one value from `rng`.
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self;
@@ -135,36 +114,6 @@ impl StandardSample for f64 {
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
         // 53 uniform mantissa bits → [0, 1).
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-impl StandardSample for f32 {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> f32 {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u32 << 24) as f32)
-    }
-}
-
-impl StandardSample for u64 {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> u64 {
-        rng.next_u64()
-    }
-}
-
-impl StandardSample for u32 {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> u32 {
-        rng.next_u32()
-    }
-}
-
-impl StandardSample for usize {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> usize {
-        rng.next_u64() as usize
-    }
-}
-
-impl StandardSample for bool {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> bool {
-        rng.next_u64() & 1 == 1
     }
 }
 
@@ -214,42 +163,38 @@ macro_rules! impl_int_sample_range {
     )*};
 }
 
-impl_int_sample_range!(u64, u32, usize, i64, i32);
+impl_int_sample_range!(u64, usize);
 
-macro_rules! impl_float_sample_range {
-    ($($ty:ty),*) => {$(
-        impl SampleRange<$ty> for Range<$ty> {
-            fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> $ty {
-                assert!(self.start < self.end, "empty range in gen_range");
-                let u = <$ty as StandardSample>::sample_standard(rng);
-                let v = self.start + (self.end - self.start) * u;
-                // Guard the open upper bound against rounding.
-                if v >= self.end {
-                    <$ty>::max(self.start, self.end - (self.end - self.start) * <$ty>::EPSILON)
-                } else {
-                    v
-                }
-            }
+impl SampleRange<f64> for Range<f64> {
+    fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> f64 {
+        assert!(self.start < self.end, "empty range in gen_range");
+        let u = f64::sample_standard(rng);
+        let v = self.start + (self.end - self.start) * u;
+        // Guard the open upper bound against rounding.
+        if v >= self.end {
+            f64::max(
+                self.start,
+                self.end - (self.end - self.start) * f64::EPSILON,
+            )
+        } else {
+            v
         }
-
-        impl SampleRange<$ty> for RangeInclusive<$ty> {
-            fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> $ty {
-                let (lo, hi) = (*self.start(), *self.end());
-                assert!(lo <= hi, "empty range in gen_range");
-                let u = <$ty as StandardSample>::sample_standard(rng);
-                lo + (hi - lo) * u
-            }
-        }
-    )*};
+    }
 }
 
-impl_float_sample_range!(f64, f32);
+impl SampleRange<f64> for RangeInclusive<f64> {
+    fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> f64 {
+        let (lo, hi) = (*self.start(), *self.end());
+        assert!(lo <= hi, "empty range in gen_range");
+        lo + (hi - lo) * f64::sample_standard(rng)
+    }
+}
 
 /// Convenience sampling methods, blanket-implemented for every
 /// [`RngCore`] (including `&mut dyn RngCore`), mirroring `rand::Rng`.
 pub trait Rng: RngCore {
     /// Draws a value of `T` from the standard distribution (`f64` in
-    /// `[0, 1)`, full-range integers, fair `bool`).
+    /// `[0, 1)`).
     fn gen<T: StandardSample>(&mut self) -> T {
         T::sample_standard(self)
     }
@@ -258,114 +203,9 @@ pub trait Rng: RngCore {
     fn gen_range<T, S: SampleRange<T>>(&mut self, range: S) -> T {
         range.sample_single(self)
     }
-
-    /// Returns `true` with probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]`.
-    fn gen_bool(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "gen_bool p = {p} outside [0, 1]");
-        self.gen::<f64>() < p
-    }
-
-    /// Draws one value from an explicit distribution object.
-    fn sample<T, D: Distribution<T>>(&mut self, distribution: &D) -> T {
-        distribution.sample(self)
-    }
 }
 
 impl<R: RngCore + ?Sized> Rng for R {}
-
-/// A parameterized distribution that can be sampled with any generator.
-pub trait Distribution<T> {
-    /// Draws one value from `rng`.
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> T;
-}
-
-/// Normal (Gaussian) distribution via the Box–Muller transform.
-///
-/// # Example
-///
-/// ```
-/// use simcore::rand::{Distribution, Normal, SeedableRng, StdRng};
-///
-/// let n = Normal::new(10.0, 2.0);
-/// let mut rng = StdRng::seed_from_u64(1);
-/// let mean: f64 = (0..4096).map(|_| n.sample(&mut rng)).sum::<f64>() / 4096.0;
-/// assert!((mean - 10.0).abs() < 0.2);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    mean: f64,
-    std_dev: f64,
-}
-
-impl Normal {
-    /// A normal distribution with the given mean and standard deviation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std_dev` is negative or not finite.
-    pub fn new(mean: f64, std_dev: f64) -> Self {
-        assert!(
-            std_dev >= 0.0 && std_dev.is_finite() && mean.is_finite(),
-            "bad normal parameters (mean {mean}, std_dev {std_dev})"
-        );
-        Normal { mean, std_dev }
-    }
-
-    /// Draws one standard-normal variate (mean 0, std-dev 1).
-    pub fn standard_sample<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
-        // Box–Muller; u1 is kept away from 0 so ln() stays finite.
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
-}
-
-impl Distribution<f64> for Normal {
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.mean + self.std_dev * Normal::standard_sample(rng)
-    }
-}
-
-/// In-place slice randomization, mirroring `rand::seq::SliceRandom`.
-pub trait SliceRandom {
-    /// The element type.
-    type Item;
-
-    /// Shuffles the slice uniformly (Fisher–Yates).
-    fn shuffle<R: RngCore + ?Sized>(&mut self, rng: &mut R);
-
-    /// Picks a uniformly random element, or `None` if empty.
-    fn choose<'a, R: RngCore + ?Sized>(&'a self, rng: &mut R) -> Option<&'a Self::Item>;
-}
-
-impl<T> SliceRandom for [T] {
-    type Item = T;
-
-    fn shuffle<R: RngCore + ?Sized>(&mut self, rng: &mut R) {
-        for i in (1..self.len()).rev() {
-            let j = uniform_u64_below(rng, i as u64 + 1) as usize;
-            self.swap(i, j);
-        }
-    }
-
-    fn choose<'a, R: RngCore + ?Sized>(&'a self, rng: &mut R) -> Option<&'a T> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(&self[uniform_u64_below(rng, self.len() as u64) as usize])
-        }
-    }
-}
-
-/// Compatibility alias module so ported call sites can keep writing
-/// `rngs::StdRng` paths.
-pub mod rngs {
-    pub use super::StdRng;
-}
 
 #[cfg(test)]
 mod tests {
@@ -454,55 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn gen_bool_matches_probability() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let hits = (0..100_000).filter(|_| rng.gen_bool(0.3)).count();
-        assert!((28_000..32_000).contains(&hits), "{hits}");
-        let mut rng = StdRng::seed_from_u64(8);
-        assert!(!rng.gen_bool(0.0));
-        assert!(rng.gen_bool(1.0));
-    }
-
-    #[test]
-    fn normal_moments() {
-        let n = Normal::new(3.0, 2.0);
-        let mut rng = StdRng::seed_from_u64(9);
-        let xs: Vec<f64> = (0..50_000).map(|_| n.sample(&mut rng)).collect();
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
-        assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.15, "var {var}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation_and_seed_stable() {
-        let mut v: Vec<u32> = (0..20).collect();
-        let mut rng = StdRng::seed_from_u64(10);
-        v.shuffle(&mut rng);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..20).collect::<Vec<u32>>());
-        // Same seed reproduces the same permutation.
-        let mut v2: Vec<u32> = (0..20).collect();
-        let mut rng2 = StdRng::seed_from_u64(10);
-        v2.shuffle(&mut rng2);
-        assert_eq!(v, v2);
-    }
-
-    #[test]
-    fn choose_covers_all_elements() {
-        let v = [1, 2, 3, 4];
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..200 {
-            seen.insert(*v.choose(&mut rng).unwrap());
-        }
-        assert_eq!(seen.len(), 4);
-        let empty: [i32; 0] = [];
-        assert!(empty.choose(&mut rng).is_none());
-    }
-
-    #[test]
     fn dyn_rng_core_works_like_rand() {
         // The optimizer APIs take `&mut dyn RngCore`; gen_range must work
         // through the erased type exactly as it does in `rand`.
@@ -512,14 +303,5 @@ mod tests {
         assert!((0.0..1.0).contains(&x));
         let k = erased.gen_range(0..5usize);
         assert!(k < 5);
-    }
-
-    #[test]
-    fn fill_bytes_fills_every_byte_eventually() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut buf = [0u8; 17];
-        rng.fill_bytes(&mut buf);
-        // 17 zero bytes from a uniform source is a 2^-136 event.
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

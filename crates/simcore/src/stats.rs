@@ -2,12 +2,8 @@
 //!
 //! Everything here is single-pass and allocation-light so it can run inside
 //! the event loop: Welford mean/variance ([`Running`]), time-weighted
-//! averages for utilization tracking ([`TimeWeighted`]), bounded sliding
-//! windows for "latency over the last control period" measurements
-//! ([`SlidingWindow`]), and log-bucketed histograms for tail inspection
-//! ([`LogHistogram`]).
-
-use std::collections::VecDeque;
+//! averages for utilization tracking ([`TimeWeighted`]), and log-bucketed
+//! histograms for tail inspection ([`LogHistogram`]).
 
 use crate::time::SimTime;
 
@@ -209,88 +205,6 @@ impl TimeWeighted {
         }
         let sum = self.weighted_sum + self.level * (now - self.last_change).as_secs_f64();
         sum / span
-    }
-}
-
-/// A sample paired with its timestamp, stored by [`SlidingWindow`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimedSample {
-    /// When the sample was recorded.
-    pub time: SimTime,
-    /// The sample value.
-    pub value: f64,
-}
-
-/// A time-bounded sliding window of samples: keeps only samples newer than
-/// `horizon` seconds relative to the most recent insertion, supporting
-/// "average latency over the current control period" queries.
-#[derive(Debug, Clone)]
-pub struct SlidingWindow {
-    horizon_secs: f64,
-    samples: VecDeque<TimedSample>,
-}
-
-impl SlidingWindow {
-    /// Creates a window keeping `horizon_secs` seconds of history.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the horizon is not positive and finite.
-    pub fn new(horizon_secs: f64) -> Self {
-        assert!(
-            horizon_secs.is_finite() && horizon_secs > 0.0,
-            "invalid horizon: {horizon_secs}"
-        );
-        SlidingWindow {
-            horizon_secs,
-            samples: VecDeque::new(),
-        }
-    }
-
-    /// Records a sample at `time`, expiring anything older than the horizon.
-    pub fn record(&mut self, time: SimTime, value: f64) {
-        assert!(value.is_finite(), "non-finite sample: {value}");
-        self.samples.push_back(TimedSample { time, value });
-        self.expire(time);
-    }
-
-    /// Drops samples older than the horizon relative to `now`.
-    pub fn expire(&mut self, now: SimTime) {
-        while let Some(front) = self.samples.front() {
-            if (now - front.time).as_secs_f64() > self.horizon_secs {
-                self.samples.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Mean of the samples currently in the window, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        Some(self.samples.iter().map(|s| s.value).sum::<f64>() / self.samples.len() as f64)
-    }
-
-    /// Number of samples in the window.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True if the window holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Iterates over the samples oldest-first.
-    pub fn iter(&self) -> impl Iterator<Item = &TimedSample> {
-        self.samples.iter()
-    }
-
-    /// Removes all samples.
-    pub fn clear(&mut self) {
-        self.samples.clear();
     }
 }
 
@@ -654,25 +568,6 @@ mod tests {
         let mut u = TimeWeighted::new(SimTime::ZERO, 2.0);
         u.set(SimTime::from_secs_f64(2.0), 0.0);
         u.average(SimTime::from_secs_f64(1.0));
-    }
-
-    #[test]
-    fn sliding_window_expires() {
-        let mut w = SlidingWindow::new(1.0);
-        w.record(SimTime::from_secs_f64(0.0), 10.0);
-        w.record(SimTime::from_secs_f64(0.5), 20.0);
-        assert_eq!(w.mean(), Some(15.0));
-        w.record(SimTime::from_secs_f64(1.4), 30.0);
-        // Sample at t=0 expired (age 1.4 > 1.0); (20+30)/2.
-        assert_eq!(w.mean(), Some(25.0));
-        assert_eq!(w.len(), 2);
-    }
-
-    #[test]
-    fn sliding_window_empty() {
-        let w = SlidingWindow::new(1.0);
-        assert!(w.is_empty());
-        assert_eq!(w.mean(), None);
     }
 
     #[test]

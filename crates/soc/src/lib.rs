@@ -51,5 +51,5 @@ pub use job::{SourceId, SourceSpec, Stage, StageSeq, StreamId, StreamSpec};
 pub use power::{EnergyReport, PowerModel, ProcessorPower};
 pub use profiles::{DeviceProfile, RenderCost, SocProcs};
 pub use server::{FifoServer, FifoStart, PsServer, ServicePolicy};
-pub use sim::{ProcessorMetrics, SampleRetention, SocSim, SourceMetrics, StreamMetrics};
+pub use sim::{ProcessorMetrics, SocSim, SourceMetrics, StreamMetrics};
 pub use topology::{ProcId, ProcessorSpec, Topology};

@@ -237,17 +237,10 @@ impl<K: Copy> PsServer<K> {
     }
 
     /// Processes a check event: completes every job whose remaining work is
-    /// within `PS_EPSILON` (1e-9), returning the finished jobs and the next
-    /// check time. Bumps the generation iff membership changed.
-    pub fn on_check(&mut self, now: SimTime) -> (Vec<K>, Option<SimTime>) {
-        let mut finished = Vec::new();
-        let next = self.on_check_into(now, &mut finished);
-        (finished, next)
-    }
-
-    /// Allocation-free [`on_check`](PsServer::on_check): appends finished
-    /// jobs to a caller-owned scratch buffer (the hot simulation loop
-    /// reuses one across events).
+    /// within `PS_EPSILON` (1e-9), appending the finished jobs to a
+    /// caller-owned scratch buffer (the hot simulation loop reuses one
+    /// across events) and returning the next check time. Bumps the
+    /// generation iff membership changed.
     pub fn on_check_into(&mut self, now: SimTime, finished: &mut Vec<K>) -> Option<SimTime> {
         self.advance(now);
         let before = finished.len();
@@ -286,6 +279,13 @@ mod tests {
 
     fn ms(x: f64) -> SimDuration {
         SimDuration::from_millis_f64(x)
+    }
+
+    /// A check event, returning the finished jobs and the next check time.
+    fn finish_due(s: &mut PsServer<JobKey>, now: SimTime) -> (Vec<JobKey>, Option<SimTime>) {
+        let mut finished = Vec::new();
+        let next = s.on_check_into(now, &mut finished);
+        (finished, next)
     }
 
     fn t(x: f64) -> SimTime {
@@ -337,7 +337,7 @@ mod tests {
         let mut s = PsServer::new(SimTime::ZERO);
         let check = s.enqueue(SimTime::ZERO, key(1), ms(10.0)).unwrap();
         assert!((check.as_millis_f64() - 10.0).abs() < 1e-3);
-        let (fin, next) = s.on_check(check);
+        let (fin, next) = finish_due(&mut s, check);
         assert_eq!(fin, vec![key(1)]);
         assert!(next.is_none());
     }
@@ -349,7 +349,7 @@ mod tests {
         let check = s.enqueue(SimTime::ZERO, key(2), ms(10.0)).unwrap();
         // Both share the server, so each takes 20 ms.
         assert!((check.as_millis_f64() - 20.0).abs() < 1e-3);
-        let (fin, next) = s.on_check(check);
+        let (fin, next) = finish_due(&mut s, check);
         assert_eq!(fin.len(), 2);
         assert!(next.is_none());
     }
@@ -362,12 +362,12 @@ mod tests {
         let check = s.enqueue(t(5.0), key(2), ms(10.0)).unwrap();
         // Job 1 needs 5 ms of service at rate 1/2 => finishes at 15 ms.
         assert!((check.as_millis_f64() - 15.0).abs() < 1e-3);
-        let (fin, next) = s.on_check(check);
+        let (fin, next) = finish_due(&mut s, check);
         assert_eq!(fin, vec![key(1)]);
         // Job 2 got 5 ms of service in those 10 ms; 5 ms left alone => 20 ms.
         let next = next.unwrap();
         assert!((next.as_millis_f64() - 20.0).abs() < 1e-3);
-        let (fin, _) = s.on_check(next);
+        let (fin, _) = finish_due(&mut s, next);
         assert_eq!(fin, vec![key(2)]);
     }
 
@@ -378,7 +378,7 @@ mod tests {
         let check = s.enqueue(SimTime::ZERO, key(1), ms(1.0)).unwrap();
         assert!(s.generation > g0);
         let g1 = s.generation;
-        s.on_check(check);
+        finish_due(&mut s, check);
         assert!(s.generation > g1);
     }
 
@@ -388,7 +388,7 @@ mod tests {
         s.enqueue(SimTime::ZERO, key(1), ms(10.0));
         let g = s.generation;
         // An early (stale-ish) check finds nothing done.
-        let (fin, next) = s.on_check(t(1.0));
+        let (fin, next) = finish_due(&mut s, t(1.0));
         assert!(fin.is_empty());
         assert_eq!(s.generation, g);
         assert!(next.is_some());
@@ -398,7 +398,7 @@ mod tests {
     fn ps_utilization_tracks_residency() {
         let mut s = PsServer::new(SimTime::ZERO);
         let check = s.enqueue(SimTime::ZERO, key(1), ms(10.0)).unwrap();
-        s.on_check(check);
+        finish_due(&mut s, check);
         // 1 job resident for 10 ms out of 40 ms => 0.25 average residency.
         assert!((s.active.average(t(40.0)) - 0.25).abs() < 1e-6);
     }
@@ -409,7 +409,7 @@ mod tests {
         let mut s = PsServer::new(SimTime::ZERO);
         s.enqueue(SimTime::ZERO, key(1), ms(10.0));
         let check = s.enqueue(SimTime::ZERO, key(2), ms(10.0)).unwrap();
-        s.on_check(check);
+        finish_due(&mut s, check);
         // Both finish at 20 ms; over 40 ms: residency avg = 1.0, busy 0.5.
         assert!((s.active.average(t(40.0)) - 1.0).abs() < 1e-6);
         assert!((s.busy.average(t(40.0)) - 0.5).abs() < 1e-6);

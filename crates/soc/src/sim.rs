@@ -25,34 +25,16 @@ enum SocEvent {
     StreamStart { stream: usize },
 }
 
-/// How much of the per-stream `(completion time, latency)` sample trace
-/// is retained in memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SampleRetention {
-    /// Keep every sample (the default; required for full-horizon time
-    /// series such as Fig. 2).
-    #[default]
-    Full,
-    /// Keep at least the most recent `n` samples, dropping the oldest
-    /// half whenever the buffer reaches `2n`. Windowed queries
-    /// ([`StreamMetrics::mean_since`]) stay exact as long as the query
-    /// window holds at most `n` completions; long-horizon sweeps stop
-    /// growing memory linearly with the horizon.
-    Cap(usize),
-}
-
 /// Per-stream latency measurements.
 ///
 /// Keeps the `(completion time, latency ms)` trace so experiments can
-/// plot time series (Fig. 2) and compute window means (Eq. 4); the
-/// retention policy is configurable via [`SocSim::set_sample_retention`]
-/// (full trace by default).
+/// plot time series (Fig. 2) and compute window means (Eq. 4); every
+/// sample is retained.
 #[derive(Debug, Clone)]
 pub struct StreamMetrics {
     samples: Vec<(SimTime, f64)>,
     overall: Running,
     histogram: LogHistogram,
-    retention: SampleRetention,
 }
 
 impl Default for StreamMetrics {
@@ -63,7 +45,6 @@ impl Default for StreamMetrics {
             // 0.1 ms .. ~1.7 s in 10% steps: covers sub-ms digit
             // classifiers up to pathologically contended segmentation.
             histogram: LogHistogram::new(0.1, 1.1, 102),
-            retention: SampleRetention::Full,
         }
     }
 }
@@ -112,13 +93,6 @@ impl StreamMetrics {
 
     fn record(&mut self, at: SimTime, latency_ms: f64) {
         self.samples.push((at, latency_ms));
-        if let SampleRetention::Cap(n) = self.retention {
-            let keep = n.max(1);
-            if self.samples.len() >= keep * 2 {
-                let cut = self.samples.len() - keep;
-                self.samples.drain(..cut);
-            }
-        }
         self.overall.record(latency_ms);
         self.histogram.record(latency_ms);
     }
@@ -256,7 +230,6 @@ struct SocState {
     /// Reusable buffer for PS completion batches (taken/returned around
     /// each `PsCheck`), so checks do not allocate per event.
     finished_scratch: Vec<JobKey>,
-    retention: SampleRetention,
     tracer: Tracer,
     trace: TraceIds,
 }
@@ -301,7 +274,6 @@ impl SocSim {
                 sources: Vec::new(),
                 peak_queue: vec![0; server_count],
                 finished_scratch: Vec::new(),
-                retention: SampleRetention::Full,
                 tracer: Tracer::disabled(),
                 trace: TraceIds::default(),
             },
@@ -355,16 +327,6 @@ impl SocSim {
         self.state.trace.mem_track = self.state.tracer.register_track("soc", "mem");
     }
 
-    /// Sets the sample-trace retention policy for all current and future
-    /// streams. The default ([`SampleRetention::Full`]) keeps every
-    /// sample.
-    pub fn set_sample_retention(&mut self, retention: SampleRetention) {
-        self.state.retention = retention;
-        for m in &mut self.state.streams.metrics {
-            m.retention = retention;
-        }
-    }
-
     /// Peak FIFO queue depth observed on a processor so far (always 0
     /// for processor-sharing servers, which do not queue).
     pub fn peak_queue(&self, id: ProcId) -> usize {
@@ -399,14 +361,9 @@ impl SocSim {
             .trace
             .streams
             .push(self.state.tracer.register_track("soc", &track_name));
-        self.state.streams.push(
-            spec,
-            self.sim.now(),
-            StreamMetrics {
-                retention: self.state.retention,
-                ..StreamMetrics::default()
-            },
-        );
+        self.state
+            .streams
+            .push(spec, self.sim.now(), StreamMetrics::default());
         self.sim
             .schedule(self.sim.now(), SocEvent::StreamStart { stream: id.0 });
         id
@@ -556,11 +513,6 @@ impl SocSim {
                 queued_now: 0,
             },
         }
-    }
-
-    /// Number of streams added so far.
-    pub fn stream_count(&self) -> usize {
-        self.state.streams.len()
     }
 }
 
@@ -1374,31 +1326,6 @@ mod tests {
             (m.completed(), m.latency_overall().mean().to_bits())
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn sample_retention_cap_bounds_memory_and_keeps_recent_window() {
-        let run = |retention: SampleRetention| {
-            let (t, cpu, _, _) = topo_cgn();
-            let mut sim = SocSim::new(t);
-            sim.set_sample_retention(retention);
-            let s = sim.add_stream(StreamSpec::new(
-                vec![Stage::compute(cpu, ms(10.0))],
-                ms(0.0),
-            ));
-            sim.run_until(secs(10.0));
-            let m = sim.stream_metrics(s).clone();
-            (m.samples().len(), m.mean_since(secs(9.0)), m.completed())
-        };
-        let (full_len, full_mean, full_completed) = run(SampleRetention::Full);
-        let (cap_len, cap_mean, cap_completed) = run(SampleRetention::Cap(200));
-        assert_eq!(full_len, 1000);
-        assert!(cap_len < 400, "cap must bound the buffer: {cap_len}");
-        assert!(cap_len >= 200, "cap must keep the newest samples");
-        // Windowed queries over the retained tail and aggregate counters
-        // are unaffected.
-        assert_eq!(full_mean.map(f64::to_bits), cap_mean.map(f64::to_bits));
-        assert_eq!(full_completed, cap_completed);
     }
 
     #[test]

@@ -23,6 +23,11 @@ cargo test -q --workspace --offline
 echo "==> cargo doc --no-deps --workspace (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
+# Bench targets: `cargo test` never builds `benches/experiments.rs`, so an
+# API it calls could be deleted or renamed without any other step failing.
+echo "==> cargo bench --no-run -p hbo-bench (every bench target builds)"
+cargo bench --no-run --offline -p hbo-bench
+
 # Smoke-run one runner-backed experiment binary on the parallel path: a
 # tiny 4-replicate sweep on 2 worker threads exercises simcore::pool +
 # marsim::runner end-to-end (seed derivation, ordered collection, merged
