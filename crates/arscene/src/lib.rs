@@ -2,9 +2,8 @@
 //! virtual-object quality model of the paper (Eq. 1–2).
 //!
 //! * [`mesh`] — procedural triangle meshes (spheres, tori, displaced
-//!   "rocks") with a fast vertex-clustering decimator, plus [`qem`], a
-//!   quadric-error-metric edge-collapse simplifier — standing in for the
-//!   paper's virtual-object assets and the server-side decimation
+//!   "rocks") with a fast vertex-clustering decimator, standing in for
+//!   the paper's virtual-object assets and the server-side decimation
 //!   algorithm of Fig. 3.
 //! * [`quality`] — eAR's degradation model: per-object
 //!   `D_err = (a R² + b R + c) / D^d` (Eq. 1) and the scene average
@@ -36,7 +35,6 @@
 
 pub mod fit;
 pub mod mesh;
-pub mod qem;
 pub mod quality;
 pub mod scenarios;
 mod scene;

@@ -158,19 +158,6 @@ impl Mesh {
             .fold(0.0, f64::max)
     }
 
-    /// Uniformly rescales the mesh to unit bounding radius (no-op for an
-    /// empty or degenerate mesh).
-    pub fn normalize_scale(&mut self) {
-        let r = self.bounding_radius();
-        if r > 0.0 {
-            for v in &mut self.vertices {
-                for c in v.iter_mut() {
-                    *c /= r;
-                }
-            }
-        }
-    }
-
     /// Decimates the mesh to approximately `target` triangles by vertex
     /// clustering: vertices are snapped to a uniform grid, degenerate
     /// triangles dropped, and the grid resolution binary-searched to
@@ -289,13 +276,6 @@ mod tests {
         let c = Mesh::rock(8, 10, 10);
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn normalize_scale_unit_radius() {
-        let mut m = Mesh::rock(1, 12, 12);
-        m.normalize_scale();
-        assert!((m.bounding_radius() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -27,6 +27,17 @@
 //! per session despite propagation jitter: a transfer never arrives
 //! before the session's previous transfer in the same direction.
 //!
+//! # Radios
+//!
+//! A transfer's plan — attempts, radio occupancy, propagation — is a pure
+//! function of its `(stream, seq)` identity ([`crate::link`]). `send`
+//! computes it once. A private radio never queues, because the closed
+//! loop keeps at most one transfer per session and direction in the air,
+//! so a private transfer is a pure delay: its completion event fires
+//! after the planned occupancy and carries the attempts and propagation
+//! on to delivery. A shared-medium transfer finishes when the medium says
+//! so, and its plan is re-derived there.
+//!
 //! # The one-server edge world
 //!
 //! [`one_server`] configures the simulator for the per-window edge
@@ -53,7 +64,7 @@ use simcore::stats::{LogHistogram, Running};
 use simcore::trace::{ArgValue, Tracer, TrackId};
 use simcore::{QueueKind, Scheduler, SimDuration, SimTime, Simulator};
 
-use crate::link::{plan_transfer, ByteCounters, Direction, LinkParams};
+use crate::link::{plan_validated, ByteCounters, Direction, LinkParams, TransferPlan};
 use crate::medium::{Completion, Medium, MediumParams, Mobility, SharedCell};
 use crate::server::{Admission, EdgeServer, ServerParams};
 
@@ -163,7 +174,8 @@ pub struct ServerSpec {
 struct StreamRoots {
     /// Submit-jitter stream.
     jitter: u64,
-    /// Uplink loss/propagation stream (the flow seed of [`plan_transfer`]).
+    /// Uplink loss/propagation stream (the flow seed of
+    /// [`crate::plan_transfer`]).
     uplink: u64,
     /// Downlink loss/propagation stream.
     downlink: u64,
@@ -452,11 +464,14 @@ struct InFlight {
 enum Ev {
     /// A session submits its next request to its uplink radio.
     Submit { session: usize },
-    /// A transfer finished serializing on a session radio.
+    /// A transfer finished serializing on a private session radio. It
+    /// carries the rest of the plan `send` computed for it.
     LaneDone {
         session: usize,
         dir: Direction,
-        slot: usize,
+        seq: u64,
+        attempts: u32,
+        propagation: SimDuration,
     },
     /// A transfer's propagation ended: it reaches the far end.
     Arrived {
@@ -487,10 +502,11 @@ enum Ev {
 /// How one session reaches the air.
 #[derive(Debug)]
 enum SessRadio {
-    /// Private 1-slot uplink and downlink serializers keyed by seq,
-    /// indexed by `dir as usize` and boxed so shared-mode populations
-    /// don't carry two radios per session.
-    Private(Box<[soc::FifoServer<u64>; 2]>),
+    /// Private uplink and downlink radios. The closed loop keeps at most
+    /// one transfer per session and direction in the air, so a private
+    /// radio never queues: a transfer is a pure delay of its planned
+    /// occupancy.
+    Private,
     /// Attached to the shared medium as client id `attach`.
     Shared { attach: usize },
 }
@@ -544,6 +560,11 @@ struct Tracks {
 
 struct ClusterState {
     params: ClusterParams,
+    /// `params.cross_zone_ms` as a duration.
+    cross_zone: SimDuration,
+    /// Wait before a rejected request re-enters the router:
+    /// `params.link.retx_timeout_ms`, at least 0.5 ms.
+    retry_after: SimDuration,
     sessions: Vec<SessState>,
     servers: Vec<ServerState>,
     /// The contended cells, when sessions run shared radios.
@@ -632,10 +653,7 @@ impl ClusterSim {
                     (Some(m), ClusterRadio::Cell(cell)) => SessRadio::Shared {
                         attach: m.add_client(start, cell.parked(spec.seed)),
                     },
-                    _ => SessRadio::Private(Box::new([
-                        soc::FifoServer::new(1, start),
-                        soc::FifoServer::new(1, start),
-                    ])),
+                    _ => SessRadio::Private,
                 };
                 SessState {
                     radio,
@@ -707,6 +725,8 @@ impl ClusterSim {
         ClusterSim {
             sim,
             state: ClusterState {
+                cross_zone: SimDuration::from_millis_f64(params.cross_zone_ms),
+                retry_after: SimDuration::from_millis_f64(params.link.retx_timeout_ms.max(0.5)),
                 params,
                 sessions: states,
                 servers,
@@ -948,14 +968,26 @@ impl ClusterState {
         if self.sessions[session].spec.zone == self.servers[server].spec.zone {
             SimDuration::ZERO
         } else {
-            SimDuration::from_millis_f64(self.params.cross_zone_ms)
+            self.cross_zone
         }
     }
 
     fn handle(&mut self, sched: &mut Sched<'_>, ev: Ev) {
         match ev {
             Ev::Submit { session } => self.submit(sched, session),
-            Ev::LaneDone { session, dir, slot } => self.lane_done(sched, session, dir, slot),
+            Ev::LaneDone {
+                session,
+                dir,
+                seq,
+                attempts,
+                propagation,
+            } => {
+                if self.tracer.is_enabled() {
+                    let track = self.tracks.radios[session][dir as usize];
+                    self.tracer.end(sched.now(), track, "edgelink");
+                }
+                self.transferred(sched, session, dir, seq, attempts, propagation);
+            }
             Ev::Arrived { session, dir, seq } => {
                 let st = &mut self.sessions[session];
                 st.bytes[dir as usize].delivered += st.spec.client.payload(dir);
@@ -999,31 +1031,38 @@ impl ClusterState {
         self.send(sched, session, Direction::Up, seq);
     }
 
+    /// The plan of transfer `seq` in `dir` of `session`. `ClusterSim::new`
+    /// validated the link, and nothing mutates it afterwards.
+    fn plan(&self, session: usize, dir: Direction, seq: u64) -> TransferPlan {
+        let st = &self.sessions[session];
+        let bytes = st.spec.client.payload(dir);
+        plan_validated(&self.params.link, dir, bytes, st.streams.link(dir), seq)
+    }
+
     /// Hands transfer `seq` in `dir` to the session's radio: its private
-    /// lane serializes it, or the shared medium carries its airtime
-    /// (payload × attempts).
+    /// radio holds it for its planned occupancy, or the shared medium
+    /// carries its airtime (payload × attempts).
     fn send(&mut self, sched: &mut Sched<'_>, session: usize, dir: Direction, seq: u64) {
         let now = sched.now();
+        let plan = self.plan(session, dir, seq);
         let st = &mut self.sessions[session];
         let bytes = st.spec.client.payload(dir);
         st.bytes[dir as usize].offered += bytes;
-        let plan = plan_transfer(&self.params.link, dir, bytes, st.streams.link(dir), seq);
-        match &mut st.radio {
-            SessRadio::Private(radio) => {
-                if let Some(start) = radio[dir as usize].enqueue(now, seq, plan.occupancy) {
-                    sched.schedule_at(
-                        start.done_at,
-                        Ev::LaneDone {
-                            session,
-                            dir,
-                            slot: start.slot,
-                        },
-                    );
-                    self.trace_lane_begin(now, session, dir, seq);
-                }
+        match st.radio {
+            SessRadio::Private => {
+                sched.schedule_at(
+                    now + plan.occupancy,
+                    Ev::LaneDone {
+                        session,
+                        dir,
+                        seq,
+                        attempts: plan.attempts,
+                        propagation: plan.propagation,
+                    },
+                );
+                self.trace_lane_begin(now, session, dir, seq, plan.attempts);
             }
             SessRadio::Shared { attach } => {
-                let attach = *attach;
                 let airtime = plan.attempts as u64 * bytes;
                 let m = self.medium.as_mut().expect("shared radio without a medium");
                 m.start_flow(now, attach, dir, airtime as f64, (session, seq));
@@ -1033,16 +1072,20 @@ impl ClusterState {
         }
     }
 
-    /// Emits the begin-span for a transfer occupying a radio lane,
-    /// re-deriving its (pure) plan for the retransmit-attempt argument.
+    /// Emits the begin-span for a transfer occupying a private radio.
     /// No-op when tracing is disabled.
-    fn trace_lane_begin(&self, now: SimTime, session: usize, dir: Direction, seq: u64) {
+    fn trace_lane_begin(
+        &self,
+        now: SimTime,
+        session: usize,
+        dir: Direction,
+        seq: u64,
+        attempts: u32,
+    ) {
         if !self.tracer.is_enabled() {
             return;
         }
-        let st = &self.sessions[session];
-        let bytes = st.spec.client.payload(dir);
-        let plan = plan_transfer(&self.params.link, dir, bytes, st.streams.link(dir), seq);
+        let bytes = self.sessions[session].spec.client.payload(dir);
         self.tracer.begin(
             now,
             self.tracks.radios[session][dir as usize],
@@ -1054,7 +1097,7 @@ impl ClusterState {
             &[
                 ("seq", ArgValue::U64(seq)),
                 ("bytes", ArgValue::U64(bytes)),
-                ("attempts", ArgValue::U64(plan.attempts as u64)),
+                ("attempts", ArgValue::U64(attempts as u64)),
             ],
         );
     }
@@ -1071,7 +1114,8 @@ impl ClusterState {
 
     /// The medium hit an internal deadline (flow completion, mobility
     /// tick, cross-traffic flip): advance it and hand finished transfers
-    /// to the same post-serialization path the private lanes use.
+    /// to the same post-serialization path the private radios use. No
+    /// event carries a shared transfer's plan here, so it is re-derived.
     fn medium_wake(&mut self, sched: &mut Sched<'_>, gen: u64) {
         let now = sched.now();
         let m = self.medium.as_mut().expect("medium wake without a medium");
@@ -1082,7 +1126,8 @@ impl ClusterState {
         m.advance(now, &mut done);
         for c in done.drain(..) {
             let (session, seq) = c.key;
-            self.transferred(sched, session, c.dir, seq);
+            let plan = self.plan(session, c.dir, seq);
+            self.transferred(sched, session, c.dir, seq, plan.attempts, plan.propagation);
         }
         self.medium_done = done;
         self.emit_cell_counters(now);
@@ -1119,38 +1164,19 @@ impl ClusterState {
         }
     }
 
-    /// A radio lane finished serializing: start the next queued transfer
-    /// and hand this one on.
-    fn lane_done(&mut self, sched: &mut Sched<'_>, session: usize, dir: Direction, slot: usize) {
-        let now = sched.now();
-        let SessRadio::Private(radio) = &mut self.sessions[session].radio else {
-            unreachable!("lane event on a shared radio")
-        };
-        let (seq, next) = radio[dir as usize].on_done(now, slot);
-        if let Some(start) = next {
-            sched.schedule_at(
-                start.done_at,
-                Ev::LaneDone {
-                    session,
-                    dir,
-                    slot: start.slot,
-                },
-            );
-        }
-        if self.tracer.is_enabled() {
-            let track = self.tracks.radios[session][dir as usize];
-            self.tracer.end(now, track, "edgelink");
-            if let Some(start) = next {
-                self.trace_lane_begin(now, session, dir, start.key);
-            }
-        }
-        self.transferred(sched, session, dir, seq);
-    }
-
-    /// A transfer finished its airtime (private lane or shared medium):
-    /// account transmitted bytes and retransmissions, pay the return hop
-    /// on responses, and schedule the in-order arrival.
-    fn transferred(&mut self, sched: &mut Sched<'_>, session: usize, dir: Direction, seq: u64) {
+    /// A transfer of `attempts` attempts finished its airtime (private
+    /// radio or shared medium): account transmitted bytes and
+    /// retransmissions, pay the return hop on responses, and schedule the
+    /// in-order arrival after `propagation`.
+    fn transferred(
+        &mut self,
+        sched: &mut Sched<'_>,
+        session: usize,
+        dir: Direction,
+        seq: u64,
+        attempts: u32,
+        propagation: SimDuration,
+    ) {
         let now = sched.now();
         let extra = match dir {
             Direction::Up => SimDuration::ZERO,
@@ -1161,16 +1187,14 @@ impl ClusterState {
         };
         let st = &mut self.sessions[session];
         let bytes = st.spec.client.payload(dir);
-        // Re-derive the (pure) plan for this exact transfer.
-        let plan = plan_transfer(&self.params.link, dir, bytes, st.streams.link(dir), seq);
-        st.bytes[dir as usize].transmitted += plan.attempts as u64 * bytes;
-        if plan.attempts > 1 {
-            self.metrics.retransmits += plan.attempts as u64 - 1;
+        st.bytes[dir as usize].transmitted += attempts as u64 * bytes;
+        if attempts > 1 {
+            self.metrics.retransmits += attempts as u64 - 1;
         }
         // FIFO per flow despite jitter: never arrive before an earlier
         // transfer in the same direction.
         let last = &mut st.last_delivery[dir as usize];
-        let arrive = (now + plan.propagation + extra).max(*last);
+        let arrive = (now + propagation + extra).max(*last);
         *last = arrive;
         sched.schedule_at(arrive, Ev::Arrived { session, dir, seq });
     }
@@ -1236,7 +1260,7 @@ impl ClusterState {
                     // the retry re-enters the router (the rejecting
                     // server may not be the best choice any more).
                     sched.schedule_after(
-                        SimDuration::from_millis_f64(self.params.link.retx_timeout_ms.max(0.5)),
+                        self.retry_after,
                         Ev::Reroute {
                             session,
                             seq,
@@ -1705,13 +1729,206 @@ mod tests {
 
     #[test]
     fn sess_radio_is_at_most_two_words() {
-        // Sessions carry one pointer (private, boxed) or one attachment id
-        // (shared) plus the discriminant, never two inline serializers.
+        // Sessions carry nothing (private) or one attachment id (shared)
+        // plus the discriminant, never per-session serializer state.
         assert!(
             std::mem::size_of::<SessRadio>() <= 2 * std::mem::size_of::<usize>(),
             "SessRadio grew past two words: {} bytes",
             std::mem::size_of::<SessRadio>()
         );
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn session_state_and_event_sizes_are_pinned() {
+        use std::mem::size_of;
+        assert_eq!(
+            size_of::<SessState>(),
+            280,
+            "SessState changed size: the traced `mem session bytes` counter is \
+             sessions × size_of::<SessState>(), so the trace and exposition \
+             digests pinned in tests/end_to_end.rs::observed_exports_are_pinned \
+             move with it"
+        );
+        assert!(
+            size_of::<Ev>() <= 32,
+            "Ev grew past 32 bytes: {} (every pending event pays it)",
+            size_of::<Ev>()
+        );
+    }
+
+    /// A link that loses 30% of attempts, so most transfers of a run
+    /// plan more than one attempt somewhere.
+    fn lossy_link() -> LinkParams {
+        LinkParams {
+            loss_prob: 0.3,
+            ..LinkParams::wifi()
+        }
+    }
+
+    /// The stream roots of `session`, derived from the params and spec
+    /// alone.
+    fn roots_of(params: &ClusterParams, session: usize, spec: &SessionSpec) -> StreamRoots {
+        match params.edge_master_seed {
+            None => StreamRoots::from_seed(spec.seed),
+            Some(master) => StreamRoots::edge_flow(master, session as u64),
+        }
+    }
+
+    /// Runs a traced sim for `secs` and checks every private radio track:
+    /// `Begin` and `End` strictly alternate (a private radio never holds
+    /// two transfers), and each span lasts exactly the occupancy the
+    /// public [`crate::plan_transfer`] gives for its `(stream, seq)`.
+    /// Returns the sim and the number of spans checked.
+    fn run_checking_radio_spans(
+        params: ClusterParams,
+        sessions: Vec<SessionSpec>,
+        secs: f64,
+    ) -> (ClusterSim, usize) {
+        use simcore::trace::{ChromeTraceSink, TracePhase};
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        let specs = sessions.clone();
+        let sink = Rc::new(RefCell::new(ChromeTraceSink::new()));
+        let mut sim = simcore::trace::observe(Tracer::with_sink(sink.clone()), || {
+            cluster_sim(params.clone(), sessions)
+        });
+        sim.run_for_secs(secs);
+        let buf = sink.borrow().snapshot();
+        let mut spans = 0;
+        for (session, spec) in specs.iter().enumerate() {
+            let roots = roots_of(&params, session, spec);
+            for dir in [Direction::Up, Direction::Down] {
+                let track = sim.state.tracks.radios[session][dir as usize];
+                let mut open: Option<(u64, u64)> = None;
+                for r in buf.records.iter().filter(|r| r.track == track) {
+                    match r.phase {
+                        TracePhase::Begin => {
+                            assert!(
+                                open.is_none(),
+                                "session {session} {dir:?}: two transfers on one private radio"
+                            );
+                            let seq = r
+                                .args
+                                .iter()
+                                .find_map(|(k, v)| match (*k, v) {
+                                    ("seq", ArgValue::U64(seq)) => Some(*seq),
+                                    _ => None,
+                                })
+                                .expect("radio span without a seq");
+                            open = Some((r.at_ns, seq));
+                        }
+                        TracePhase::End => {
+                            let (began, seq) = open.take().unwrap_or_else(|| {
+                                panic!("session {session} {dir:?}: end without a begin")
+                            });
+                            let bytes = spec.client.payload(dir);
+                            let plan = crate::plan_transfer(
+                                &params.link,
+                                dir,
+                                bytes,
+                                roots.link(dir),
+                                seq,
+                            );
+                            assert_eq!(
+                                r.at_ns - began,
+                                plan.occupancy.as_nanos(),
+                                "session {session} {dir:?} seq {seq}: span is not its occupancy"
+                            );
+                            spans += 1;
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+        (sim, spans)
+    }
+
+    #[test]
+    fn private_radios_hold_one_transfer_for_its_planned_occupancy() {
+        // Saturated two-zone cells under every policy: rejects, retries
+        // and drops all interleave with lossy transfers.
+        for policy in RoutePolicy::ALL {
+            let mut params = two_zone_params(policy);
+            params.link = lossy_link();
+            for s in &mut params.servers {
+                s.params.queue_capacity = 1;
+            }
+            let sess: Vec<SessionSpec> = (0..12)
+                .map(|i| {
+                    let mut s = session(i, (i % 2) as usize, 6.0);
+                    s.client.infer_ms = 60.0;
+                    s.client.period_ms = 40.0;
+                    s
+                })
+                .collect();
+            let (sim, spans) = run_checking_radio_spans(params, sess, 6.0);
+            let m = sim.metrics();
+            assert!(m.dropped > 0, "{}: cell not saturated", policy.name());
+            assert!(m.retransmits > 0, "{}: no retransmits", policy.name());
+            assert!(spans > 100, "{}: only {spans} spans", policy.name());
+        }
+        // The one-server world retries every reject until it is admitted.
+        let mut specs = clients(6);
+        for s in &mut specs {
+            s.infer_ms = 60.0;
+            s.period_ms = 50.0;
+        }
+        let server = ServerParams {
+            worker_lanes: 1,
+            queue_capacity: 0,
+        };
+        let (params, sessions) = one_server(lossy_link(), server, None, specs, 3);
+        let (sim, spans) = run_checking_radio_spans(params, sessions, 6.0);
+        assert!(sim.metrics().reject_events > 0, "one server never rejected");
+        assert!(sim.metrics().retransmits > 0);
+        assert!(spans > 100, "only {spans} spans");
+    }
+
+    #[test]
+    fn transmitted_bytes_match_the_planned_attempts() {
+        // Lossy private radios, a queue nothing overflows, and a run long
+        // past every departure: every transfer has finished, so each
+        // direction put Σ attempts × payload bytes on the air.
+        let mut params = two_zone_params(RoutePolicy::ShortestQueue);
+        params.link = lossy_link();
+        for s in &mut params.servers {
+            s.params.queue_capacity = 64;
+        }
+        let specs = sessions(8, 5.0);
+        let mut sim = cluster_sim(params.clone(), specs.clone());
+        sim.run_for_secs(8.0);
+        assert_eq!(sim.departed(), specs.len());
+        assert_eq!(sim.in_flight(), 0);
+        assert_eq!(sim.metrics().dropped, 0);
+        let mut retransmits = 0;
+        for (session, spec) in specs.iter().enumerate() {
+            let n = sim.session_completed(session);
+            assert!(n > 0, "session {session} never completed");
+            let roots = roots_of(&params, session, spec);
+            for dir in [Direction::Up, Direction::Down] {
+                let payload = spec.client.payload(dir);
+                let attempts: Vec<u64> = (1..=n)
+                    .map(|seq| {
+                        crate::plan_transfer(&params.link, dir, payload, roots.link(dir), seq)
+                            .attempts as u64
+                    })
+                    .collect();
+                let bytes = sim.session_bytes(session, dir);
+                assert_eq!(bytes.offered, n * payload);
+                assert_eq!(bytes.delivered, n * payload);
+                assert_eq!(
+                    bytes.transmitted,
+                    attempts.iter().sum::<u64>() * payload,
+                    "session {session} {dir:?}"
+                );
+                retransmits += attempts.iter().map(|a| a - 1).sum::<u64>();
+            }
+        }
+        assert!(retransmits > 0, "a 30% loss link never retransmitted");
+        assert_eq!(sim.metrics().retransmits, retransmits);
     }
 
     fn clients(n: usize) -> Vec<ClientSpec> {

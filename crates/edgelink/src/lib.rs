@@ -13,8 +13,9 @@
 //!   configured bandwidth, lognormal propagation jitter around `rtt/2`,
 //!   and loss handled as bounded retransmission. Transfer plans are pure
 //!   functions of `(params, direction, bytes, flow seed, sequence
-//!   number)`, so the simulation re-derives them instead of storing them
-//!   and determinism is free.
+//!   number)`, so the simulation plans each transfer once, carries the
+//!   plan in the transfer's event instead of storing it, and determinism
+//!   is free.
 //! - [`server`] — an edge inference server: K worker lanes (reusing
 //!   [`soc::FifoServer`]) behind a *bounded* admission queue that NACKs
 //!   overload instead of buffering it.

@@ -3,15 +3,16 @@
 //!
 //! # Model
 //!
-//! Each client owns one uplink and one downlink radio lane (a 1-slot
-//! [`soc::FifoServer`] in [`crate::ClusterSim`]); a transfer occupies its lane
-//! for its whole serialization — including retransmissions — and is then
-//! delivered after a jittered propagation delay. All randomness (loss
-//! draws, jitter) is derived from per-`(flow, seq)` seeds via
-//! [`simcore::rng::mix`], so a transfer's [`TransferPlan`] is a pure
-//! function of its identity: replanning the same transfer yields the same
-//! plan, which is what makes the whole simulation reproducible and
-//! thread-count independent.
+//! Each client owns one uplink and one downlink radio lane; a transfer
+//! occupies its lane for its whole serialization — including
+//! retransmissions — and is then delivered after a jittered propagation
+//! delay. All randomness (loss draws, jitter) is derived from
+//! per-`(flow, seq)` seeds via [`simcore::rng::mix`], so a transfer's
+//! [`TransferPlan`] is a pure function of its identity: replanning the
+//! same transfer yields the same plan, which is what makes the whole
+//! simulation reproducible and thread-count independent.
+//! [`crate::ClusterSim`] plans each transfer once, when it is sent, and
+//! carries the plan in the transfer's completion event.
 //!
 //! Loss is collapsed into deterministic lane occupancy: a transfer that
 //! needs `a` attempts holds its lane for `a × serialize + (a − 1) ×
@@ -172,6 +173,19 @@ pub fn plan_transfer(
     seq: u64,
 ) -> TransferPlan {
     params.validate();
+    plan_validated(params, dir, bytes, flow_seed, seq)
+}
+
+/// [`plan_transfer`] without the parameter check, for callers that
+/// validated `params` once up front and never mutate them
+/// ([`crate::ClusterSim`] validates its link in `ClusterSim::new`).
+pub(crate) fn plan_validated(
+    params: &LinkParams,
+    dir: Direction,
+    bytes: u64,
+    flow_seed: u64,
+    seq: u64,
+) -> TransferPlan {
     let mut rng = StdRng::seed_from_u64(mix(flow_seed, seq));
     let mut attempts = 1u32;
     while attempts < params.max_attempts && rng.gen_range(0.0..1.0f64) < params.loss_prob {

@@ -142,24 +142,6 @@ impl SimDuration {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
-
-    /// Scales the duration by a non-negative factor, saturating at the max.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or not finite.
-    pub fn mul_f64(self, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "invalid factor: {factor}"
-        );
-        let scaled = self.0 as f64 * factor;
-        if scaled >= u64::MAX as f64 {
-            SimDuration(u64::MAX)
-        } else {
-            SimDuration(scaled.round() as u64)
-        }
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -254,14 +236,6 @@ mod tests {
     fn saturating_add_pins_at_max() {
         let t = SimTime::MAX + SimDuration::from_secs_f64(10.0);
         assert_eq!(t, SimTime::MAX);
-    }
-
-    #[test]
-    fn mul_f64_scales_and_saturates() {
-        let d = SimDuration::from_millis_f64(10.0).mul_f64(2.5);
-        assert!((d.as_millis_f64() - 25.0).abs() < 1e-9);
-        let d = SimDuration::from_nanos(u64::MAX).mul_f64(3.0);
-        assert_eq!(d.as_nanos(), u64::MAX);
     }
 
     #[test]

@@ -188,4 +188,11 @@ sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
 ' "$workload" "$result"
 done
 
+# A/B tool: a one-pair, one-second self-A/B of HEAD against the working
+# tree on fleet_private, so scripts/bench_ab.sh (worktree build, paired
+# runs, summary table) cannot rot. It fails if either side's run is not
+# `correct`.
+echo "==> bench_ab: HEAD vs working tree, fleet_private, 1 pair x 1 s"
+scripts/bench_ab.sh HEAD fleet_private 1 1
+
 echo "==> OK"
