@@ -1,16 +1,9 @@
-//! AR scene substrate: virtual objects, meshes, decimation, and the
+//! AR scene substrate: virtual objects, their triangle budgets, and the
 //! virtual-object quality model of the paper (Eq. 1–2).
 //!
-//! * [`mesh`] — procedural triangle meshes (spheres, tori, displaced
-//!   "rocks") with a fast vertex-clustering decimator, standing in for
-//!   the paper's virtual-object assets and the server-side decimation
-//!   algorithm of Fig. 3.
 //! * [`quality`] — eAR's degradation model: per-object
 //!   `D_err = (a R² + b R + c) / D^d` (Eq. 1) and the scene average
 //!   quality `Q` (Eq. 2).
-//! * [`fit`] — the offline training pipeline: render decimated meshes with
-//!   [`iqa`], measure GMSD, and least-squares fit the `(a, b, c, d)`
-//!   parameters.
 //! * [`Scene`] — the live scene: objects with triangle budgets, user
 //!   distance, backface-cull visibility (what the render loop actually
 //!   draws), and the sensitivity-weighted triangle distribution used by
@@ -33,8 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fit;
-pub mod mesh;
 pub mod quality;
 pub mod scenarios;
 mod scene;

@@ -2,8 +2,9 @@
 //! eAR (Didar & Brocanelli, IEEE TMC 2023).
 
 /// Per-object parameters `(a, b, c, d)` of the degradation model
-/// `D_err(R, D) = (a R² + b R + c) / D^d` — Eq. (1). Trained offline by
-/// the [`crate::fit`] pipeline (GMSD over rasterized decimated meshes).
+/// `D_err(R, D) = (a R² + b R + c) / D^d` — Eq. (1). The values the
+/// experiments use are hand-set, eAR-shaped constants in
+/// [`crate::scenarios`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityParams {
     /// Quadratic coefficient of the decimation-ratio polynomial.
@@ -51,7 +52,7 @@ pub struct DegradationModel {
 }
 
 impl DegradationModel {
-    /// Wraps a trained parameter set.
+    /// Wraps a parameter set.
     pub fn new(params: QualityParams) -> Self {
         DegradationModel { params }
     }

@@ -64,11 +64,11 @@ impl VirtualObject {
     }
 
     /// Current triangle count (`R · T_max`).
-    pub fn current_triangles(&self) -> f64 {
+    pub(crate) fn current_triangles(&self) -> f64 {
         self.ratio * self.max_triangles as f64
     }
 
-    /// The trained degradation model.
+    /// The Eq. (1) degradation model.
     pub fn model(&self) -> &DegradationModel {
         &self.model
     }
@@ -90,7 +90,7 @@ const BACKFACE_VISIBLE: f64 = 0.5;
 ///     "sphere", 100_000, QualityParams::new(0.5, -1.3, 0.8, 1.0), 1.0,
 /// ));
 /// scene.distribute_triangles(0.6);
-/// assert!((scene.current_triangles() - 60_000.0).abs() < 1.0);
+/// assert!((scene.overall_ratio() - 0.6).abs() < 1e-5);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scene {
@@ -171,7 +171,7 @@ impl Scene {
     }
 
     /// Currently selected triangles, `Σ R_i · T_i`.
-    pub fn current_triangles(&self) -> f64 {
+    pub(crate) fn current_triangles(&self) -> f64 {
         self.objects.iter().map(|o| o.current_triangles()).sum()
     }
 
@@ -321,15 +321,6 @@ impl Scene {
             }
         }
     }
-
-    /// Per-object sensitivities at a common reference ratio (the weights
-    /// the paper describes for `TD`), mostly useful for inspection.
-    pub fn sensitivities(&self, reference_ratio: f64) -> Vec<f64> {
-        self.objects
-            .iter()
-            .map(|o| o.model.sensitivity(reference_ratio, self.distance_of(o)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -453,7 +444,11 @@ mod tests {
     #[test]
     fn sensitivities_reflect_curves() {
         let s = scene_with(vec![heavy(), light()]);
-        let sens = s.sensitivities(0.5);
+        let sens: Vec<f64> = s
+            .objects
+            .iter()
+            .map(|o| o.model.sensitivity(0.5, s.distance_of(o)))
+            .collect();
         assert!(sens[1] > sens[0]);
     }
 

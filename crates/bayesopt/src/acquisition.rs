@@ -7,14 +7,14 @@
 //! comparison.
 
 /// Standard normal probability density function.
-pub fn normal_pdf(u: f64) -> f64 {
+pub(crate) fn normal_pdf(u: f64) -> f64 {
     (-0.5 * u * u).exp() / (2.0 * std::f64::consts::PI).sqrt()
 }
 
 /// Standard normal cumulative distribution function, via the
 /// Abramowitz–Stegun 7.1.26 rational approximation of `erf` (absolute
 /// error < 1.5e-7).
-pub fn normal_cdf(u: f64) -> f64 {
+pub(crate) fn normal_cdf(u: f64) -> f64 {
     0.5 * (1.0 + erf(u / std::f64::consts::SQRT_2))
 }
 

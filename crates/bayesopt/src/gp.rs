@@ -31,9 +31,9 @@ const PREDICT_BLOCK: usize = 8;
 ///     gp.add_observation(vec![z], (z - 0.5).powi(2));
 /// }
 /// gp.fit().unwrap();
-/// let (mu, var) = gp.predict(&[0.5]);
+/// let post = gp.predict_batch(&[[0.5], [5.0]]);
+/// let ((mu, var), (_, var_far)) = (post[0], post[1]);
 /// assert!(mu < 0.1);                // near the minimum
-/// let (_, var_far) = gp.predict(&[5.0]);
 /// assert!(var_far > 10.0 * var);    // far from data = far less certain
 /// ```
 #[derive(Debug, Clone)]
@@ -241,34 +241,19 @@ impl GaussianProcess {
 
     /// True if the model is fitted to *all* observations and ready to
     /// predict.
-    pub fn is_fitted(&self) -> bool {
+    pub(crate) fn is_fitted(&self) -> bool {
         self.chol.is_some() && self.fitted == self.xs.len()
     }
 
-    /// Posterior mean and variance at `z` (Eq. 6 of the paper).
+    /// Posterior mean and variance (Eq. 6 of the paper) at every point of
+    /// `zs`, as the acquisition-scoring pass uses them.
     ///
-    /// # Panics
-    ///
-    /// Panics if the GP is not fitted.
-    pub fn predict(&self, z: &[f64]) -> (f64, f64) {
-        assert!(self.is_fitted(), "GP not fitted: call fit()");
-        let chol = self.chol.as_ref().expect("GP not fitted: call fit()");
-        let k_star: Vec<f64> = self.xs.iter().map(|x| self.kernel.eval(x, z)).collect();
-        let mu = self.y_mean + self.y_scale * crate::linalg::dot(&k_star, &self.alpha);
-        let v = chol.solve_lower(&k_star);
-        // k(z, z) = σ²_φ exactly for the stationary family.
-        let var = self.kernel.signal_var() - crate::linalg::dot(&v, &v);
-        (mu, (var.max(0.0)) * self.y_scale * self.y_scale)
-    }
-
-    /// Posterior mean and variance at every point of `zs` — the batched
-    /// form of [`Self::predict`] the acquisition-scoring pass uses.
-    ///
-    /// Bit-identical to calling `predict` per point — every per-candidate
+    /// Bit-identical to the scalar per-point posterior the tests keep as
+    /// an oracle (`predict`) — every per-candidate
     /// arithmetic operation happens in the same order — but candidates are
     /// processed in blocks of `PREDICT_BLOCK` (8): the cross-covariance block
     /// and the multi-RHS forward substitution
-    /// ([`Cholesky::solve_lower_multi_into`]) interleave independent
+    /// (`Cholesky::solve_lower_multi_into`) interleave independent
     /// candidates, so the per-row divide chain that serializes the scalar
     /// solve pipelines across the block, and the `k_star` / solve buffers
     /// are allocated once for the whole batch instead of twice per
@@ -319,7 +304,7 @@ impl GaussianProcess {
     }
 
     /// The smallest observed target (the incumbent for minimization).
-    pub fn best_observed(&self) -> Option<f64> {
+    pub(crate) fn best_observed(&self) -> Option<f64> {
         self.ys.iter().copied().min_by(f64::total_cmp)
     }
 
@@ -331,7 +316,7 @@ impl GaussianProcess {
     /// # Panics
     ///
     /// Panics if the GP is not fitted.
-    pub fn log_marginal_likelihood(&self) -> f64 {
+    pub(crate) fn log_marginal_likelihood(&self) -> f64 {
         assert!(self.is_fitted(), "GP not fitted: call fit()");
         let chol = self.chol.as_ref().expect("GP not fitted: call fit()");
         let n = self.ys.len() as f64;
@@ -384,6 +369,25 @@ impl GaussianProcess {
         self.kernel = kernel;
         self.chol = None;
         self.fitted = 0;
+    }
+}
+
+#[cfg(test)]
+impl GaussianProcess {
+    /// Posterior mean and variance at `z` (Eq. 6 of the paper).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the GP is not fitted.
+    pub(crate) fn predict(&self, z: &[f64]) -> (f64, f64) {
+        assert!(self.is_fitted(), "GP not fitted: call fit()");
+        let chol = self.chol.as_ref().expect("GP not fitted: call fit()");
+        let k_star: Vec<f64> = self.xs.iter().map(|x| self.kernel.eval(x, z)).collect();
+        let mu = self.y_mean + self.y_scale * crate::linalg::dot(&k_star, &self.alpha);
+        let v = chol.solve_lower(&k_star);
+        // k(z, z) = σ²_φ exactly for the stationary family.
+        let var = self.kernel.signal_var() - crate::linalg::dot(&v, &v);
+        (mu, (var.max(0.0)) * self.y_scale * self.y_scale)
     }
 }
 

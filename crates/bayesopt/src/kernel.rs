@@ -55,7 +55,7 @@ impl Kernel {
     /// # Panics
     ///
     /// Panics if `scale` is not strictly positive and finite.
-    pub fn with_length_scale(self, scale: f64) -> Self {
+    pub(crate) fn with_length_scale(self, scale: f64) -> Self {
         assert!(
             scale > 0.0 && scale.is_finite(),
             "invalid length scale: {scale}"
@@ -100,26 +100,9 @@ impl Kernel {
         }
     }
 
-    /// Evaluates `k(a, b)`.
-    ///
-    /// Every kernel in this family is *stationary*: the covariance depends
-    /// on `a` and `b` only through their Euclidean distance, so `eval` is
-    /// exactly [`Kernel::distance`] followed by
-    /// [`Kernel::eval_from_distance`]. Callers that evaluate several
-    /// kernels (or several hyperparameter settings) over the same point
-    /// set should compute the distances once and reuse them — that is what
-    /// the GP's cached pairwise-distance matrix does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` and `b` have different dimensions.
-    pub fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        self.eval_from_distance(Self::distance(a, b))
-    }
-
     /// The Euclidean distance `‖a − b‖` the stationary family is evaluated
     /// at — the kernel-independent (and hyperparameter-independent) half
-    /// of [`Kernel::eval`].
+    /// of evaluating the kernel.
     ///
     /// # Panics
     ///
@@ -131,14 +114,14 @@ impl Kernel {
     /// Evaluates the kernel in place over a slice of distances — the form
     /// the GP's blocked batch-predict path uses. Exactly
     /// `eval_from_distance` mapped over the slice, bit for bit.
-    pub fn eval_from_distance_batch(&self, rs: &mut [f64]) {
+    pub(crate) fn eval_from_distance_batch(&self, rs: &mut [f64]) {
         for r in rs.iter_mut() {
             *r = self.eval_from_distance(*r);
         }
     }
 
     /// Evaluates the kernel as a function of the Euclidean distance `r`.
-    pub fn eval_from_distance(&self, r: f64) -> f64 {
+    pub(crate) fn eval_from_distance(&self, r: f64) -> f64 {
         match *self {
             Kernel::Matern12 {
                 length_scale: l,
@@ -164,6 +147,26 @@ impl Kernel {
                 signal_var: s,
             } => s * (-0.5 * (r / l) * (r / l)).exp(),
         }
+    }
+}
+
+#[cfg(test)]
+impl Kernel {
+    /// Evaluates `k(a, b)`.
+    ///
+    /// Every kernel in this family is *stationary*: the covariance depends
+    /// on `a` and `b` only through their Euclidean distance, so `eval` is
+    /// exactly [`Kernel::distance`] followed by
+    /// [`Kernel::eval_from_distance`]. Callers that evaluate several
+    /// kernels (or several hyperparameter settings) over the same point
+    /// set should compute the distances once and reuse them — that is what
+    /// the GP's cached pairwise-distance matrix does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` and `b` have different dimensions.
+    pub(crate) fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
+        self.eval_from_distance(Self::distance(a, b))
     }
 }
 

@@ -48,7 +48,7 @@ impl Matrix {
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -71,9 +71,12 @@ impl Matrix {
         assert!(r < self.rows && c < self.cols, "index out of bounds");
         self.data[r * self.cols + c] = v;
     }
+}
 
+#[cfg(test)]
+impl Matrix {
     /// True if `|self - other|` is entrywise below `tol`.
-    pub fn approx_eq(&self, other: &Matrix, tol: f64) -> bool {
+    pub(crate) fn approx_eq(&self, other: &Matrix, tol: f64) -> bool {
         self.rows == other.rows
             && self.cols == other.cols
             && self
@@ -191,7 +194,7 @@ impl Cholesky {
     /// # Panics
     ///
     /// Panics if `a.len() != n(n+1)/2`.
-    pub fn new_packed(n: usize, a: &[f64]) -> Result<Self, NotPositiveDefinite> {
+    pub(crate) fn new_packed(n: usize, a: &[f64]) -> Result<Self, NotPositiveDefinite> {
         assert_eq!(
             a.len(),
             row_start(n),
@@ -280,7 +283,7 @@ impl Cholesky {
     /// # Panics
     ///
     /// Panics if `b.len() != dim()`.
-    pub fn solve_lower(&self, b: &[f64]) -> Vec<f64> {
+    pub(crate) fn solve_lower(&self, b: &[f64]) -> Vec<f64> {
         let mut y = Vec::new();
         self.solve_lower_into(b, &mut y);
         y
@@ -293,7 +296,7 @@ impl Cholesky {
     /// # Panics
     ///
     /// Panics if `b.len() != dim()`.
-    pub fn solve_lower_into(&self, b: &[f64], y: &mut Vec<f64>) {
+    pub(crate) fn solve_lower_into(&self, b: &[f64], y: &mut Vec<f64>) {
         let n = self.n;
         assert_eq!(b.len(), n, "dimension mismatch");
         y.clear();
@@ -321,7 +324,7 @@ impl Cholesky {
     /// # Panics
     ///
     /// Panics if `width == 0` or `b.len() != dim() * width`.
-    pub fn solve_lower_multi_into(&self, b: &[f64], width: usize, y: &mut Vec<f64>) {
+    pub(crate) fn solve_lower_multi_into(&self, b: &[f64], width: usize, y: &mut Vec<f64>) {
         assert!(width > 0, "need at least one right-hand side");
         assert_eq!(b.len(), self.n * width, "dimension mismatch");
         // Compile-time width lets the column loops fully unroll; 8 is
@@ -384,7 +387,7 @@ impl Cholesky {
     /// # Panics
     ///
     /// Panics if `y.len() != dim()`.
-    pub fn solve_upper(&self, y: &[f64]) -> Vec<f64> {
+    pub(crate) fn solve_upper(&self, y: &[f64]) -> Vec<f64> {
         let mut x = Vec::new();
         self.solve_upper_into(y, &mut x);
         x
@@ -395,7 +398,7 @@ impl Cholesky {
     /// # Panics
     ///
     /// Panics if `y.len() != dim()`.
-    pub fn solve_upper_into(&self, y: &[f64], x: &mut Vec<f64>) {
+    pub(crate) fn solve_upper_into(&self, y: &[f64], x: &mut Vec<f64>) {
         let n = self.n;
         assert_eq!(y.len(), n, "dimension mismatch");
         x.clear();
@@ -415,7 +418,7 @@ impl Cholesky {
     }
 
     /// `log |A|`, cheap from the factor's diagonal.
-    pub fn log_det(&self) -> f64 {
+    pub(crate) fn log_det(&self) -> f64 {
         (0..self.n)
             .map(|i| self.data[row_start(i) + i].ln())
             .sum::<f64>()
@@ -428,7 +431,7 @@ impl Cholesky {
 /// # Panics
 ///
 /// Panics if the lengths differ.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dimension mismatch");
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
@@ -438,7 +441,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// # Panics
 ///
 /// Panics if the lengths differ.
-pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn euclidean(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dimension mismatch");
     a.iter()
         .zip(b)

@@ -1,7 +1,7 @@
 //! Walltime benchmarks of the algorithmic kernels HBO runs at every
 //! activation: the per-iteration costs the paper's Section IV-D complexity
 //! analysis talks about (`O(K³ + MN log(MN) + L log(L))`), plus the
-//! substrates (rasterizer, GMSD, decimation, discrete-event simulation).
+//! substrates (discrete-event simulation).
 //!
 //! Runs on the in-tree `hbo_bench::harness` (median-of-N walltime, JSON
 //! lines on stdout) — no external benchmarking crate.
@@ -164,22 +164,6 @@ fn bench_allocation(h: &mut Harness) {
 }
 
 fn bench_substrates(h: &mut Harness) {
-    let mesh = arscene::mesh::Mesh::rock(3, 24, 24);
-    h.bench("decimate_rock_1k_to_256", || black_box(mesh.decimate(256)));
-
-    let opts = iqa::RenderOptions {
-        resolution: 96,
-        ..iqa::RenderOptions::default()
-    };
-    h.bench("raster_rock_96px", || {
-        black_box(iqa::render_mesh(mesh.vertices(), mesh.triangles(), &opts))
-    });
-
-    let img_a = iqa::render_mesh(mesh.vertices(), mesh.triangles(), &opts);
-    let coarse = mesh.decimate(200);
-    let img_b = iqa::render_mesh(coarse.vertices(), coarse.triangles(), &opts);
-    h.bench("gmsd_96px", || black_box(iqa::gmsd(&img_a, &img_b)));
-
     // DES throughput: one simulated second of the full SC1-CF1 app.
     // `sims_per_wall_sec` is the headline metric (simulated seconds per
     // wall-clock second).

@@ -116,7 +116,7 @@ impl Series {
     }
 
     /// An ASCII sparkline of the y values.
-    pub fn sparkline(&self) -> String {
+    pub(crate) fn sparkline(&self) -> String {
         const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
         if self.points.is_empty() {
             return String::new();

@@ -64,7 +64,7 @@ use simcore::stats::{LogHistogram, Running};
 use simcore::trace::{ArgValue, Tracer, TrackId};
 use simcore::{QueueKind, Scheduler, SimDuration, SimTime, Simulator};
 
-use crate::link::{plan_validated, ByteCounters, Direction, LinkParams, TransferPlan};
+use crate::link::{plan_transfer, ByteCounters, Direction, LinkParams, TransferPlan};
 use crate::medium::{Completion, Medium, MediumParams, Mobility, SharedCell};
 use crate::server::{Admission, EdgeServer, ServerParams};
 
@@ -175,7 +175,7 @@ struct StreamRoots {
     /// Submit-jitter stream.
     jitter: u64,
     /// Uplink loss/propagation stream (the flow seed of
-    /// [`crate::plan_transfer`]).
+    /// `plan_transfer`).
     uplink: u64,
     /// Downlink loss/propagation stream.
     downlink: u64,
@@ -236,7 +236,7 @@ pub enum ClusterRadio {
     /// seed-derived placement, optional waypoint mobility, and handover.
     Shared(SharedMedium),
     /// Sessions contend for one cell, each parked at
-    /// [`SharedCell::parked`]`(seed)`.
+    /// `SharedCell::parked(seed)`.
     Cell(SharedCell),
 }
 
@@ -341,7 +341,7 @@ impl ClusterParams {
 /// streams from `master_seed` — jitter `mix(master, 0x5EED_0001 ^ i)`,
 /// uplink and downlink `mix(mix(master, 0x5EED_0002/3), i)` — and its
 /// seed, which places it on the cell, from
-/// [`SharedCell::placement_seed`]`(master_seed, i)`. Hand the result to
+/// `SharedCell::placement_seed(master_seed, i)`. Hand the result to
 /// [`ClusterSim::new`].
 pub fn one_server(
     link: LinkParams,
@@ -820,11 +820,6 @@ impl ClusterSim {
         self.state.sessions.len()
     }
 
-    /// Sessions whose closed loop has ended (departures so far).
-    pub fn departed(&self) -> usize {
-        self.state.departed
-    }
-
     /// Requests submitted and neither delivered nor dropped yet.
     pub fn in_flight(&self) -> usize {
         self.state
@@ -834,25 +829,10 @@ impl ClusterSim {
             .count()
     }
 
-    /// Round trips completed by one session.
-    pub fn session_completed(&self, session: usize) -> u64 {
-        self.state.sessions[session].completed
-    }
-
-    /// Requests dropped for one session.
-    pub fn session_dropped(&self, session: usize) -> u64 {
-        self.state.sessions[session].dropped
-    }
-
     /// One session's `(delivery time, latency ms)` samples, oldest first;
     /// empty unless [`ClusterParams::keep_samples`].
     pub fn session_samples(&self, session: usize) -> &[(SimTime, f64)] {
         self.state.samples.get(session).map_or(&[], Vec::as_slice)
-    }
-
-    /// One session's byte accounting in `dir`.
-    pub fn session_bytes(&self, session: usize, dir: Direction) -> ByteCounters {
-        self.state.sessions[session].bytes[dir as usize]
     }
 
     /// Number of cluster members.
@@ -900,6 +880,29 @@ impl ClusterSim {
     /// The shared medium, when the sessions run on one.
     pub fn medium(&self) -> Option<&Medium<(usize, u64)>> {
         self.state.medium.as_ref()
+    }
+}
+
+#[cfg(test)]
+impl ClusterSim {
+    /// Sessions whose closed loop has ended (departures so far).
+    pub(crate) fn departed(&self) -> usize {
+        self.state.departed
+    }
+
+    /// Round trips completed by one session.
+    pub(crate) fn session_completed(&self, session: usize) -> u64 {
+        self.state.sessions[session].completed
+    }
+
+    /// Requests dropped for one session.
+    pub(crate) fn session_dropped(&self, session: usize) -> u64 {
+        self.state.sessions[session].dropped
+    }
+
+    /// One session's byte accounting in `dir`.
+    pub(crate) fn session_bytes(&self, session: usize, dir: Direction) -> ByteCounters {
+        self.state.sessions[session].bytes[dir as usize]
     }
 }
 
@@ -1036,7 +1039,7 @@ impl ClusterState {
     fn plan(&self, session: usize, dir: Direction, seq: u64) -> TransferPlan {
         let st = &self.sessions[session];
         let bytes = st.spec.client.payload(dir);
-        plan_validated(&self.params.link, dir, bytes, st.streams.link(dir), seq)
+        plan_transfer(&self.params.link, dir, bytes, st.streams.link(dir), seq)
     }
 
     /// Hands transfer `seq` in `dir` to the session's radio: its private
@@ -1777,8 +1780,8 @@ mod tests {
 
     /// Runs a traced sim for `secs` and checks every private radio track:
     /// `Begin` and `End` strictly alternate (a private radio never holds
-    /// two transfers), and each span lasts exactly the occupancy the
-    /// public [`crate::plan_transfer`] gives for its `(stream, seq)`.
+    /// two transfers), and each span lasts exactly the occupancy
+    /// `plan_transfer` gives for its `(stream, seq)`.
     /// Returns the sim and the number of spans checked.
     fn run_checking_radio_spans(
         params: ClusterParams,
@@ -1824,13 +1827,8 @@ mod tests {
                                 panic!("session {session} {dir:?}: end without a begin")
                             });
                             let bytes = spec.client.payload(dir);
-                            let plan = crate::plan_transfer(
-                                &params.link,
-                                dir,
-                                bytes,
-                                roots.link(dir),
-                                seq,
-                            );
+                            let plan =
+                                plan_transfer(&params.link, dir, bytes, roots.link(dir), seq);
                             assert_eq!(
                                 r.at_ns - began,
                                 plan.occupancy.as_nanos(),
@@ -1912,8 +1910,8 @@ mod tests {
                 let payload = spec.client.payload(dir);
                 let attempts: Vec<u64> = (1..=n)
                     .map(|seq| {
-                        crate::plan_transfer(&params.link, dir, payload, roots.link(dir), seq)
-                            .attempts as u64
+                        plan_transfer(&params.link, dir, payload, roots.link(dir), seq).attempts
+                            as u64
                     })
                     .collect();
                 let bytes = sim.session_bytes(session, dir);

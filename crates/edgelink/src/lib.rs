@@ -48,7 +48,7 @@ pub use cluster::{
     one_server, ClientSpec, ClusterMetrics, ClusterParams, ClusterRadio, ClusterSim, RoutePolicy,
     ServerSpec, SessionSpec, SharedMedium,
 };
-pub use link::{plan_transfer, ByteCounters, Direction, LinkParams, TransferPlan};
+pub use link::{ByteCounters, Direction, LinkParams, TransferPlan};
 pub use medium::{CellParams, CrossTraffic, Medium, MediumParams, Mobility, RateLaw, SharedCell};
 pub use server::{Admission, EdgeServer, ServerParams};
 

@@ -124,7 +124,7 @@ impl LinkParams {
     }
 
     /// Time to serialize `bytes` onto the `dir` lane once, in ms.
-    pub fn serialize_ms(&self, dir: Direction, bytes: u64) -> f64 {
+    pub(crate) fn serialize_ms(&self, dir: Direction, bytes: u64) -> f64 {
         (bytes as f64 * 8.0) / (self.mbps(dir) * 1e6) * 1e3
     }
 
@@ -161,25 +161,10 @@ pub struct TransferPlan {
 
 /// Plans the transfer of `bytes` in direction `dir` for the `(flow_seed,
 /// seq)` identity. Pure: the same identity always yields the same plan.
-///
-/// # Panics
-///
-/// Panics if the params are invalid (see [`LinkParams::validate`]).
-pub fn plan_transfer(
-    params: &LinkParams,
-    dir: Direction,
-    bytes: u64,
-    flow_seed: u64,
-    seq: u64,
-) -> TransferPlan {
-    params.validate();
-    plan_validated(params, dir, bytes, flow_seed, seq)
-}
-
-/// [`plan_transfer`] without the parameter check, for callers that
-/// validated `params` once up front and never mutate them
-/// ([`crate::ClusterSim`] validates its link in `ClusterSim::new`).
-pub(crate) fn plan_validated(
+/// `params` must be valid: callers check them once up front and never
+/// mutate them ([`crate::ClusterSim`] validates its link in
+/// `ClusterSim::new`).
+pub(crate) fn plan_transfer(
     params: &LinkParams,
     dir: Direction,
     bytes: u64,
@@ -344,6 +329,6 @@ mod tests {
             loss_prob: 1.0,
             ..LinkParams::wifi()
         };
-        plan_transfer(&p, Direction::Up, 1, 0, 0);
+        p.validate();
     }
 }

@@ -19,7 +19,7 @@
 //! deadline is recomputed from its settled `remaining`. [`simcore`]'s
 //! scheduler has no event cancellation, so the host simulator keeps
 //! exactly one logical wake-up outstanding: it schedules an event at
-//! [`Medium::next_deadline`] carrying [`Medium::wake_gen`], and ignores any
+//! `Medium::next_deadline` carrying `Medium::wake_gen`, and ignores any
 //! event whose generation is stale. Every mutation bumps the generation.
 //!
 //! The re-solve is incremental. Each `(cell, direction)` lane caches its
@@ -31,7 +31,7 @@
 //! capacity is bit-equal to the last solve's keeps its stored rates, since
 //! water-filling the same order under the same capacity gives the same
 //! bits. The earliest completion deadline is folded during the re-solve
-//! and the earliest mobility tick is cached, so [`Medium::next_deadline`]
+//! and the earliest mobility tick is cached, so `Medium::next_deadline`
 //! only scans the cells for cross-traffic flips. Deadlines themselves are
 //! still recomputed for every flow at every boundary: `remaining` is
 //! settled there, and computing `ceil(remaining / rate)` from a different
@@ -102,7 +102,7 @@ pub struct RateLaw {
 
 impl RateLaw {
     /// A Wi-Fi-like cell: 120 Mbit/s at the AP, halved at 20 m, cubic decay.
-    pub fn wifi_cell() -> Self {
+    pub(crate) fn wifi_cell() -> Self {
         RateLaw {
             peak_mbps: 120.0,
             d_ref_m: 20.0,
@@ -111,7 +111,7 @@ impl RateLaw {
     }
 
     /// The rate cap at `d_m` meters, in Mbit/s.
-    pub fn cap_mbps(&self, d_m: f64) -> f64 {
+    pub(crate) fn cap_mbps(&self, d_m: f64) -> f64 {
         self.peak_mbps / (1.0 + (d_m / self.d_ref_m).powf(self.alpha))
     }
 }
@@ -265,7 +265,7 @@ impl SharedCell {
     }
 
     /// The [`MediumParams`] deployment for this cell.
-    pub fn medium_params(&self) -> MediumParams {
+    pub(crate) fn medium_params(&self) -> MediumParams {
         MediumParams {
             cells: vec![CellParams {
                 x_m: 0.0,
@@ -283,13 +283,13 @@ impl SharedCell {
     /// The placement seed of client `i` in a world seeded by
     /// `master_seed`, on a `0x3E11`-keyed stream so placement never
     /// perturbs flow or jitter draws.
-    pub fn placement_seed(master_seed: u64, client: usize) -> u64 {
+    pub(crate) fn placement_seed(master_seed: u64, client: usize) -> u64 {
         mix(mix(master_seed, TAG_PLACEMENT), client as u64)
     }
 
     /// Where a client with placement seed `seed` parks: on the x axis, at
     /// a distance from the AP drawn uniformly over the disc (`r·√u`).
-    pub fn parked(&self, seed: u64) -> Mobility {
+    pub(crate) fn parked(&self, seed: u64) -> Mobility {
         Mobility::Fixed {
             x_m: self.radius_m * unit(seed).sqrt(),
             y_m: 0.0,
@@ -338,7 +338,7 @@ impl Mobility {
     /// counterpart of a [`Mobility::Waypoints`] walk starting from the
     /// same seed, so a deployment can flip walking on and off without
     /// re-placing its population.
-    pub fn parked(seed: u64, area_m: f64) -> Mobility {
+    pub(crate) fn parked(seed: u64, area_m: f64) -> Mobility {
         let (x_m, y_m) = waypoint(seed, 0, area_m);
         Mobility::Fixed { x_m, y_m }
     }
@@ -542,7 +542,7 @@ impl<K: Copy> Medium<K> {
 
     /// Attaches a client at `now`; returns its id. Clients are expected to
     /// be added up front, before the host schedules its first wake.
-    pub fn add_client(&mut self, now: SimTime, mobility: Mobility) -> usize {
+    pub(crate) fn add_client(&mut self, now: SimTime, mobility: Mobility) -> usize {
         let (x, y, leg_to, leg_end, next_tick) = match mobility {
             Mobility::Fixed { x_m, y_m } => (x_m, y_m, (x_m, y_m), SimTime::MAX, None),
             Mobility::Waypoints { seed, area_m, .. } => {
@@ -578,7 +578,14 @@ impl<K: Copy> Medium<K> {
 
     /// Starts a transfer of `bytes` for `client` in `dir`, keyed `key`.
     /// Rates in the client's cell re-solve immediately.
-    pub fn start_flow(&mut self, now: SimTime, client: usize, dir: Direction, bytes: f64, key: K) {
+    pub(crate) fn start_flow(
+        &mut self,
+        now: SimTime,
+        client: usize,
+        dir: Direction,
+        bytes: f64,
+        key: K,
+    ) {
         assert!(bytes > 0.0, "flow must carry bytes");
         self.settle_all(now);
         let cell = self.clients[client].cell;
@@ -608,7 +615,7 @@ impl<K: Copy> Medium<K> {
 
     /// The earliest internal deadline: a flow completion, a mobility tick,
     /// or a cross-traffic flip. `None` when the medium is fully idle.
-    pub fn next_deadline(&self) -> Option<SimTime> {
+    pub(crate) fn next_deadline(&self) -> Option<SimTime> {
         // Cross-traffic flips only matter while the cell carries flows.
         let flips = self
             .params
@@ -626,7 +633,7 @@ impl<K: Copy> Medium<K> {
 
     /// The current wake generation: bumped on every mutation, so a host
     /// event carrying an older generation is stale and must be ignored.
-    pub fn wake_gen(&self) -> u64 {
+    pub(crate) fn wake_gen(&self) -> u64 {
         self.wake_gen
     }
 
@@ -792,12 +799,12 @@ impl<K: Copy> Medium<K> {
     // ---- observability ----------------------------------------------------
 
     /// Number of in-flight flows in `cell` for `dir`.
-    pub fn active_flows(&self, cell: usize, dir: Direction) -> usize {
+    pub(crate) fn active_flows(&self, cell: usize, dir: Direction) -> usize {
         self.lanes[cell][dir_idx(dir)].slots.len()
     }
 
     /// Sum of allocated rates in `cell` for `dir`, Mbit/s.
-    pub fn allocated_mbps(&self, cell: usize, dir: Direction) -> f64 {
+    pub(crate) fn allocated_mbps(&self, cell: usize, dir: Direction) -> f64 {
         to_mbps(
             self.lanes[cell][dir_idx(dir)]
                 .slots
@@ -840,24 +847,9 @@ impl<K: Copy> Medium<K> {
                 .sum::<usize>()
     }
 
-    /// The serving cell of `client`.
-    pub fn client_cell(&self, client: usize) -> usize {
-        self.clients[client].cell
-    }
-
-    /// The current per-client rate cap of `client`, Mbit/s.
-    pub fn client_cap_mbps(&self, client: usize) -> f64 {
-        to_mbps(self.clients[client].cap)
-    }
-
     /// Number of cells in the deployment.
-    pub fn cell_count(&self) -> usize {
+    pub(crate) fn cell_count(&self) -> usize {
         self.params.cells.len()
-    }
-
-    /// Total bytes offered via [`Medium::start_flow`].
-    pub fn offered_bytes(&self) -> f64 {
-        self.offered_bytes
     }
 
     /// Total bytes of completed flows.
@@ -868,6 +860,24 @@ impl<K: Copy> Medium<K> {
     /// Bytes still in flight, as of the last settlement.
     pub fn in_flight_bytes(&self) -> f64 {
         self.flows.iter().flatten().map(|f| f.remaining).sum()
+    }
+}
+
+#[cfg(test)]
+impl<K: Copy> Medium<K> {
+    /// The serving cell of `client`.
+    pub(crate) fn client_cell(&self, client: usize) -> usize {
+        self.clients[client].cell
+    }
+
+    /// The current per-client rate cap of `client`, Mbit/s.
+    pub(crate) fn client_cap_mbps(&self, client: usize) -> f64 {
+        to_mbps(self.clients[client].cap)
+    }
+
+    /// Total bytes offered via [`Medium::start_flow`].
+    pub(crate) fn offered_bytes(&self) -> f64 {
+        self.offered_bytes
     }
 
     /// Asserts the allocation invariants: per-cell rate sums within the
@@ -881,7 +891,7 @@ impl<K: Copy> Medium<K> {
     /// # Panics
     ///
     /// Panics if an invariant is violated.
-    pub fn check_invariants(&self) {
+    pub(crate) fn check_invariants(&self) {
         const TOL: f64 = 1e-9;
         let mut in_lanes = 0;
         for (ci, cell) in self.params.cells.iter().enumerate() {

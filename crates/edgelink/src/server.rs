@@ -81,7 +81,7 @@ impl<K: Copy> EdgeServer<K> {
     }
 
     /// Requests currently in service.
-    pub fn in_service(&self) -> usize {
+    pub(crate) fn in_service(&self) -> usize {
         self.lanes.running_len()
     }
 
@@ -93,7 +93,7 @@ impl<K: Copy> EdgeServer<K> {
     /// Offers a request needing `work` of lane time. Rejection happens
     /// only when every lane is busy *and* the queue is at capacity — a
     /// free lane always admits, even with a zero-length queue.
-    pub fn try_admit(&mut self, now: SimTime, key: K, work: SimDuration) -> Admission<K> {
+    pub(crate) fn try_admit(&mut self, now: SimTime, key: K, work: SimDuration) -> Admission<K> {
         if self.lanes.running_len() >= self.lane_count && self.lanes.queue_len() >= self.capacity {
             self.rejected += 1;
             return Admission::Rejected;

@@ -34,7 +34,7 @@ pub const TASK_JITTER_MS: f64 = 5.0;
 pub const TASK_PERIOD_DETUNE: f64 = 0.03;
 
 /// The detuned period of the `index`-th task.
-pub fn task_period_ms(index: usize) -> f64 {
+pub(crate) fn task_period_ms(index: usize) -> f64 {
     let step = (index % 5) as f64 - 2.0;
     TASK_PERIOD_MS * (1.0 + TASK_PERIOD_DETUNE * step)
 }
@@ -270,7 +270,7 @@ impl MarApp {
     ///
     /// Panics if `task` is out of range or `client_overhead_ms` is not
     /// positive and finite.
-    pub fn set_offloaded(&mut self, task: usize, client_overhead_ms: f64) {
+    pub(crate) fn set_offloaded(&mut self, task: usize, client_overhead_ms: f64) {
         assert!(
             client_overhead_ms.is_finite() && client_overhead_ms > 0.0,
             "invalid client overhead: {client_overhead_ms}"
@@ -418,15 +418,6 @@ impl MarApp {
         }
     }
 
-    /// Achieved render frame rate over the trailing `secs` seconds.
-    pub fn fps_over_last_secs(&self, secs: f64) -> f64 {
-        let now = self.sim.now();
-        let since = SimTime::from_secs_f64((now.as_secs_f64() - secs).max(0.0));
-        self.sim
-            .source_metrics(self.render_source)
-            .rate_since(since, now)
-    }
-
     /// Pushes the scene's current render load into the render source and
     /// re-derives every task's bandwidth-inflated execution plan (effective
     /// at each task's next inference).
@@ -560,7 +551,13 @@ mod tests {
         let mut app = MarApp::new(&ScenarioSpec::sc1_cf1());
         app.place_all_objects();
         app.run_for_secs(3.0);
-        let fps = app.fps_over_last_secs(1.0);
+        // Achieved render frame rate over the trailing second.
+        let now = app.sim.now();
+        let since = SimTime::from_secs_f64(now.as_secs_f64() - 1.0);
+        let fps = app
+            .sim
+            .source_metrics(app.render_source)
+            .rate_since(since, now);
         assert!(fps > 10.0 && fps <= 61.0, "fps = {fps}");
     }
 

@@ -13,7 +13,7 @@
 //! ([`edgelink::one_server`]) carrying one flow per `(client,
 //! edge-allocated task)`. A task allocated to Edge leaves
 //! only a small serialization stub on the SoC
-//! ([`MarApp::set_offloaded`]); its latency is measured from the edge
+//! (`MarApp::set_offloaded`); its latency is measured from the edge
 //! simulation instead.
 //!
 //! The optimizer is unchanged: HBO sees Edge as one more simplex
@@ -110,7 +110,7 @@ impl EdgeSpec {
     /// The link profile HBO plans with: the private link as-is, or — on a
     /// shared cell — the same profile with both bandwidths replaced by the
     /// effective per-client share at this fleet size.
-    pub fn planning_link(&self) -> LinkParams {
+    pub(crate) fn planning_link(&self) -> LinkParams {
         match self.shared {
             None => self.link,
             Some(cell) => LinkParams {
@@ -122,7 +122,7 @@ impl EdgeSpec {
     }
 
     /// Unloaded offload latency for such a task — the Edge `τ^e`.
-    pub fn offload_estimate_ms(&self, best_local_ms: f64) -> f64 {
+    pub(crate) fn offload_estimate_ms(&self, best_local_ms: f64) -> f64 {
         self.planning_link().unloaded_offload_ms(
             self.request_bytes,
             self.response_bytes,
@@ -536,7 +536,7 @@ impl EdgeSystemOutcome {
 /// extended window. The re-measurement is never traced: it runs in an
 /// explicitly disabled scope, since its spans would overlap the
 /// activation's tracks at the same simulated times.
-pub fn evaluate_fixed_edge(
+pub(crate) fn evaluate_fixed_edge(
     spec: &ScenarioSpec,
     allocation: &[Delegate],
     x: f64,
@@ -572,7 +572,7 @@ pub fn evaluate_fixed_edge(
 /// # Panics
 ///
 /// Panics if `spec.edge` is `None`.
-pub fn compare_edge_systems(
+pub(crate) fn compare_edge_systems(
     spec: &ScenarioSpec,
     config: &HboConfig,
     seed: u64,
@@ -627,7 +627,7 @@ fn edge_stats_json(edge: &Option<EdgeStats>) -> String {
 }
 
 /// Renders one sweep row as a JSON line (hand-rolled; hermetic build).
-pub fn row_json(
+pub(crate) fn row_json(
     scenario: &str,
     clients: usize,
     uplink_mbps: f64,
@@ -678,7 +678,7 @@ pub fn sweep_cell(
 /// re-measured on a fresh fleet. The row reports HBO's edge-allocation
 /// share next to the effective bandwidth, so the sweep shows the flip
 /// back to local inference as the cell fills up. Under a tracer only the
-/// HBO activation is recorded ([`evaluate_fixed_edge`] is untraced).
+/// HBO activation is recorded (the re-measurement is untraced).
 pub fn stadium_cell(
     base: &ScenarioSpec,
     cell: SharedCell,

@@ -258,7 +258,16 @@ fn warm_variant(config: &HboConfig) -> HboConfig {
 }
 
 /// [`run_hbo`] with the fleet-wide warm-start cache in the loop, keyed on
-/// [`scenario_signature`]. See [`run_hbo_warm_keyed`].
+/// [`scenario_signature`].
+///
+/// On a cache hit the activation observes the cached converged
+/// configuration as a seed window right after the incumbent, switches to
+/// [`BoConfig::warm_default`]'s smaller candidate cloud, and
+/// shortens the random design; on a miss it runs the cold config
+/// unchanged. Either way the session's own best is stored back
+/// (better-reward-wins) under the same signature, so later sessions warm
+/// up from it. Deterministic given `(spec, config, seed)` and the cache
+/// contents.
 pub fn run_hbo_warm(
     spec: &ScenarioSpec,
     config: &HboConfig,
@@ -271,16 +280,7 @@ pub fn run_hbo_warm(
 
 /// [`run_hbo_warm`] with a caller-chosen signature (the fleet planner
 /// keys per-class plans on class identity rather than a full scenario).
-///
-/// On a cache hit the activation observes the cached converged
-/// configuration as a seed window right after the incumbent, switches to
-/// [`BoConfig::warm_default`]'s smaller candidate cloud, and
-/// shortens the random design; on a miss it runs the cold config
-/// unchanged. Either way the session's own best is stored back
-/// (better-reward-wins) under the same signature, so later sessions warm
-/// up from it. Deterministic given `(spec, config, seed)` and the cache
-/// contents.
-pub fn run_hbo_warm_keyed(
+pub(crate) fn run_hbo_warm_keyed(
     spec: &ScenarioSpec,
     config: &HboConfig,
     seed: u64,

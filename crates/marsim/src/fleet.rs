@@ -478,7 +478,7 @@ pub fn run_mobility_cell(spec: &FleetSpec, seed: u64) -> FleetCellResult {
 /// scalar, and no edge dimension (the plan optimizes the *on-device*
 /// share of the class workload). Keyed on the class's operating point —
 /// not the fleet size — so later sweep epochs hit the cache warm.
-pub fn class_signature(class: &DeviceClass) -> ScenarioSignature {
+pub(crate) fn class_signature(class: &DeviceClass) -> ScenarioSignature {
     ScenarioSignature::quantize(
         &class.device.name,
         std::iter::once(class.model.as_str()),

@@ -56,17 +56,17 @@ pub mod telemetry;
 pub mod timeline;
 pub mod userstudy;
 
-pub use app::{task_period_ms, MarApp, Measurement, TASK_GAP_MS, TASK_JITTER_MS, TASK_PERIOD_MS};
+pub use app::{MarApp, Measurement, TASK_GAP_MS, TASK_JITTER_MS, TASK_PERIOD_MS};
 pub use edge::{
     run_edge_hbo_warm, stadium_cell, EdgeMeasurement, EdgeSpec, EdgeSystemOutcome, EdgeWorld,
 };
 pub use experiment::{
-    run_hbo_warm, run_hbo_warm_keyed, scenario_signature, BaselineOutcome, ExperimentResult,
-    HboRunResult, WarmRunResult,
+    run_hbo_warm, scenario_signature, BaselineOutcome, ExperimentResult, HboRunResult,
+    WarmRunResult,
 };
 pub use fleet::{
-    class_signature, run_class_plan, run_fleet_cell, run_fleet_cell_traced, run_mobility_cell,
-    DeviceClass, FleetCellResult, FleetPlanResult, FleetSpec,
+    run_class_plan, run_fleet_cell, run_fleet_cell_traced, run_mobility_cell, DeviceClass,
+    FleetCellResult, FleetPlanResult, FleetSpec,
 };
 pub use rows::JsonRow;
 pub use runner::{RunnerReport, SweepJob, SweepOutcome, SweepResult};

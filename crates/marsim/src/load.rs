@@ -50,7 +50,7 @@ pub fn render_utilization(device: &DeviceProfile, visible_tris: f64) -> f64 {
 /// Applies the bandwidth coupling to an arbitrary stage sequence: NPU and
 /// CPU compute stages are inflated by the congestion factor; GPU stages
 /// and delays pass through unchanged.
-pub fn inflate_stages(base: &StageSeq, procs: SocProcs, utilization: f64) -> StageSeq {
+pub(crate) fn inflate_stages(base: &StageSeq, procs: SocProcs, utilization: f64) -> StageSeq {
     let c = congestion(utilization);
     let npu_factor = 1.0 + BETA_NPU * c;
     let cpu_factor = 1.0 + BETA_CPU * c;
@@ -78,7 +78,7 @@ pub fn inflate_stages(base: &StageSeq, procs: SocProcs, utilization: f64) -> Sta
 ///
 /// With `utilization = 0` (no objects on screen) this is exactly the
 /// calibrated Table I plan.
-pub fn inflated_plan(
+pub(crate) fn inflated_plan(
     model: &Model,
     delegate: Delegate,
     device: &DeviceProfile,

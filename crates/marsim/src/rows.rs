@@ -14,7 +14,7 @@
 /// Renders an optional millisecond statistic with the sweeps' fixed
 /// 6-decimal format, or JSON `null` when the window had no completions —
 /// so rows distinguish "nothing finished" from a genuine 0 ms mean.
-pub fn fmt_opt_ms(v: Option<f64>) -> String {
+pub(crate) fn fmt_opt_ms(v: Option<f64>) -> String {
     match v {
         Some(x) => format!("{x:.6}"),
         None => "null".to_owned(),
@@ -99,7 +99,7 @@ impl JsonRow {
     }
 
     /// Adds an optional millisecond statistic ([`fmt_opt_ms`] format).
-    pub fn opt_ms(mut self, key: &str, v: Option<f64>) -> Self {
+    pub(crate) fn opt_ms(mut self, key: &str, v: Option<f64>) -> Self {
         self.push_key(key);
         self.buf.push_str(&fmt_opt_ms(v));
         self

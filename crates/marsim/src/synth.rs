@@ -22,7 +22,7 @@ pub struct Archetype {
 }
 
 /// The built-in archetype spectrum used by [`random_scenario`].
-pub fn archetypes() -> Vec<Archetype> {
+pub(crate) fn archetypes() -> Vec<Archetype> {
     vec![
         Archetype {
             name: "mega",

@@ -59,7 +59,7 @@ pub struct TelemetrySummary {
 impl TelemetrySummary {
     /// The deepest queue observed anywhere: SoC FIFO backlogs and the
     /// edge admission queue.
-    pub fn max_queue_depth(&self) -> usize {
+    pub(crate) fn max_queue_depth(&self) -> usize {
         self.processors
             .iter()
             .map(|p| p.peak_queue)

@@ -111,7 +111,7 @@ impl RaterPanel {
 
     /// Collects every rater's score for a scene of quality `q` under a
     /// labeled condition (the label decorrelates noise across conditions).
-    pub fn score_condition(&self, q: f64, condition: &str) -> Vec<f64> {
+    pub(crate) fn score_condition(&self, q: f64, condition: &str) -> Vec<f64> {
         let mut scores = Vec::with_capacity(self.raters.len());
         for (i, rater) in self.raters.iter().enumerate() {
             let mut rng = simcore::rng::indexed_stream(self.seed, condition, i as u64);

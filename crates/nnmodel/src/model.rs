@@ -111,11 +111,6 @@ impl Model {
         self.isolated_ms(delegate).is_some()
     }
 
-    /// The delegates this model supports, in resource-index order.
-    pub fn supported_delegates(&self) -> impl Iterator<Item = Delegate> + '_ {
-        Delegate::ALL.into_iter().filter(|d| self.supports(*d))
-    }
-
     /// The delegate with the lowest isolated latency and that latency —
     /// the "static affinity" the paper's SMQ/SML baselines allocate to, and
     /// the `τ^e` reference of Eq. (4).
@@ -128,7 +123,7 @@ impl Model {
     }
 
     /// The NNAPI partition structure.
-    pub fn nnapi_structure(&self) -> NnapiStructure {
+    pub(crate) fn nnapi_structure(&self) -> NnapiStructure {
         self.nnapi
     }
 
@@ -222,7 +217,10 @@ mod tests {
         assert_eq!(m.kind(), TaskKind::ImageClassification);
         assert_eq!(m.isolated_ms(Delegate::Gpu), Some(30.0));
         assert!(m.supports(Delegate::Cpu));
-        assert_eq!(m.supported_delegates().count(), 3);
+        assert_eq!(
+            Delegate::ALL.into_iter().filter(|&d| m.supports(d)).count(),
+            3
+        );
     }
 
     #[test]
@@ -254,7 +252,7 @@ mod tests {
         let m = sample();
         let dev = DeviceProfile::pixel7();
         let (_, procs) = dev.topology();
-        for d in m.supported_delegates().collect::<Vec<_>>() {
+        for d in Delegate::ALL.into_iter().filter(|&d| m.supports(d)) {
             let plan = m.plan(d, &dev, procs).unwrap();
             let nominal = plan.nominal_total().as_millis_f64();
             let target = m.isolated_ms(d).unwrap();
@@ -320,7 +318,7 @@ mod tests {
         );
         let dev = DeviceProfile::pixel7();
         let (_, procs) = dev.topology();
-        for d in m.supported_delegates().collect::<Vec<_>>() {
+        for d in Delegate::ALL.into_iter().filter(|&d| m.supports(d)) {
             let plan = m.plan(d, &dev, procs).unwrap();
             assert!((plan.nominal_total().as_millis_f64() - 1.0).abs() < 1e-6);
         }

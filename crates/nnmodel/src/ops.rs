@@ -138,30 +138,6 @@ impl OpGraph {
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
-
-    /// The compute share with NPU kernels available.
-    pub fn npu_supported_fraction(&self) -> f64 {
-        self.ops
-            .iter()
-            .filter(|o| o.npu_supported)
-            .map(|o| o.work_fraction)
-            .sum()
-    }
-
-    /// Contiguous `(npu_supported, work_fraction)` runs — what a real
-    /// NNAPI partitioner turns into subgraphs.
-    pub fn segments(&self) -> Vec<(bool, f64)> {
-        let mut out: Vec<(bool, f64)> = Vec::new();
-        for op in &self.ops {
-            match out.last_mut() {
-                Some((supported, frac)) if *supported == op.npu_supported => {
-                    *frac += op.work_fraction;
-                }
-                _ => out.push((op.npu_supported, op.work_fraction)),
-            }
-        }
-        out
-    }
 }
 
 /// Which engine a fine-grained scheduler put an operator on.
@@ -288,12 +264,16 @@ mod tests {
         let m = model();
         let g = OpGraph::synthesize(&m, 16);
         let target = m.nnapi_structure().npu_fraction;
+        let supported: f64 = g
+            .ops()
+            .iter()
+            .filter(|o| o.npu_supported)
+            .map(|o| o.work_fraction)
+            .sum();
         // Tail-marking overshoots by at most one op's fraction.
         assert!(
-            (g.npu_supported_fraction() - target).abs() < 0.15,
-            "supported {} vs target {}",
-            g.npu_supported_fraction(),
-            target
+            (supported - target).abs() < 0.15,
+            "supported {supported} vs target {target}"
         );
         // Post-processing is never NPU-supported for partially-supported
         // models.
@@ -303,7 +283,17 @@ mod tests {
     #[test]
     fn segments_merge_contiguous_runs() {
         let g = OpGraph::synthesize(&model(), 10);
-        let segs = g.segments();
+        // Contiguous `(npu_supported, work_fraction)` runs — what a real
+        // NNAPI partitioner turns into subgraphs.
+        let mut segs: Vec<(bool, f64)> = Vec::new();
+        for op in g.ops() {
+            match segs.last_mut() {
+                Some((supported, frac)) if *supported == op.npu_supported => {
+                    *frac += op.work_fraction;
+                }
+                _ => segs.push((op.npu_supported, op.work_fraction)),
+            }
+        }
         // Alternation is minimal: supported head + unsupported tail.
         assert!(segs.len() <= 3, "{segs:?}");
         let total: f64 = segs.iter().map(|(_, f)| f).sum();

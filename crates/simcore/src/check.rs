@@ -5,7 +5,7 @@
 //!
 //! * [`Strategy`] — generates random values and proposes shrunk
 //!   candidates (integer, float, vec, and tuple strategies are built in).
-//! * [`check`] / [`check_with`] — run a property over many seeded cases
+//! * [`check`] — run a property over many seeded cases
 //!   (256 by default), greedily shrink the first counterexample, and
 //!   panic with a replayable seed.
 //! * [`prop_assert!`](crate::prop_assert) /
@@ -105,7 +105,7 @@ pub trait Strategy {
 /// honors the `SIMCORE_CHECK_CASES` and `SIMCORE_CHECK_SEED` environment
 /// variables.
 #[derive(Debug, Clone)]
-pub struct Config {
+pub(crate) struct Config {
     /// Number of random cases to run (default 256).
     pub cases: u32,
     /// Master seed from which per-case seeds derive.
@@ -134,8 +134,10 @@ impl Default for Config {
     }
 }
 
-/// Runs `prop` over randomly generated inputs with the default
-/// [`Config`]; panics with a replayable report on the first failure.
+/// Runs `prop` over randomly generated inputs (256 cases unless
+/// `SIMCORE_CHECK_CASES` says otherwise, or the one case
+/// `SIMCORE_CHECK_SEED` names); panics with a replayable report on the
+/// first failure.
 pub fn check<S, P>(name: &str, strategy: S, prop: P)
 where
     S: Strategy,
@@ -145,7 +147,7 @@ where
 }
 
 /// [`check`] with an explicit configuration.
-pub fn check_with<S, P>(config: &Config, name: &str, strategy: S, prop: P)
+pub(crate) fn check_with<S, P>(config: &Config, name: &str, strategy: S, prop: P)
 where
     S: Strategy,
     P: Fn(&S::Value) -> Result<(), String>,

@@ -139,7 +139,7 @@ impl DownsampleRing {
     }
 
     /// Current bucket width in nanoseconds (doubles per downsample).
-    pub fn bucket_ns(&self) -> u64 {
+    pub(crate) fn bucket_ns(&self) -> u64 {
         self.bucket_ns
     }
 

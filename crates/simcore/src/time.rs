@@ -73,7 +73,7 @@ impl SimTime {
     }
 
     /// The duration elapsed since `earlier`, or zero if `earlier` is later.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
+    pub(crate) fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 }

@@ -71,7 +71,7 @@ impl PowerModel {
     }
 
     /// The power entry for a processor name, if modeled.
-    pub fn for_name(&self, name: &str) -> Option<ProcessorPower> {
+    pub(crate) fn for_name(&self, name: &str) -> Option<ProcessorPower> {
         self.entries
             .iter()
             .find(|(n, _)| n == name)

@@ -207,7 +207,7 @@ impl<K: Copy> PsServer<K> {
     /// The next time any resident job can finish, or `None` if idle.
     /// Rounded *up* by one nanosecond so the job is guaranteed complete
     /// when the check fires.
-    pub fn next_check(&self, now: SimTime) -> Option<SimTime> {
+    pub(crate) fn next_check(&self, now: SimTime) -> Option<SimTime> {
         if self.jobs.is_empty() {
             return None;
         }
@@ -241,7 +241,7 @@ impl<K: Copy> PsServer<K> {
     /// caller-owned scratch buffer (the hot simulation loop reuses one
     /// across events) and returning the next check time. Bumps the
     /// generation iff membership changed.
-    pub fn on_check_into(&mut self, now: SimTime, finished: &mut Vec<K>) -> Option<SimTime> {
+    pub(crate) fn on_check_into(&mut self, now: SimTime, finished: &mut Vec<K>) -> Option<SimTime> {
         self.advance(now);
         let before = finished.len();
         self.jobs.retain(|j| {

@@ -436,13 +436,13 @@ impl SocSim {
 
     /// High-water mark of in-flight source instances, summed over the
     /// sources.
-    pub fn peak_in_flight(&self) -> usize {
+    pub(crate) fn peak_in_flight(&self) -> usize {
         self.state.sources.iter().map(|s| s.peak_outstanding).sum()
     }
 
     /// Bytes retained by the per-source in-flight lists: capacity, not
     /// just live entries, so it reports what the allocator actually holds.
-    pub fn in_flight_footprint_bytes(&self) -> usize {
+    pub(crate) fn in_flight_footprint_bytes(&self) -> usize {
         self.state
             .sources
             .iter()

@@ -4,11 +4,11 @@
 //!
 //! [`ProcId`]s are deliberately only minted by this module: callers obtain
 //! them from [`Topology::add_processor`], [`Topology::proc_by_name`], or the
-//! iterators ([`Topology::iter`], [`Topology::proc_ids`]). The inner index
+//! iterator [`Topology::iter`]. The inner index
 //! stays `pub(crate)` so an id can never be fabricated for a topology it
 //! does not belong to; external crates (e.g. `edgelink`, which builds
 //! per-client device topologies) enumerate processors through the public
-//! iterators instead of constructing raw indices.
+//! iterator instead of constructing raw indices.
 
 use crate::server::ServicePolicy;
 
@@ -49,8 +49,8 @@ pub struct ProcessorSpec {
 /// let cpu = topo.add_processor("cpu", ServicePolicy::Fifo { slots: 4 });
 /// let gpu = topo.add_processor("gpu", ServicePolicy::ProcessorSharing);
 /// assert_eq!(topo.len(), 2);
-/// assert_eq!(topo.proc_by_name("gpu"), Some(gpu));
 /// assert_eq!(topo.spec(cpu).name, "cpu");
+/// assert_eq!(topo.spec(gpu).name, "gpu");
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Topology {
@@ -85,7 +85,7 @@ impl Topology {
     }
 
     /// Looks a processor up by name.
-    pub fn proc_by_name(&self, name: &str) -> Option<ProcId> {
+    pub(crate) fn proc_by_name(&self, name: &str) -> Option<ProcId> {
         self.processors
             .iter()
             .position(|p| p.name == name)
@@ -119,14 +119,6 @@ impl Topology {
             .map(|(i, s)| (ProcId(i), s))
     }
 
-    /// Iterates over all processor ids, in insertion order.
-    ///
-    /// This is the sanctioned way for other crates to enumerate processors
-    /// without access to `ProcId`'s private index (see the module docs).
-    pub fn proc_ids(&self) -> impl Iterator<Item = ProcId> {
-        (0..self.processors.len()).map(ProcId)
-    }
-
     /// Checks that `id` belongs to this topology.
     pub fn contains(&self, id: ProcId) -> bool {
         id.0 < self.processors.len()
@@ -147,7 +139,7 @@ mod tests {
         assert_eq!(t.proc_by_name("npu"), None);
         assert!(t.contains(a));
         assert_eq!(t.iter().count(), 2);
-        assert_eq!(t.proc_ids().collect::<Vec<_>>(), vec![a, b]);
+        assert_eq!(t.iter().map(|(id, _)| id).collect::<Vec<_>>(), vec![a, b]);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! | [`simcore`] | discrete-event simulation engine |
 //! | [`soc`] | heterogeneous mobile SoC substrate (CPU / GPU / NPU) |
 //! | [`nnmodel`] | AI model zoo + delegate partitioning (TFLite stand-in) |
-//! | [`iqa`] | software rasterizer + GMSD image-quality index |
 //! | [`arscene`] | virtual objects, decimation, quality model (Eq. 1–2) |
 //! | [`bayesopt`] | Gaussian-process Bayesian optimization (Matérn 5/2 + EI) |
 //! | [`hbo_core`] | the paper's contribution: Algorithm 1, activation, baselines |
@@ -25,7 +24,6 @@
 pub use arscene;
 pub use bayesopt;
 pub use hbo_core;
-pub use iqa;
 pub use marsim;
 pub use nnmodel;
 pub use simcore;

@@ -1,6 +1,5 @@
 //! Cross-crate integration tests exercising seams between the substrates:
-//! controller ↔ app, scene ↔ render load, policy ↔ timeline, quality
-//! pipeline ↔ scenario constants.
+//! controller ↔ app, scene ↔ render load, policy ↔ timeline.
 
 use hbo_core::{HboConfig, HboController};
 use hbo_suite::prelude::*;
@@ -69,28 +68,6 @@ fn placements_respect_the_enforced_ratio() {
     let after = app.scene().overall_ratio();
     assert!((before - 0.5).abs() < 0.02);
     assert!((after - 0.5).abs() < 0.02, "after = {after}");
-}
-
-#[test]
-fn fitting_pipeline_feeds_a_usable_scene_object() {
-    // mesh -> decimate/render/GMSD -> fit -> VirtualObject -> TD.
-    let mesh = arscene::mesh::Mesh::rock(11, 20, 20);
-    let samples = arscene::fit::measure_degradation(&mesh, &[0.2, 0.5, 0.8, 1.0], &[2.0, 3.5], 72);
-    let (params, _) = arscene::fit::fit_params(&samples);
-    let mut scene = Scene::new(1.5);
-    scene.add_object(VirtualObject::new(
-        "fitted-rock",
-        mesh.triangle_count() as u64,
-        params,
-        1.0,
-    ));
-    scene.distribute_triangles(0.5);
-    let q = scene.average_quality();
-    assert!((0.0..=1.0).contains(&q));
-    assert!(
-        scene.average_quality() <= 1.0 + 1e-12,
-        "quality bounded after distribution"
-    );
 }
 
 #[test]
