@@ -28,9 +28,9 @@
 //!   trace-event (Perfetto-loadable) export; zero overhead when the
 //!   [`trace::Tracer`] handle is disabled.
 //! * [`metrics`] — bounded streaming aggregation over the trace stream:
-//!   per-span-series duration statistics, fixed-capacity downsampling
-//!   time series for counters, deterministic head-sampling for fleets,
-//!   and a Prometheus-style text exposition.
+//!   per-span-series duration statistics, per-counter-series sample
+//!   statistics, deterministic head-sampling for fleets, and a
+//!   Prometheus-style text exposition.
 //!
 //! # Example
 //!

@@ -9,14 +9,10 @@
 //! * [`AggregatingSink`] implements [`TraceSink`] and folds span
 //!   begin/end/complete events into per-`(track, span-name)` streaming
 //!   statistics — count, total/max duration, and a [`LogHistogram`] of
-//!   durations for p50/p95/p99 — and counter samples into fixed-capacity
-//!   time series.
-//! * [`DownsampleRing`] is that time series: a bounded bucket array at
-//!   power-of-two resolution. When a sample lands beyond the last
-//!   bucket, adjacent bucket pairs merge in place and the bucket width
-//!   doubles — O(1) amortized per sample, capacity never grows, so
-//!   aggregator memory is bounded by fixed caps instead of by simulated
-//!   time.
+//!   durations for p50/p95/p99 — and counter samples into
+//!   per-`(track, counter-name)` count/sum/min/max/last. It collects
+//!   straight into a [`MetricsBuffer`], so its memory is bounded by the
+//!   series cap, never by the number of events or by simulated time.
 //! * [`MetricsBuffer`] is the plain-data snapshot (`Send`, mergeable in
 //!   job-index order exactly like trace buffers) with a deterministic
 //!   Prometheus-style text exposition
@@ -37,7 +33,7 @@ use crate::rng::mix;
 use crate::stats::LogHistogram;
 use crate::trace::{
     observe, ArgValue, ChromeTraceSink, TeeSink, TraceBuffer, TracePhase, TraceRecord, TraceSink,
-    Tracer, TrackDef, TrackId,
+    Tracer, TrackId, TrackTable,
 };
 
 /// Domain-separation tag for [`head_sample`] draws, so the sampling
@@ -51,193 +47,14 @@ fn duration_histogram() -> LogHistogram {
     LogHistogram::new(100.0, 1.3, 80)
 }
 
-// Memory bounds of an [`AggregatingSink`]. Every bound is a hard cap:
-// the sink's footprint depends on these, never on how many events flow
-// through it. 512 buckets × 1 ms initial width covers a 512 ms cell at
-// full resolution and a 30 s horizon after 6 downsamples (~59 ms
-// buckets) — a few tens of KB per counter series.
-
-/// Bucket count of each counter series' [`DownsampleRing`].
-const RING_CAPACITY: usize = 512;
-/// Initial ring bucket width in nanoseconds; doubles on every downsample.
-const RING_BUCKET_NS: u64 = 1_000_000;
+/// Bucket count the counter resolution is derived for.
+const RESOLUTION_BUCKETS: u64 = 512;
+/// Finest counter resolution in nanoseconds.
+const RESOLUTION_NS: u64 = 1_000_000;
 /// Cap on distinct `(track, name)` series per kind (spans and counters
 /// separately). Events for series beyond the cap are counted in
 /// [`MetricsBuffer::overflow_events`] and dropped.
 const MAX_SERIES: usize = 256;
-
-/// One bucket of a [`DownsampleRing`]: the fold of every counter sample
-/// whose timestamp fell inside the bucket's window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RingBucket {
-    /// Samples folded into this bucket (0 = the window saw none).
-    pub count: u64,
-    /// Sum of sample values.
-    pub sum: f64,
-    /// Smallest sample value.
-    pub min: f64,
-    /// Largest sample value.
-    pub max: f64,
-}
-
-impl RingBucket {
-    const EMPTY: RingBucket = RingBucket {
-        count: 0,
-        sum: 0.0,
-        min: f64::INFINITY,
-        max: f64::NEG_INFINITY,
-    };
-
-    fn fold_sample(&mut self, value: f64) {
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    fn fold_bucket(&mut self, other: &RingBucket) {
-        if other.count == 0 {
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// A bounded, fixed-capacity time series: buckets of width `bucket_ns`
-/// starting at t = 0. When a sample lands past the last bucket, the
-/// ring halves its resolution in place (adjacent pairs merge, width
-/// doubles) until the sample fits — O(1) amortized, and the allocation
-/// made at construction is never exceeded.
-#[derive(Debug, Clone)]
-pub struct DownsampleRing {
-    bucket_ns: u64,
-    capacity: usize,
-    buckets: Vec<RingBucket>,
-}
-
-impl DownsampleRing {
-    /// Creates an empty ring.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is not a power of two ≥ 2 or `bucket_ns`
-    /// is 0.
-    pub fn new(capacity: usize, bucket_ns: u64) -> Self {
-        assert!(
-            capacity >= 2 && capacity.is_power_of_two(),
-            "ring capacity must be a power of two >= 2: {capacity}"
-        );
-        assert!(bucket_ns >= 1, "ring bucket width must be >= 1 ns");
-        DownsampleRing {
-            bucket_ns,
-            capacity,
-            buckets: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Current bucket width in nanoseconds (doubles per downsample).
-    pub(crate) fn bucket_ns(&self) -> u64 {
-        self.bucket_ns
-    }
-
-    /// The configured bucket-count bound. The backing allocation never
-    /// exceeds it (asserted by the capacity-bound test).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Buckets in use so far (≤ [`DownsampleRing::capacity`]).
-    pub fn len(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// True when no sample has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buckets.iter().all(|b| b.count == 0)
-    }
-
-    /// The used buckets, index `i` covering
-    /// `[i × bucket_ns, (i+1) × bucket_ns)`.
-    pub fn buckets(&self) -> &[RingBucket] {
-        &self.buckets
-    }
-
-    /// Merges adjacent bucket pairs in place and doubles the width.
-    fn downsample(&mut self) {
-        let new_len = self.buckets.len().div_ceil(2);
-        for i in 0..new_len {
-            let mut merged = self.buckets[2 * i];
-            if let Some(right) = self.buckets.get(2 * i + 1).copied() {
-                if merged.count == 0 {
-                    merged = right;
-                } else {
-                    merged.fold_bucket(&right);
-                }
-            }
-            self.buckets[i] = merged;
-        }
-        self.buckets.truncate(new_len);
-        self.bucket_ns *= 2;
-    }
-
-    /// Records one sample at simulated time `at_ns`.
-    pub fn record(&mut self, at_ns: u64, value: f64) {
-        let mut idx = (at_ns / self.bucket_ns) as usize;
-        while idx >= self.capacity {
-            self.downsample();
-            idx = (at_ns / self.bucket_ns) as usize;
-        }
-        while self.buckets.len() <= idx {
-            self.buckets.push(RingBucket::EMPTY);
-        }
-        self.buckets[idx].fold_sample(value);
-    }
-
-    /// Folds another ring into this one. Both rings are first coarsened
-    /// to the coarser of the two widths, so the merge is exactly the
-    /// ring that would have recorded both sample streams (bucket
-    /// counts/sums/extrema are order-independent).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ or the widths are not
-    /// power-of-two multiples of one another (they always are when both
-    /// rings come from one [`AggregatingSink`]).
-    pub fn merge(&mut self, other: &DownsampleRing) {
-        assert_eq!(
-            self.capacity, other.capacity,
-            "ring capacity mismatch: {} vs {}",
-            self.capacity, other.capacity
-        );
-        let mut o;
-        let other = if other.bucket_ns < self.bucket_ns {
-            o = other.clone();
-            while o.bucket_ns < self.bucket_ns {
-                o.downsample();
-            }
-            &o
-        } else {
-            while self.bucket_ns < other.bucket_ns {
-                self.downsample();
-            }
-            other
-        };
-        assert_eq!(
-            self.bucket_ns, other.bucket_ns,
-            "ring widths are not power-of-two multiples: {} vs {}",
-            self.bucket_ns, other.bucket_ns
-        );
-        while self.buckets.len() < other.buckets.len() {
-            self.buckets.push(RingBucket::EMPTY);
-        }
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            mine.fold_bucket(theirs);
-        }
-    }
-}
 
 /// Streaming statistics for one `(track, span-name)` series.
 #[derive(Debug, Clone)]
@@ -260,8 +77,7 @@ pub struct SpanStats {
     pub histogram: LogHistogram,
 }
 
-/// Streaming statistics plus the bounded time series for one
-/// `(track, counter-name)` series.
+/// Streaming statistics for one `(track, counter-name)` series.
 #[derive(Debug, Clone)]
 pub struct CounterStats {
     /// Subsystem of the owning track.
@@ -280,12 +96,11 @@ pub struct CounterStats {
     pub max: f64,
     /// Timestamp of the latest sample (merge tie-break: the buffer
     /// merged later wins at equal timestamps, and merges happen in
-    /// job-index order).
+    /// job-index order). The exposition derives the series' time
+    /// resolution from it.
     pub last_at_ns: u64,
     /// Latest sample value.
     pub last: f64,
-    /// The bounded time series.
-    pub ring: DownsampleRing,
 }
 
 /// Plain-data snapshot of everything an [`AggregatingSink`] collected.
@@ -361,7 +176,6 @@ impl MetricsBuffer {
                         mine.last_at_ns = c.last_at_ns;
                         mine.last = c.last;
                     }
-                    mine.ring.merge(&c.ring);
                 }
                 None => self.counters.push(c.clone()),
             }
@@ -480,7 +294,7 @@ impl MetricsBuffer {
                 out.push_str(&format!(
                     "mar_counter_resolution_ns{{{}}} {}\n",
                     counter_labels(c),
-                    c.ring.bucket_ns()
+                    resolution_ns(c.last_at_ns)
                 ));
             }
         }
@@ -518,6 +332,19 @@ impl MetricsBuffer {
     }
 }
 
+/// The `mar_counter_resolution_ns` of a counter series whose latest
+/// sample is at `last_at_ns`: the bucket width a time series of
+/// [`RESOLUTION_BUCKETS`] buckets would need to reach the sample,
+/// starting at [`RESOLUTION_NS`] and doubling — 1 ms up to a 512 ms
+/// horizon, 64 ms for a 30 s one.
+fn resolution_ns(last_at_ns: u64) -> u64 {
+    let mut width = RESOLUTION_NS;
+    while last_at_ns / width >= RESOLUTION_BUCKETS {
+        width *= 2;
+    }
+    width
+}
+
 /// Prometheus label-value escaping: backslash, double quote, newline.
 fn escape_label(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -547,43 +374,40 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// Internal span series keyed by raw [`TrackId`] while collecting.
-#[derive(Debug, Clone)]
-struct SpanSeries {
+/// Index of the series on `track` whose name `named(i)` accepts, given
+/// each series' track in `tracks`: the memoized `last` hit first, then a
+/// scan in first-seen order.
+fn lookup(
+    tracks: &[TrackId],
+    last: usize,
     track: TrackId,
-    name: String,
-    cat: &'static str,
-    count: u64,
-    total_ns: u64,
-    max_ns: u64,
-    histogram: LogHistogram,
-}
-
-/// Internal counter series keyed by raw [`TrackId`] while collecting.
-#[derive(Debug, Clone)]
-struct CounterSeries {
-    track: TrackId,
-    name: String,
-    samples: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-    last_at_ns: u64,
-    last: f64,
-    ring: DownsampleRing,
+    named: impl Fn(usize) -> bool,
+) -> Option<usize> {
+    let is = |i: usize| tracks[i] == track && named(i);
+    if last < tracks.len() && is(last) {
+        Some(last)
+    } else {
+        (0..tracks.len()).find(|&i| is(i))
+    }
 }
 
 /// A [`TraceSink`] that folds the event stream into bounded streaming
 /// aggregates instead of buffering it: per-`(track, span-name)` duration
-/// statistics and per-`(track, counter-name)` [`DownsampleRing`] time
-/// series. Memory is bounded by fixed caps (256 series per kind, 512
-/// ring buckets per counter series), never by the number of events.
-/// Snapshot with [`AggregatingSink::snapshot`].
+/// statistics and per-`(track, counter-name)` sample statistics. It
+/// collects straight into the [`MetricsBuffer`] it snapshots, naming each
+/// series by its `(process, track)` when the series is created, so
+/// buffers from different jobs merge by identity, not by registration
+/// order. Memory is bounded by the cap of 256 series per kind, never by
+/// the number of events. Snapshot with [`AggregatingSink::snapshot`].
 #[derive(Debug, Clone, Default)]
 pub struct AggregatingSink {
-    tracks: Vec<TrackDef>,
-    spans: Vec<SpanSeries>,
-    counters: Vec<CounterSeries>,
+    tracks: TrackTable,
+    /// Everything collected so far, except `open_spans`.
+    buffer: MetricsBuffer,
+    /// Track of each `buffer.spans` entry.
+    span_tracks: Vec<TrackId>,
+    /// Track of each `buffer.counters` entry.
+    counter_tracks: Vec<TrackId>,
     /// Per-track stack of open `Begin` spans: `(name, cat, at_ns)`.
     open: Vec<Vec<(String, &'static str, u64)>>,
     /// Index of the last span series hit — trace streams repeat the same
@@ -593,97 +417,55 @@ pub struct AggregatingSink {
     last_span: usize,
     /// Index of the last counter series hit (same memo for counters).
     last_counter: usize,
-    instants: u64,
-    unmatched_ends: u64,
-    overflow_events: u64,
-    malformed_counters: u64,
 }
 
 impl AggregatingSink {
-    /// Resolves the collected aggregates into a plain-data
-    /// [`MetricsBuffer`] (track ids become `(process, track)` names so
-    /// buffers from different jobs merge by identity, not by
-    /// registration order).
+    /// Clones out everything collected so far as a plain-data
+    /// [`MetricsBuffer`].
     pub fn snapshot(&self) -> MetricsBuffer {
-        let resolve = |track: TrackId| -> (String, String) {
-            self.tracks
-                .get(track as usize)
-                .map(|t| (t.process.clone(), t.track.clone()))
-                .unwrap_or_else(|| (String::new(), format!("track{track}")))
-        };
         MetricsBuffer {
-            spans: self
-                .spans
-                .iter()
-                .map(|s| {
-                    let (process, track) = resolve(s.track);
-                    SpanStats {
-                        process,
-                        track,
-                        name: s.name.clone(),
-                        cat: s.cat.to_owned(),
-                        count: s.count,
-                        total_ns: s.total_ns,
-                        max_ns: s.max_ns,
-                        histogram: s.histogram.clone(),
-                    }
-                })
-                .collect(),
-            counters: self
-                .counters
-                .iter()
-                .map(|c| {
-                    let (process, track) = resolve(c.track);
-                    CounterStats {
-                        process,
-                        track,
-                        name: c.name.clone(),
-                        samples: c.samples,
-                        sum: c.sum,
-                        min: c.min,
-                        max: c.max,
-                        last_at_ns: c.last_at_ns,
-                        last: c.last,
-                        ring: c.ring.clone(),
-                    }
-                })
-                .collect(),
-            instants: self.instants,
             open_spans: self.open.iter().map(|s| s.len() as u64).sum(),
-            unmatched_ends: self.unmatched_ends,
-            overflow_events: self.overflow_events,
-            malformed_counters: self.malformed_counters,
+            ..self.buffer.clone()
         }
     }
 
+    /// The `(process, track)` names of `track`; an id no registration
+    /// returned is named `track{id}` under an empty process.
+    fn names(&self, track: TrackId) -> (String, String) {
+        self.tracks
+            .get(track)
+            .map(|t| (t.process.clone(), t.track.clone()))
+            .unwrap_or_else(|| (String::new(), format!("track{track}")))
+    }
+
     fn record_span(&mut self, track: TrackId, name: &str, cat: &'static str, dur_ns: u64) {
-        let hit = match self.spans.get(self.last_span) {
-            Some(s) if s.track == track && s.name == name => Some(self.last_span),
-            _ => self
-                .spans
-                .iter()
-                .position(|s| s.track == track && s.name == name),
-        };
+        let spans = &self.buffer.spans;
+        let hit = lookup(&self.span_tracks, self.last_span, track, |i| {
+            spans[i].name == name
+        });
         if let Some(i) = hit {
             self.last_span = i;
-            let s = &mut self.spans[i];
+            let s = &mut self.buffer.spans[i];
             s.count += 1;
             s.total_ns += dur_ns;
             s.max_ns = s.max_ns.max(dur_ns);
             s.histogram.record(dur_ns as f64);
             return;
         }
-        if self.spans.len() >= MAX_SERIES {
-            self.overflow_events += 1;
+        if self.span_tracks.len() >= MAX_SERIES {
+            self.buffer.overflow_events += 1;
             return;
         }
+        let (process, track_name) = self.names(track);
         let mut histogram = duration_histogram();
         histogram.record(dur_ns as f64);
-        self.last_span = self.spans.len();
-        self.spans.push(SpanSeries {
-            track,
+        self.last_span = self.span_tracks.len();
+        self.span_tracks.push(track);
+        self.buffer.spans.push(SpanStats {
+            process,
+            track: track_name,
             name: name.to_owned(),
-            cat,
+            cat: cat.to_owned(),
             count: 1,
             total_ns: dur_ns,
             max_ns: dur_ns,
@@ -692,16 +474,13 @@ impl AggregatingSink {
     }
 
     fn record_counter(&mut self, track: TrackId, name: &str, at_ns: u64, value: f64) {
-        let hit = match self.counters.get(self.last_counter) {
-            Some(c) if c.track == track && c.name == name => Some(self.last_counter),
-            _ => self
-                .counters
-                .iter()
-                .position(|c| c.track == track && c.name == name),
-        };
+        let counters = &self.buffer.counters;
+        let hit = lookup(&self.counter_tracks, self.last_counter, track, |i| {
+            counters[i].name == name
+        });
         if let Some(i) = hit {
             self.last_counter = i;
-            let c = &mut self.counters[i];
+            let c = &mut self.buffer.counters[i];
             c.samples += 1;
             c.sum += value;
             c.min = c.min.min(value);
@@ -710,18 +489,18 @@ impl AggregatingSink {
                 c.last_at_ns = at_ns;
                 c.last = value;
             }
-            c.ring.record(at_ns, value);
             return;
         }
-        if self.counters.len() >= MAX_SERIES {
-            self.overflow_events += 1;
+        if self.counter_tracks.len() >= MAX_SERIES {
+            self.buffer.overflow_events += 1;
             return;
         }
-        let mut ring = DownsampleRing::new(RING_CAPACITY, RING_BUCKET_NS);
-        ring.record(at_ns, value);
-        self.last_counter = self.counters.len();
-        self.counters.push(CounterSeries {
-            track,
+        let (process, track_name) = self.names(track);
+        self.last_counter = self.counter_tracks.len();
+        self.counter_tracks.push(track);
+        self.buffer.counters.push(CounterStats {
+            process,
+            track: track_name,
             name: name.to_owned(),
             samples: 1,
             sum: value,
@@ -729,30 +508,13 @@ impl AggregatingSink {
             max: value,
             last_at_ns: at_ns,
             last: value,
-            ring,
         });
     }
 }
 
 impl TraceSink for AggregatingSink {
     fn register_track(&mut self, process: &str, track: &str) -> TrackId {
-        // Identical dedupe rule (and therefore identical id assignment)
-        // to ChromeTraceSink, so a TeeSink can feed both from one
-        // registration call.
-        if let Some(i) = self
-            .tracks
-            .iter()
-            .position(|t| t.process == process && t.track == track)
-        {
-            return i as TrackId;
-        }
-        let id = self.tracks.len() as TrackId;
-        self.tracks.push(TrackDef {
-            process: process.to_string(),
-            track: track.to_string(),
-        });
-        self.open.push(Vec::new());
-        id
+        self.tracks.register(process, track)
     }
 
     fn event(&mut self, record: TraceRecord) {
@@ -769,7 +531,7 @@ impl TraceSink for AggregatingSink {
                     let dur_ns = record.at_ns.saturating_sub(begin_ns);
                     self.record_span(record.track, &name, cat, dur_ns);
                 }
-                None => self.unmatched_ends += 1,
+                None => self.buffer.unmatched_ends += 1,
             },
             TracePhase::Complete => {
                 self.record_span(record.track, &record.name, record.cat, record.dur_ns);
@@ -787,10 +549,10 @@ impl TraceSink for AggregatingSink {
                     Some(v) if v.is_finite() => {
                         self.record_counter(record.track, &record.name, record.at_ns, v);
                     }
-                    _ => self.malformed_counters += 1,
+                    _ => self.buffer.malformed_counters += 1,
                 }
             }
-            TracePhase::Instant => self.instants += 1,
+            TracePhase::Instant => self.buffer.instants += 1,
         }
     }
 }
@@ -869,55 +631,66 @@ mod tests {
         SimTime::from_secs_f64(ms / 1e3)
     }
 
-    #[test]
-    fn ring_capacity_never_grows_and_resolution_halves() {
-        // The acceptance bound: feed samples far past the configured
-        // window and assert the backing allocation never exceeds the
-        // configured capacity while the width doubles as needed.
-        let mut ring = DownsampleRing::new(8, 1_000);
-        for i in 0..10_000u64 {
-            ring.record(i * 937, i as f64);
-            assert!(ring.len() <= ring.capacity(), "ring grew past capacity");
-            assert!(
-                ring.buckets().len() <= 8,
-                "backing allocation exceeded configuration"
-            );
-        }
-        // 10_000 × 937 ns ≈ 9.37 ms needs ~1172 initial buckets; with 8
-        // buckets the width must have doubled to ≥ 2^8 × initial.
-        assert!(ring.bucket_ns() >= 1_000 * 128, "width never doubled");
-        assert!(ring.bucket_ns().is_power_of_two() || ring.bucket_ns() % 1_000 == 0);
-        // No samples were lost to the downsampling.
-        let total: u64 = ring.buckets().iter().map(|b| b.count).sum();
-        assert_eq!(total, 10_000);
-        let sum: f64 = ring.buckets().iter().map(|b| b.sum).sum();
-        assert_eq!(sum, (0..10_000u64).map(|i| i as f64).sum::<f64>());
+    /// The `mar_counter_resolution_ns` value the exposition prints for
+    /// counter `name` on track `p:t`.
+    fn resolution(snap: &MetricsBuffer, name: &str) -> u64 {
+        let prefix =
+            format!("mar_counter_resolution_ns{{process=\"p\",track=\"t\",name=\"{name}\"}} ");
+        let text = snap.render_prometheus();
+        let line = text
+            .lines()
+            .find_map(|l| l.strip_prefix(prefix.as_str()))
+            .expect("resolution line");
+        line.parse().expect("integer resolution")
     }
 
     #[test]
-    fn ring_merge_equals_single_recording() {
-        // Two rings fed disjoint halves of one sample stream merge to
-        // exactly the ring that recorded the whole stream.
-        let samples: Vec<(u64, f64)> = (0..5_000u64).map(|i| (i * 613, (i % 97) as f64)).collect();
-        let mut whole = DownsampleRing::new(16, 1_000);
-        let mut a = DownsampleRing::new(16, 1_000);
-        let mut b = DownsampleRing::new(16, 1_000);
-        for (i, &(at, v)) in samples.iter().enumerate() {
-            whole.record(at, v);
-            if i % 2 == 0 {
-                a.record(at, v);
-            } else {
-                b.record(at, v);
+    fn counter_resolution_doubles_past_512_buckets_and_survives_merge() {
+        // Latest samples at 511.999 ms, 512 ms and 30 s: 512 buckets of
+        // 1 ms reach the first, the second needs 2 ms, and 30 s needs
+        // 64 ms (32 ms × 512 = 16.4 s falls short).
+        let ns = |at_ns: u64| SimTime::from_nanos(at_ns);
+        let sink = Rc::new(RefCell::new(AggregatingSink::default()));
+        let tracer = Tracer::with_sink(Rc::clone(&sink));
+        let a = tracer.register_track("p", "t");
+        let streams: [(&str, Vec<u64>); 3] = [
+            ("fine", vec![0, 100_000_000, 511_999_000]),
+            ("edge", vec![3_000_000, 512_000_000]),
+            (
+                "long",
+                vec![5_000_000, 29_000_000_000, 30_000_000_000, 7_000_000],
+            ),
+        ];
+        for (name, times) in &streams {
+            for &at in times {
+                tracer.counter(ns(at), a, "soc", name, at as f64);
             }
         }
-        a.merge(&b);
-        assert_eq!(a.bucket_ns(), whole.bucket_ns());
-        assert_eq!(a.buckets().len(), whole.buckets().len());
-        for (x, y) in a.buckets().iter().zip(whole.buckets()) {
-            assert_eq!(x.count, y.count);
-            assert_eq!(x.min, y.min);
-            assert_eq!(x.max, y.max);
-            assert!((x.sum - y.sum).abs() < 1e-9 * (1.0 + y.sum.abs()));
+        let snap = sink.borrow().snapshot();
+        assert_eq!(resolution(&snap, "fine"), 1_000_000);
+        assert_eq!(resolution(&snap, "edge"), 2_000_000);
+        // The 7 ms sample came after the 30 s one and does not lower it.
+        assert_eq!(resolution(&snap, "long"), 64_000_000);
+
+        // Two sinks fed alternate samples merge to the resolution of the
+        // one that saw them all, whichever side held the latest sample.
+        let halves = [
+            Rc::new(RefCell::new(AggregatingSink::default())),
+            Rc::new(RefCell::new(AggregatingSink::default())),
+        ];
+        let tracers = halves.each_ref().map(|h| Tracer::with_sink(Rc::clone(h)));
+        let ids = tracers.each_ref().map(|t| t.register_track("p", "t"));
+        let mut i = 0;
+        for (name, times) in &streams {
+            for &at in times {
+                tracers[i % 2].counter(ns(at), ids[i % 2], "soc", name, at as f64);
+                i += 1;
+            }
+        }
+        let mut merged = halves[0].borrow().snapshot();
+        merged.merge(&halves[1].borrow().snapshot());
+        for (name, _) in &streams {
+            assert_eq!(resolution(&merged, name), resolution(&snap, name), "{name}");
         }
     }
 

@@ -26,6 +26,7 @@
 //! tests and CI can check exported traces without external tools.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -173,11 +174,49 @@ impl TraceSink for NullSink {
     fn event(&mut self, _record: TraceRecord) {}
 }
 
+/// The track registry of the buffering sinks: [`TrackDef`]s in
+/// first-registration order (index == [`TrackId`]) plus an ordered
+/// `(process, track)` index. Re-registering a pair returns its first id
+/// without a scan or an allocation, so layers rebuilt mid-run (e.g. one
+/// edge sim per measurement window) keep appending to the same named
+/// track, and every sink built on it assigns the same ids — which is
+/// what lets a [`TeeSink`] hand one id to both children.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TrackTable {
+    defs: Vec<TrackDef>,
+    index: BTreeMap<String, BTreeMap<String, TrackId>>,
+}
+
+impl TrackTable {
+    /// The id of `(process, track)`, registering it on first sight.
+    pub(crate) fn register(&mut self, process: &str, track: &str) -> TrackId {
+        if let Some(&id) = self.index.get(process).and_then(|t| t.get(track)) {
+            return id;
+        }
+        let id = self.defs.len() as TrackId;
+        self.defs.push(TrackDef {
+            process: process.to_string(),
+            track: track.to_string(),
+        });
+        self.index
+            .entry(process.to_string())
+            .or_default()
+            .insert(track.to_string(), id);
+        id
+    }
+
+    /// The definition registered under `id`, if any.
+    pub(crate) fn get(&self, id: TrackId) -> Option<&TrackDef> {
+        self.defs.get(id as usize)
+    }
+}
+
 /// A sink that buffers every event for later Chrome trace-event JSON
 /// export via [`chrome_trace_json`].
 #[derive(Debug, Clone, Default)]
 pub struct ChromeTraceSink {
-    buffer: TraceBuffer,
+    tracks: TrackTable,
+    records: Vec<TraceRecord>,
 }
 
 impl ChromeTraceSink {
@@ -188,44 +227,30 @@ impl ChromeTraceSink {
 
     /// Clones out everything collected so far.
     pub fn snapshot(&self) -> TraceBuffer {
-        self.buffer.clone()
+        TraceBuffer {
+            tracks: self.tracks.defs.clone(),
+            records: self.records.clone(),
+        }
     }
 
     /// Number of buffered records.
     pub fn len(&self) -> usize {
-        self.buffer.records.len()
+        self.records.len()
     }
 
     /// True when no records have been buffered.
     pub fn is_empty(&self) -> bool {
-        self.buffer.records.is_empty()
+        self.records.is_empty()
     }
 }
 
 impl TraceSink for ChromeTraceSink {
     fn register_track(&mut self, process: &str, track: &str) -> TrackId {
-        // Re-registering an identical (process, track) pair returns the
-        // existing id, so layers rebuilt mid-run (e.g. one edge sim per
-        // measurement window) keep appending to the same named track. A
-        // linear scan keeps the lookup order-deterministic (no HashMap).
-        if let Some(i) = self
-            .buffer
-            .tracks
-            .iter()
-            .position(|t| t.process == process && t.track == track)
-        {
-            return i as TrackId;
-        }
-        let id = self.buffer.tracks.len() as TrackId;
-        self.buffer.tracks.push(TrackDef {
-            process: process.to_string(),
-            track: track.to_string(),
-        });
-        id
+        self.tracks.register(process, track)
     }
 
     fn event(&mut self, record: TraceRecord) {
-        self.buffer.records.push(record);
+        self.records.push(record);
     }
 }
 
@@ -234,10 +259,11 @@ impl TraceSink for ChromeTraceSink {
 /// a bounded aggregator from a single instrumented pass.
 ///
 /// Both children must use dense first-seen registration ids (as
-/// [`ChromeTraceSink`] and `metrics::AggregatingSink` do) so the id
-/// returned by the first child is valid for the second; that invariant
-/// is checked in debug builds. [`NullSink`] always answers 0 and is
-/// therefore not a valid tee child.
+/// [`ChromeTraceSink`] and `metrics::AggregatingSink` do, both through
+/// the crate's one track-table type) so the id returned by the first
+/// child is valid for the second; that invariant is checked in debug
+/// builds. [`NullSink`] always answers 0 and is therefore not a valid
+/// tee child.
 #[derive(Debug, Clone, Default)]
 pub struct TeeSink<A: TraceSink, B: TraceSink> {
     /// First child; its track ids become the tee's ids.
@@ -669,6 +695,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -737,8 +764,7 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid utf-8 in number"))?;
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err(&format!("invalid number '{text}'")))
@@ -781,10 +807,10 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    let c = rest.chars().next().unwrap();
+                    // Consume one UTF-8 scalar (multi-byte safe): `pos`
+                    // only ever advances by whole chars or ASCII bytes,
+                    // so it sits on a char boundary here.
+                    let c = self.text[self.pos..].chars().next().unwrap();
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -849,6 +875,7 @@ impl<'a> Parser<'a> {
 /// Parses one complete JSON document. Rejects trailing garbage.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -1085,6 +1112,26 @@ mod tests {
         assert_eq!(one.records.len(), 2);
         assert_eq!(two.records.len(), 2);
         assert_eq!(one.records[0].at_ns, two.records[0].at_ns);
+
+        // A Chrome sink and an aggregator agree on every id (the tee
+        // debug-asserts it): one lane name under two processes is two
+        // tracks, an early track re-registered after many others keeps
+        // its first id, and ids stay dense in first-seen order.
+        let tee = Tracer::new(TeeSink {
+            first: ChromeTraceSink::new(),
+            second: crate::metrics::AggregatingSink::default(),
+        });
+        let soc = tee.register_track("soc", "lane");
+        let edge = tee.register_track("edgelink", "lane");
+        assert_eq!((soc, edge), (0, 1));
+        let many: Vec<TrackId> = (0..300)
+            .map(|i| tee.register_track("edgelink", &format!("sess{i} up")))
+            .collect();
+        assert_eq!(many, (2..302).collect::<Vec<TrackId>>());
+        assert_eq!(tee.register_track("soc", "lane"), soc);
+        assert_eq!(tee.register_track("edgelink", "lane"), edge);
+        assert_eq!(tee.register_track("edgelink", "sess7 up"), 9);
+        assert_eq!(tee.register_track("soc", "sess7 up"), 302);
     }
 
     #[test]
@@ -1132,6 +1179,10 @@ mod tests {
         assert_eq!(v.get("b").and_then(Json::as_str), Some("x\"\\\nA"));
         let arr = v.get("a").unwrap().as_arr().unwrap();
         assert_eq!(arr[2], Json::Num(1000.0));
+        // Multi-byte scalars inside a string, raw and escaped.
+        let v = parse_json(r#"["é→😀", "a\u00e9b"]"#).unwrap();
+        assert_eq!(v.as_arr().unwrap()[0], Json::Str("é→😀".to_owned()));
+        assert_eq!(v.as_arr().unwrap()[1], Json::Str("aéb".to_owned()));
         assert!(parse_json("{\"a\":1} trailing").is_err());
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("").is_err());

@@ -131,22 +131,41 @@ cargo run --release --offline -q -p hbo-bench --bin check_json -- \
 # Observed-export smoke: the trace and exposition of edge_offload and of
 # stadium_sweep must be byte-identical across --threads 1/2 too (per-job
 # sinks, merged in job order), like explore's trace and fleet_sweep's
-# exposition above.
+# exposition above. The traces must validate (check_json is linear in
+# the file, so a quadratic parser shows up as a slow step), and every
+# observed run must emit the rows of an unobserved one.
 echo "==> observed exports: edge_offload and stadium_sweep across threads"
 for threads in 1 2; do
   cargo run --release --offline -q -p hbo-bench --bin edge_offload -- \
-    --smoke --threads "$threads" --trace "$trace_dir/edge_t$threads.json" >/dev/null 2>&1
+    --smoke --threads "$threads" --trace "$trace_dir/edge_t$threads.json" 2>/dev/null \
+    | grep '"sweep":' > "$trace_dir/edge_rows_trace_t$threads.txt"
   cargo run --release --offline -q -p hbo-bench --bin edge_offload -- \
-    --smoke --threads "$threads" --metrics "$trace_dir/edge_metrics_t$threads.txt" >/dev/null 2>&1
+    --smoke --threads "$threads" --metrics "$trace_dir/edge_metrics_t$threads.txt" 2>/dev/null \
+    | grep '"sweep":' > "$trace_dir/edge_rows_metrics_t$threads.txt"
   cargo run --release --offline -q -p hbo-bench --bin stadium_sweep -- \
     --smoke --threads "$threads" --trace "$trace_dir/stadium_t$threads.json" \
-    --metrics "$trace_dir/stadium_metrics_t$threads.txt" >/dev/null 2>&1
+    --metrics "$trace_dir/stadium_metrics_t$threads.txt" 2>/dev/null \
+    | grep '"sweep":' > "$trace_dir/stadium_rows_t$threads.txt"
 done
 cmp "$trace_dir/edge_t1.json" "$trace_dir/edge_t2.json"
 cmp "$trace_dir/edge_metrics_t1.txt" "$trace_dir/edge_metrics_t2.txt"
 grep -q '# TYPE mar_span_count counter' "$trace_dir/edge_metrics_t1.txt"
 cmp "$trace_dir/stadium_t1.json" "$trace_dir/stadium_t2.json"
 cmp "$trace_dir/stadium_metrics_t1.txt" "$trace_dir/stadium_metrics_t2.txt"
+cargo run --release --offline -q -p hbo-bench --bin check_json -- \
+  "$trace_dir/edge_t1.json" --require-cat soc --require-cat edgelink
+cargo run --release --offline -q -p hbo-bench --bin check_json -- \
+  "$trace_dir/stadium_t1.json" --require-cat soc --require-cat edgelink
+cargo run --release --offline -q -p hbo-bench --bin edge_offload -- \
+  --smoke --threads 2 2>/dev/null | grep '"sweep":' > "$trace_dir/edge_plain_rows.txt"
+cargo run --release --offline -q -p hbo-bench --bin stadium_sweep -- \
+  --smoke --threads 2 2>/dev/null | grep '"sweep":' > "$trace_dir/stadium_plain_rows.txt"
+for rows in "$trace_dir"/edge_rows_*.txt; do
+  cmp "$rows" "$trace_dir/edge_plain_rows.txt"
+done
+for rows in "$trace_dir"/stadium_rows_*.txt; do
+  cmp "$rows" "$trace_dir/stadium_plain_rows.txt"
+done
 
 # Strict thread counts: a zero or malformed --threads or HBO_THREADS is a
 # usage error (status 2), never a silent fallback to another count.
