@@ -8,13 +8,19 @@
 
 use bayesopt::SampleSpace;
 use hbo_bench::harness::Harness;
-use simcore::rand::{SeedableRng, StdRng};
+use simcore::rand::{Rng, SeedableRng, StdRng};
 use std::hint::black_box;
 
 /// Seed for every GP/BO fixture below: history growth and the timed call
 /// continue one RNG stream, so the timed suggestion always sees the same
 /// surrogate state.
 const BO_BENCH_SEED: u64 = 7;
+
+/// The `des_hold_512` hold model: pending tokens, the exclusive bound of
+/// each token's uniform delay, and the seed of the delay stream.
+const DES_HOLD_TOKENS: usize = 512;
+const DES_HOLD_MAX_NS: u64 = 2_000_000;
+const DES_HOLD_SEED: u64 = 23;
 
 /// The HBO joint space: a 3-simplex resource vector `c` plus the triangle
 /// ratio `x` — 4-D total. The synthetic cost reads `z[0]` and `z[3]`, so
@@ -164,6 +170,33 @@ fn bench_allocation(h: &mut Harness) {
 }
 
 fn bench_substrates(h: &mut Harness) {
+    // Event-list throughput alone, the classic hold model: 512 tokens stay
+    // pending, and each dispatch reschedules its token at now plus a
+    // seeded uniform delay in [0, 2 ms), about 512k pop/schedule pairs per
+    // simulated second. No handler work, so this row is the DES dispatch
+    // layer (`Simulator::run_until` over `EventQueue`) and nothing else.
+    h.bench_sim(
+        "des_hold_512",
+        1.0,
+        || {
+            let mut rng = StdRng::seed_from_u64(DES_HOLD_SEED);
+            let mut sim = simcore::Simulator::new();
+            for _ in 0..DES_HOLD_TOKENS {
+                sim.schedule(
+                    simcore::SimTime::from_nanos(rng.gen_range(0..DES_HOLD_MAX_NS)),
+                    (),
+                );
+            }
+            (sim, rng)
+        },
+        |(mut sim, mut rng)| {
+            sim.run_until(simcore::SimTime::from_secs_f64(1.0), |sched, ()| {
+                let delay = rng.gen_range(0..DES_HOLD_MAX_NS);
+                sched.schedule_after(simcore::SimDuration::from_nanos(delay), ());
+            })
+        },
+    );
+
     // DES throughput: one simulated second of the full SC1-CF1 app.
     // `sims_per_wall_sec` is the headline metric (simulated seconds per
     // wall-clock second).

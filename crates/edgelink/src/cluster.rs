@@ -64,16 +64,37 @@ use simcore::stats::{LogHistogram, Running};
 use simcore::trace::{ArgValue, Tracer, TrackId};
 use simcore::{QueueKind, Scheduler, SimDuration, SimTime, Simulator};
 
-use crate::link::{plan_transfer, ByteCounters, Direction, LinkParams, TransferPlan};
+use crate::link::{plan_transfer, ByteCounters, Direction, LinkParams};
 use crate::medium::{Completion, Medium, MediumParams, Mobility, SharedCell};
 use crate::server::{Admission, EdgeServer, ServerParams};
+
+/// What a session's trace tracks are named after.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ClientLabel {
+    /// This exact name.
+    Name(String),
+    /// A device class: the session is named the class followed by its
+    /// index among the sessions [`ClusterSim::new`] gets (`flagship17`),
+    /// so a fleet needs no string per session.
+    Class(&'static str),
+}
+
+impl ClientLabel {
+    /// The name of session number `session`.
+    fn session_name(&self, session: usize) -> String {
+        match self {
+            ClientLabel::Name(name) => name.clone(),
+            ClientLabel::Class(class) => format!("{class}{session}"),
+        }
+    }
+}
 
 /// One offloading client: how much it ships per request and how often it
 /// asks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientSpec {
-    /// Label for reports.
-    pub label: String,
+    /// Names the session's radio tracks when traced.
+    pub label: ClientLabel,
     /// Request payload (input tensors), in bytes.
     pub request_bytes: u64,
     /// Response payload (detections / masks), in bytes.
@@ -93,7 +114,7 @@ impl ClientSpec {
     /// region), 4 KiB down, 10 Hz, 8 ms edge inference.
     pub fn mar_default(label: impl Into<String>) -> Self {
         ClientSpec {
-            label: label.into(),
+            label: ClientLabel::Name(label.into()),
             request_bytes: 64 * 1024,
             response_bytes: 4 * 1024,
             infer_ms: 8.0,
@@ -572,6 +593,11 @@ struct ClusterState {
     /// Completion buffer [`Medium::advance`] fills on each wake, reused
     /// across wakes.
     medium_done: Vec<Completion<(usize, u64)>>,
+    /// Per session and direction (shared radios only): the attempts and
+    /// propagation `send` planned for the transfer the medium carries,
+    /// read back when the medium completes it. The closed loop keeps at
+    /// most one transfer per session and direction in the air.
+    medium_plans: Vec<[(u32, SimDuration); 2]>,
     /// Next server index for round-robin.
     rr_next: usize,
     /// Peak admission-queue depth across all servers.
@@ -678,8 +704,9 @@ impl ClusterSim {
             Tracks {
                 radios: states
                     .iter()
-                    .map(|st| {
-                        let label = &st.spec.client.label;
+                    .enumerate()
+                    .map(|(session, st)| {
+                        let label = st.spec.client.label.session_name(session);
                         [
                             track(&format!("{label} up")),
                             track(&format!("{label} down")),
@@ -722,6 +749,11 @@ impl ClusterSim {
         } else {
             Vec::new()
         };
+        let medium_plans = if medium.is_some() {
+            vec![[(0, SimDuration::ZERO); 2]; states.len()]
+        } else {
+            Vec::new()
+        };
         ClusterSim {
             sim,
             state: ClusterState {
@@ -732,6 +764,7 @@ impl ClusterSim {
                 servers,
                 medium,
                 medium_done: Vec::new(),
+                medium_plans,
                 rr_next: 0,
                 peak_queue: 0,
                 departed: 0,
@@ -1034,22 +1067,16 @@ impl ClusterState {
         self.send(sched, session, Direction::Up, seq);
     }
 
-    /// The plan of transfer `seq` in `dir` of `session`. `ClusterSim::new`
-    /// validated the link, and nothing mutates it afterwards.
-    fn plan(&self, session: usize, dir: Direction, seq: u64) -> TransferPlan {
-        let st = &self.sessions[session];
-        let bytes = st.spec.client.payload(dir);
-        plan_transfer(&self.params.link, dir, bytes, st.streams.link(dir), seq)
-    }
-
-    /// Hands transfer `seq` in `dir` to the session's radio: its private
-    /// radio holds it for its planned occupancy, or the shared medium
-    /// carries its airtime (payload × attempts).
+    /// Plans transfer `seq` in `dir` once and hands it to the session's
+    /// radio: its private radio holds it for its planned occupancy, or the
+    /// shared medium carries its airtime (payload × attempts).
+    /// `ClusterSim::new` validated the link, and nothing mutates it
+    /// afterwards.
     fn send(&mut self, sched: &mut Sched<'_>, session: usize, dir: Direction, seq: u64) {
         let now = sched.now();
-        let plan = self.plan(session, dir, seq);
         let st = &mut self.sessions[session];
         let bytes = st.spec.client.payload(dir);
+        let plan = plan_transfer(&self.params.link, dir, bytes, st.streams.link(dir), seq);
         st.bytes[dir as usize].offered += bytes;
         match st.radio {
             SessRadio::Private => {
@@ -1067,6 +1094,7 @@ impl ClusterState {
             }
             SessRadio::Shared { attach } => {
                 let airtime = plan.attempts as u64 * bytes;
+                self.medium_plans[session][dir as usize] = (plan.attempts, plan.propagation);
                 let m = self.medium.as_mut().expect("shared radio without a medium");
                 m.start_flow(now, attach, dir, airtime as f64, (session, seq));
                 self.emit_cell_counters(now);
@@ -1117,8 +1145,8 @@ impl ClusterState {
 
     /// The medium hit an internal deadline (flow completion, mobility
     /// tick, cross-traffic flip): advance it and hand finished transfers
-    /// to the same post-serialization path the private radios use. No
-    /// event carries a shared transfer's plan here, so it is re-derived.
+    /// to the same post-serialization path the private radios use, with
+    /// the plan `send` stored for each.
     fn medium_wake(&mut self, sched: &mut Sched<'_>, gen: u64) {
         let now = sched.now();
         let m = self.medium.as_mut().expect("medium wake without a medium");
@@ -1129,8 +1157,8 @@ impl ClusterState {
         m.advance(now, &mut done);
         for c in done.drain(..) {
             let (session, seq) = c.key;
-            let plan = self.plan(session, c.dir, seq);
-            self.transferred(sched, session, c.dir, seq, plan.attempts, plan.propagation);
+            let (attempts, propagation) = self.medium_plans[session][c.dir as usize];
+            self.transferred(sched, session, c.dir, seq, attempts, propagation);
         }
         self.medium_done = done;
         self.emit_cell_counters(now);
@@ -1890,7 +1918,19 @@ mod tests {
         // Lossy private radios, a queue nothing overflows, and a run long
         // past every departure: every transfer has finished, so each
         // direction put Σ attempts × payload bytes on the air.
-        let mut params = two_zone_params(RoutePolicy::ShortestQueue);
+        let params = two_zone_params(RoutePolicy::ShortestQueue);
+        check_transmitted_bytes_match_the_planned_attempts(params);
+    }
+
+    /// The same oracle on a shared medium, whose completions carry the
+    /// plan `send` stored instead of an event field.
+    #[test]
+    fn shared_transmitted_bytes_match_the_planned_attempts() {
+        let params = shared_params(RoutePolicy::ShortestQueue, 1.5);
+        check_transmitted_bytes_match_the_planned_attempts(params);
+    }
+
+    fn check_transmitted_bytes_match_the_planned_attempts(mut params: ClusterParams) {
         params.link = lossy_link();
         for s in &mut params.servers {
             s.params.queue_capacity = 64;

@@ -45,8 +45,8 @@ pub mod medium;
 pub mod server;
 
 pub use cluster::{
-    one_server, ClientSpec, ClusterMetrics, ClusterParams, ClusterRadio, ClusterSim, RoutePolicy,
-    ServerSpec, SessionSpec, SharedMedium,
+    one_server, ClientLabel, ClientSpec, ClusterMetrics, ClusterParams, ClusterRadio, ClusterSim,
+    RoutePolicy, ServerSpec, SessionSpec, SharedMedium,
 };
 pub use link::{ByteCounters, Direction, LinkParams, TransferPlan};
 pub use medium::{CellParams, CrossTraffic, Medium, MediumParams, Mobility, RateLaw, SharedCell};

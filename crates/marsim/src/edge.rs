@@ -24,7 +24,7 @@
 
 pub use edgelink::{Direction, LinkParams, ServerParams, SharedCell};
 
-use edgelink::{one_server, ClientSpec, ClusterSim};
+use edgelink::{one_server, ClientLabel, ClientSpec, ClusterSim};
 use hbo_core::{
     best_local_allocation, edge_only_allocation, HboConfig, HboPoint, TaskProfile, WarmCache,
 };
@@ -325,7 +325,7 @@ impl EdgeWorld {
             for client in 0..self.edge.clients {
                 for &t in &edge_tasks {
                     flows.push(ClientSpec {
-                        label: format!("c{client}/t{t}"),
+                        label: ClientLabel::Name(format!("c{client}/t{t}")),
                         request_bytes: self.edge.request_bytes,
                         response_bytes: self.edge.response_bytes,
                         infer_ms: self.infer_ms[t],

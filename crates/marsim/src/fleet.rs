@@ -28,7 +28,7 @@
 use arscene::scenarios::{sc2_catalog, DEFAULT_USER_DISTANCE};
 use edgelink::cluster::{ClusterParams, ClusterRadio, ClusterSim, ServerSpec, SessionSpec};
 use edgelink::medium::{CellParams, MediumParams};
-use edgelink::{ClientSpec, LinkParams, RoutePolicy, ServerParams, SharedMedium};
+use edgelink::{ClientLabel, ClientSpec, LinkParams, RoutePolicy, ServerParams, SharedMedium};
 use hbo_core::{HboConfig, LookupKey, ScenarioSignature, TaskProfile, WarmCache};
 use nnmodel::ModelZoo;
 use simcore::rand::{Rng, SeedableRng, StdRng};
@@ -160,10 +160,11 @@ impl FleetSpec {
         (best_local_ms * self.server_speedup).max(0.5)
     }
 
-    /// The [`ClientSpec`] a class's sessions run.
-    fn client_spec(&self, class: &DeviceClass, session: u64) -> ClientSpec {
+    /// The [`ClientSpec`] a class's sessions run; each session is named
+    /// the class followed by its index in the population.
+    fn client_spec(&self, class: &DeviceClass) -> ClientSpec {
         ClientSpec {
-            label: format!("{}{}", class.name, session),
+            label: ClientLabel::Class(class.name),
             request_bytes: class.request_bytes,
             response_bytes: class.response_bytes,
             infer_ms: self.infer_ms(class),
@@ -196,11 +197,7 @@ impl FleetSpec {
             "class weights must be positive"
         );
         // Per-class client templates (zoo lookups once, not per session).
-        let templates: Vec<ClientSpec> = self
-            .classes
-            .iter()
-            .map(|c| self.client_spec(c, 0))
-            .collect();
+        let templates: Vec<ClientSpec> = self.classes.iter().map(|c| self.client_spec(c)).collect();
         let mean_session: f64 = self
             .classes
             .iter()
@@ -212,8 +209,7 @@ impl FleetSpec {
         let push = |rng: &mut StdRng, out: &mut Vec<SessionSpec>, arrive: f64| {
             let class = draw_class(rng, &self.classes, total_weight);
             let i = out.len() as u64;
-            let mut client = templates[class].clone();
-            client.label = format!("{}{}", self.classes[class].name, i);
+            let client = templates[class].clone();
             let dur =
                 exp_draw(rng, self.classes[class].mean_session_secs).max(self.min_session_secs);
             out.push(SessionSpec {

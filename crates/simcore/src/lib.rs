@@ -6,9 +6,9 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulated time with
 //!   total ordering (no floating-point heap keys).
-//! * [`EventQueue`] — the deterministic future-event list, a binary heap:
-//!   ties in time are broken by insertion sequence, so replays are
-//!   bit-identical.
+//! * [`EventQueue`] — the deterministic future-event list, a radix heap
+//!   over one slab keyed on nanoseconds: ties in time are broken by
+//!   insertion sequence, so replays are bit-identical.
 //! * [`Simulator`] — a thin driver that pops events and hands them to a
 //!   user-supplied handler together with a scheduling context.
 //! * [`rand`] — an in-tree deterministic PRNG (xoshiro256++) with the

@@ -429,6 +429,15 @@ impl AggregatingSink {
         }
     }
 
+    /// Moves out everything collected, without the copy
+    /// [`snapshot`](Self::snapshot) makes.
+    fn into_buffer(self) -> MetricsBuffer {
+        MetricsBuffer {
+            open_spans: self.open.iter().map(|s| s.len() as u64).sum(),
+            ..self.buffer
+        }
+    }
+
     /// The `(process, track)` names of `track`; an id no registration
     /// returned is named `track{id}` under an empty process.
     fn names(&self, track: TrackId) -> (String, String) {
@@ -598,26 +607,48 @@ pub fn with_observers<R>(
                 second: AggregatingSink::default(),
             }));
             let out = f(Tracer::with_sink(Rc::clone(&sink)));
-            let sink = sink.borrow();
-            (
-                out,
-                Some(sink.first.snapshot()),
-                Some(sink.second.snapshot()),
-            )
+            let (chrome, metrics) = take_sink(
+                sink,
+                |tee| (tee.first.into_buffer(), tee.second.into_buffer()),
+                |tee| (tee.first.snapshot(), tee.second.snapshot()),
+            );
+            (out, Some(chrome), Some(metrics))
         }
         (true, false) => {
             let sink = Rc::new(RefCell::new(ChromeTraceSink::new()));
             let out = f(Tracer::with_sink(Rc::clone(&sink)));
-            let buffer = sink.borrow().snapshot();
+            let buffer = take_sink(
+                sink,
+                ChromeTraceSink::into_buffer,
+                ChromeTraceSink::snapshot,
+            );
             (out, Some(buffer), None)
         }
         (false, true) => {
             let sink = Rc::new(RefCell::new(AggregatingSink::default()));
             let out = f(Tracer::with_sink(Rc::clone(&sink)));
-            let buffer = sink.borrow().snapshot();
+            let buffer = take_sink(
+                sink,
+                AggregatingSink::into_buffer,
+                AggregatingSink::snapshot,
+            );
             (out, None, Some(buffer))
         }
         (false, false) => (f(Tracer::disabled()), None, None),
+    }
+}
+
+/// What a job's sink collected: moved out when the run dropped every
+/// other handle to it, copied when something (say, a `Tracer` kept in
+/// the job's result) still holds one.
+fn take_sink<S, T>(
+    sink: Rc<RefCell<S>>,
+    moved: impl FnOnce(S) -> T,
+    copied: impl FnOnce(&S) -> T,
+) -> T {
+    match Rc::try_unwrap(sink) {
+        Ok(cell) => moved(cell.into_inner()),
+        Err(shared) => copied(&shared.borrow()),
     }
 }
 
@@ -882,5 +913,28 @@ mod tests {
         });
         assert_eq!(chrome.expect("chrome buffer").records.len(), 1);
         assert!(c3.is_none() && a3.is_none());
+    }
+
+    /// A job that keeps its tracer alive past the run gets the same
+    /// buffers (copied out) as one that drops it (moved out).
+    #[test]
+    fn buffers_are_the_same_whether_moved_or_copied() {
+        let job = |tracer: &Tracer| {
+            let a = tracer.register_track("soc", "CPU");
+            tracer.begin(t(1.0), a, "soc", "job", &[("n", ArgValue::U64(3))]);
+            tracer.end(t(2.0), a, "soc");
+            tracer.begin(t(3.0), a, "soc", "open", &[]);
+            tracer.counter(t(3.0), a, "soc", "queue", 2.0);
+        };
+        for (chrome, metrics) in [(true, true), (true, false), (false, true)] {
+            let ((), moved_c, moved_m) = with_observers(chrome, metrics, |tr| job(&tr));
+            let (kept, copied_c, copied_m) = with_observers(chrome, metrics, |tr| {
+                job(&tr);
+                tr
+            });
+            assert!(kept.is_enabled());
+            assert_eq!(format!("{moved_c:?}"), format!("{copied_c:?}"));
+            assert_eq!(format!("{moved_m:?}"), format!("{copied_m:?}"));
+        }
     }
 }

@@ -1,50 +1,65 @@
 //! Deterministic future-event list and simulation driver.
 //!
-//! [`EventQueue`] is a binary heap that pops in exactly `(time, seq)`
-//! order — same-time events fire in insertion order — so a simulation's
-//! event stream, and therefore every RNG draw and published figure, is a
-//! pure function of its inputs. `tests/differential.rs` checks it in
-//! lockstep against a sorted-`Vec` reference model.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! [`EventQueue`] is a radix heap keyed on `SimTime` nanoseconds that
+//! pops in exactly `(time, seq)` order — same-time events fire in
+//! insertion order — so a simulation's event stream, and therefore every
+//! RNG draw and published figure, is a pure function of its inputs.
+//! `tests/differential.rs` checks it in lockstep against a sorted-`Vec`
+//! reference model.
+//!
+//! # Layout
+//!
+//! Every entry lives in one slab of nodes (time, seq, next index, event)
+//! with a free list, so a queue allocates only when its pending count
+//! reaches a new peak. The nodes are threaded into FIFO index lists: a
+//! front list holding the entries at exactly the base time, and 64
+//! buckets where bucket `b` holds the entries whose time first differs
+//! from the base in bit `b`. A `u64` mask marks the non-empty buckets.
+//!
+//! The base is the last popped time (zero at first). A pop takes the
+//! front list's head. When the front is empty, the lowest non-empty
+//! bucket holds the earliest entries, and its minimum, kept up to date as
+//! entries are linked, becomes the base. A lone entry there pops at once;
+//! otherwise the bucket is relinked around the new base, and its entries
+//! all land in the front or in lower buckets. Those lists are empty at
+//! that point, and a new entry always carries the largest `seq`, so every
+//! list stays in `seq` order and ties pop FIFO. An entry moves down at
+//! most 64 times, so a pop is amortized `O(1)` in the pending count.
+//!
+//! A schedule at or after the base (everything a [`Simulator`]
+//! schedules, since nothing goes before `now`) is a list append.
+//! Scheduling a raw queue below its base stays correct but slow: every
+//! pending entry is relinked, in `seq` order, around the new base.
 
 use crate::time::SimTime;
 
-/// An entry in the future-event list.
-///
-/// Ordered by `(time, seq)` so that events scheduled for the same instant
-/// fire in insertion order, making runs deterministic.
-struct Entry<E> {
+/// End of an index list; also the empty free list.
+const NIL: u32 = u32::MAX;
+
+/// A slab slot. `event` is `None` while the slot is on the free list.
+struct Node<E> {
     time: SimTime,
     seq: u64,
-    event: E,
+    next: u32,
+    event: Option<E>,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
+/// A FIFO list of slab indices threaded through [`Node::next`].
+#[derive(Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+    /// The earliest time in a bucket, kept as entries are linked, so
+    /// finding the next base needs no scan. Unused on the front list,
+    /// whose entries all sit at the base.
+    min: SimTime,
 }
 
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest entry is popped
-        // first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
+const EMPTY: List = List {
+    head: NIL,
+    tail: NIL,
+    min: SimTime::MAX,
+};
 
 /// A future-event list: a priority queue of `(SimTime, E)` pairs with
 /// deterministic FIFO tie-breaking.
@@ -69,7 +84,13 @@ impl<E> Ord for Entry<E> {
 /// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    nodes: Vec<Node<E>>,
+    free: u32,
+    front: List,
+    buckets: [List; 64],
+    mask: u64,
+    base: SimTime,
+    len: usize,
     next_seq: u64,
 }
 
@@ -79,77 +100,236 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
+/// Appends slab slot `idx` to the tail of `list`.
+fn append<E>(nodes: &mut [Node<E>], list: &mut List, idx: u32) {
+    nodes[idx as usize].next = NIL;
+    match list.tail {
+        NIL => list.head = idx,
+        tail => nodes[tail as usize].next = idx,
+    }
+    list.tail = idx;
+}
+
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            nodes: Vec::new(),
+            free: NIL,
+            front: EMPTY,
+            buckets: [EMPTY; 64],
+            mask: 0,
+            base: SimTime::ZERO,
+            len: 0,
             next_seq: 0,
         }
     }
 
     /// Schedules `event` to fire at `time`.
     pub fn schedule(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
+        if time < self.base {
+            self.rebase(time);
+        }
+        let node = Node {
+            time,
+            seq: self.next_seq,
+            next: NIL,
+            event: Some(event),
+        };
         self.next_seq += 1;
-        self.heap.push(Entry { time, seq, event });
+        let idx = match self.free {
+            NIL => {
+                let idx = u32::try_from(self.nodes.len())
+                    .ok()
+                    .filter(|&i| i != NIL)
+                    .expect("event queue slab is full");
+                self.nodes.push(node);
+                idx
+            }
+            idx => {
+                self.free = self.nodes[idx as usize].next;
+                self.nodes[idx as usize] = node;
+                idx
+            }
+        };
+        self.link(idx);
+        self.len += 1;
+    }
+
+    /// [`schedule`](Self::schedule) for the [`Simulator`] paths, which
+    /// never go below `now` and so never below the base.
+    fn schedule_forward(&mut self, time: SimTime, event: E) {
+        debug_assert!(
+            time >= self.base,
+            "simulator schedule at {time} fell below the queue base {}",
+            self.base
+        );
+        self.schedule(time, event);
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.time, e.event))
+        self.pop_entry().map(|(t, _, e)| (t, e))
     }
 
     /// Removes and returns the earliest `(time, seq, event)` entry.
     pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
-        self.heap.pop().map(|e| (e.time, e.seq, e.event))
+        self.pop_until(SimTime::MAX)
+    }
+
+    /// Removes and returns the earliest entry if it fires at or before
+    /// `deadline`. The base moves only to the time it returns, so it
+    /// never passes a simulator's clock.
+    fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, u64, E)> {
+        let idx = if self.front.head != NIL {
+            if self.base > deadline {
+                return None;
+            }
+            self.take_front()
+        } else {
+            if self.mask == 0 {
+                return None;
+            }
+            let b = self.mask.trailing_zeros() as usize;
+            let bucket = self.buckets[b];
+            if bucket.min > deadline {
+                return None;
+            }
+            if bucket.head == bucket.tail {
+                // A lone entry in the lowest bucket is the earliest one:
+                // take it without relinking.
+                self.buckets[b] = EMPTY;
+                self.mask &= !(1 << b);
+                self.base = bucket.min;
+                bucket.head
+            } else {
+                self.redistribute(b, bucket.min);
+                self.take_front()
+            }
+        };
+        let node = &mut self.nodes[idx as usize];
+        let event = node.event.take().expect("linked slot holds an event");
+        node.next = self.free;
+        self.free = idx;
+        self.len -= 1;
+        Some((node.time, node.seq, event))
+    }
+
+    /// Unlinks the front list's head.
+    fn take_front(&mut self) -> u32 {
+        let idx = self.front.head;
+        self.front.head = self.nodes[idx as usize].next;
+        if self.front.head == NIL {
+            self.front.tail = NIL;
+        }
+        idx
     }
 
     /// The firing time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        if self.front.head != NIL {
+            Some(self.base)
+        } else if self.mask == 0 {
+            None
+        } else {
+            Some(self.buckets[self.mask.trailing_zeros() as usize].min)
+        }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Drops all pending events. `next_seq` is deliberately NOT reset:
     /// sequence numbers stay unique across a mid-run clear, so same-time
     /// events never reorder against survivors of earlier epochs.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        self.nodes.clear();
+        self.free = NIL;
+        self.front = EMPTY;
+        self.buckets = [EMPTY; 64];
+        self.mask = 0;
+        self.len = 0;
     }
 
     /// The sequence number the next scheduled event will receive.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
+
+    /// Appends slot `idx` to the list its time maps to under the base.
+    fn link(&mut self, idx: u32) {
+        let time = self.nodes[idx as usize].time;
+        let diff = time.as_nanos() ^ self.base.as_nanos();
+        let list = if diff == 0 {
+            &mut self.front
+        } else {
+            let b = 63 - diff.leading_zeros();
+            self.mask |= 1 << b;
+            let bucket = &mut self.buckets[b as usize];
+            bucket.min = bucket.min.min(time);
+            bucket
+        };
+        append(&mut self.nodes, list, idx);
+    }
+
+    /// Moves the base to `min`, bucket `b`'s earliest time, and relinks
+    /// the bucket in list order. Every entry lands in the front or a
+    /// lower bucket, all of which are empty, so `seq` order survives.
+    fn redistribute(&mut self, b: usize, min: SimTime) {
+        let mut idx = self.buckets[b].head;
+        self.buckets[b] = EMPTY;
+        self.mask &= !(1 << b);
+        self.base = min;
+        while idx != NIL {
+            let next = self.nodes[idx as usize].next;
+            self.link(idx);
+            idx = next;
+        }
+    }
+
+    /// The slow path of a schedule below the base: relinks every pending
+    /// entry, in `seq` order, around `time` as the new base.
+    #[cold]
+    fn rebase(&mut self, time: SimTime) {
+        let nodes = &self.nodes;
+        let mut live: Vec<u32> = (0..nodes.len() as u32)
+            .filter(|&i| nodes[i as usize].event.is_some())
+            .collect();
+        live.sort_unstable_by_key(|&i| nodes[i as usize].seq);
+        self.front = EMPTY;
+        self.buckets = [EMPTY; 64];
+        self.mask = 0;
+        self.base = time;
+        for idx in live {
+            self.link(idx);
+        }
+    }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("pending", &self.heap.len())
+            .field("pending", &self.len)
             .field("next_seq", &self.next_seq)
             .finish()
     }
 }
 
 /// The event-list choice that `ClusterSim::new` still takes as its third
-/// argument. There is only one list, the binary-heap [`EventQueue`], so
+/// argument. There is only one list, the radix-heap [`EventQueue`], so
 /// the value is ignored. The type survives only because the `perfbench`
 /// harness passes `FleetSpec::queue` to `ClusterSim::new`; it goes with
 /// the next change to that harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QueueKind {
-    /// The binary-heap [`EventQueue`].
+    /// The radix-heap [`EventQueue`].
     #[default]
     Heap,
 }
@@ -181,12 +361,12 @@ impl<E> Scheduler<'_, E> {
             "cannot schedule into the past: {time} < {}",
             self.now
         );
-        self.queue.schedule(time, event);
+        self.queue.schedule_forward(time, event);
     }
 
     /// Schedules a follow-up event `delay` after now.
     pub fn schedule_after(&mut self, delay: crate::SimDuration, event: E) {
-        self.queue.schedule(self.now + delay, event);
+        self.queue.schedule_forward(self.now + delay, event);
     }
 }
 
@@ -253,7 +433,7 @@ impl<E> Simulator<E> {
             "cannot schedule into the past: {time} < {}",
             self.now
         );
-        self.queue.schedule(time, event);
+        self.queue.schedule_forward(time, event);
     }
 
     /// Number of pending events.
@@ -270,11 +450,7 @@ impl<E> Simulator<E> {
         F: FnMut(&mut Scheduler<'_, E>, E),
     {
         let mut dispatched = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (t, event) = self.queue.pop().expect("peeked entry vanished");
+        while let Some((t, _, event)) = self.queue.pop_until(deadline) {
             debug_assert!(t >= self.now, "event queue went backwards");
             self.now = t;
             let mut sched = Scheduler {
@@ -390,6 +566,46 @@ mod tests {
         sim.schedule(SimTime::from_nanos(50), ());
         sim.run_until(SimTime::from_nanos(100), |_, _| {});
         sim.schedule(SimTime::from_nanos(10), ());
+    }
+
+    /// The simulator paths assert they never reach the slow path of a
+    /// schedule below the base.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "fell below the queue base")]
+    fn forward_schedule_below_base_is_caught() {
+        let mut sim = Simulator::new();
+        sim.schedule(SimTime::from_nanos(100), ());
+        sim.run_until(SimTime::from_nanos(100), |_, _| {});
+        sim.queue.schedule_forward(SimTime::from_nanos(50), ());
+    }
+
+    /// A deadline stop leaves the base at the last popped time, so the
+    /// clock can move to the deadline and schedule anywhere after it.
+    #[test]
+    fn deadline_stop_keeps_base_at_last_pop() {
+        let mut sim: Simulator<u32> = Simulator::new();
+        sim.schedule(SimTime::from_nanos(10), 1);
+        sim.schedule(SimTime::from_nanos(1_000), 2);
+        sim.run_until(SimTime::from_nanos(500), |_, _| {});
+        assert_eq!(sim.queue.base, SimTime::from_nanos(10));
+        sim.schedule(SimTime::from_nanos(500), 3);
+        let mut seen = vec![];
+        sim.run_until(SimTime::MAX, |_, e| seen.push(e));
+        assert_eq!(seen, vec![3, 2]);
+    }
+
+    /// An entry at exactly the base sits on the front list; a deadline
+    /// before it must still stop the run.
+    #[test]
+    fn deadline_before_the_front_dispatches_nothing() {
+        let mut sim: Simulator<u32> = Simulator::new();
+        sim.schedule(SimTime::from_nanos(100), 1);
+        sim.run_until(SimTime::from_nanos(100), |_, _| {});
+        sim.schedule(SimTime::from_nanos(100), 2);
+        assert_eq!(sim.run_until(SimTime::from_nanos(50), |_, _| {}), 0);
+        assert_eq!(sim.pending(), 1);
+        assert_eq!(sim.now(), SimTime::from_nanos(100));
     }
 
     #[test]

@@ -233,6 +233,15 @@ impl ChromeTraceSink {
         }
     }
 
+    /// Moves out everything collected, without the copy
+    /// [`snapshot`](Self::snapshot) makes.
+    pub(crate) fn into_buffer(self) -> TraceBuffer {
+        TraceBuffer {
+            tracks: self.tracks.defs,
+            records: self.records,
+        }
+    }
+
     /// Number of buffered records.
     pub fn len(&self) -> usize {
         self.records.len()

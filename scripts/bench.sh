@@ -52,6 +52,7 @@ with open(sys.argv[1]) as f:
         rows[obj["bench"]] = obj
 if sys.argv[2] == "0":
     required = (
+        "des_hold_512",
         "socsim_sc1cf1_1s",
         "edgesim_8c_1s",
         "mediumsim_32c_1s",
