@@ -14,29 +14,44 @@
 //! Following the dslab-network shared-bandwidth design, each in-flight
 //! transfer tracks `remaining` bytes rather than a fixed completion time.
 //! At every boundary (flow start, completion instant, mobility tick,
-//! cross-traffic flip) every flow is *settled* (`remaining -= rate ×
-//! elapsed`), the allocation is re-solved, and every flow's completion
-//! deadline is recomputed from its settled `remaining`. [`simcore`]'s
-//! scheduler has no event cancellation, so the host simulator keeps
-//! exactly one logical wake-up outstanding: it schedules an event at
-//! `Medium::next_deadline` carrying `Medium::wake_gen`, and ignores any
-//! event whose generation is stale. Every mutation bumps the generation.
+//! cross-traffic flip) the medium is *settled* (every flow's `remaining
+//! -= rate × elapsed`), the allocation is re-solved, and every flow's
+//! completion deadline is recomputed from its settled `remaining`.
+//! [`simcore`]'s scheduler has no event cancellation, so the host
+//! simulator keeps exactly one logical wake-up outstanding: it schedules
+//! an event at `Medium::next_deadline` carrying `Medium::wake_gen`, and
+//! ignores any event whose generation is stale. Every mutation bumps the
+//! generation.
 //!
-//! The re-solve is incremental. Each `(cell, direction)` lane caches its
-//! water-fill order, the active flows sorted by `(client cap, slot)`, and
-//! the effective capacity its stored rates were solved under. A lane turns
-//! *dirty* when its membership or a member's cap changes: a flow starts or
-//! completes in it, or a mobility tick moves a member's cap or hands the
-//! member over. Only a dirty lane re-sorts its order; a clean lane whose
-//! capacity is bit-equal to the last solve's keeps its stored rates, since
-//! water-filling the same order under the same capacity gives the same
-//! bits. The earliest completion deadline is folded during the re-solve
-//! and the earliest mobility tick is cached, so `Medium::next_deadline`
-//! only scans the cells for cross-traffic flips. Deadlines themselves are
-//! still recomputed for every flow at every boundary: `remaining` is
-//! settled there, and computing `ceil(remaining / rate)` from a different
-//! settlement point would round differently and could reorder events that
-//! land on the same instant.
+//! All live flows share one settlement instant, so the medium keeps a
+//! single settled time rather than one per flow. Settling rides on passes
+//! the medium makes anyway: a flow start settles each lane's members in
+//! the re-solve's pass over them, and an `advance` step settles in its
+//! completion scan. Nothing moves twice at one instant; in particular the
+//! settle that ends an `advance` is skipped when its last step already
+//! settled the medium there.
+//!
+//! The re-solve is incremental. Each `(cell, direction)` lane keeps its
+//! members' slots ascending and caches its water-fill order, the members
+//! sorted by `(client cap, slot)`, with the effective capacity its stored
+//! rates were solved under. A flow start *splices* its `(cap, slot)` into
+//! the order at its sorted position (a binary search and an insert), and a
+//! completion removes its entry, so a membership change costs one shift of
+//! the lane rather than a sort. A full rebuild and sort of the order (a
+//! *re-sort*, counted by `Medium::resorts`) runs only after a mobility tick
+//! changed the cap of a client in the lane's cell or handed members over.
+//! Either way the order is the one a from-scratch sort would give, so the
+//! water-fill sees the same sequence and yields the same rate bits. A lane
+//! whose membership is unchanged and whose capacity is bit-equal to the
+//! last solve's keeps its stored rates, since water-filling the same order
+//! under the same capacity gives the same bits. The earliest completion
+//! deadline is folded during the re-solve and the earliest mobility tick
+//! is cached, so `Medium::next_deadline` only scans the cells for
+//! cross-traffic flips. Deadlines themselves are still recomputed for
+//! every flow at every boundary: `remaining` is settled there, and
+//! computing `ceil(remaining / rate)` from a different settlement point
+//! would round differently and could reorder events that land on the same
+//! instant.
 //!
 //! # Fair share
 //!
@@ -424,19 +439,40 @@ struct FlowState<K> {
     remaining: f64,
     /// Allocated rate, bytes/ns. Zero when the cell is starved.
     rate: f64,
-    /// Last instant `remaining` was settled at.
-    settled_at: SimTime,
+    /// The flow's key in its lane's water-fill order: its client's cap
+    /// when it joined the lane or when the lane last re-sorted, bytes/ns.
+    cap: f64,
     /// Completion deadline under the current rate (`None` if starved).
     done_at: Option<SimTime>,
+}
+
+impl<K> FlowState<K> {
+    /// Moves `dt` nanoseconds of progress at the current rate out of
+    /// `remaining`.
+    fn settle(&mut self, dt: f64) {
+        if dt > 0.0 && self.rate > 0.0 {
+            self.remaining = (self.remaining - self.rate * dt).max(0.0);
+        }
+    }
 }
 
 /// The completion deadline of a flow settled at `settled_at` with
 /// `remaining` bytes left at `rate` (`None` if starved).
 fn deadline(settled_at: SimTime, remaining: f64, rate: f64) -> Option<SimTime> {
-    (rate > 0.0).then(|| {
-        let ns = (remaining / rate).ceil().max(1.0);
-        settled_at + SimDuration::from_nanos(ns as u64)
-    })
+    (rate > 0.0).then(|| settled_at + SimDuration::from_nanos(ceil_ns(remaining / rate)))
+}
+
+/// `x.ceil().max(1.0) as u64` for every `x`, NaN and infinities included,
+/// in integer arithmetic: without SSE4.1, `f64::ceil` is a libm call, and
+/// every solve takes one per flow.
+fn ceil_ns(x: f64) -> u64 {
+    let t = x as u64;
+    let t = if (t as f64) < x {
+        t.saturating_add(1)
+    } else {
+        t
+    };
+    t.max(1)
 }
 
 /// Max-min water-filling of `capacity` over `order`, ascending by
@@ -454,23 +490,64 @@ fn water_fill(capacity: f64, order: &[(f64, usize)], mut set: impl FnMut(usize, 
     }
 }
 
+/// The water-fill order of two entries: `(client cap, slot)` ascending.
+fn order_cmp(a: &(f64, usize), b: &(f64, usize)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
 /// Sorts a water-fill order: `(client cap, slot)` ascending.
 fn sort_order(order: &mut [(f64, usize)]) {
-    order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    order.sort_unstable_by(order_cmp);
 }
 
 /// One `(cell, direction)` pool: its active flows and its cached solve.
 #[derive(Debug, Clone, Default)]
 struct Lane {
-    /// Active flow slots, ascending after every solve.
+    /// Active flow slots, ascending.
     slots: Vec<usize>,
     /// Water-fill order, `(client cap, slot)` ascending; current unless
-    /// `dirty`.
+    /// `resort`.
     order: Vec<(f64, usize)>,
-    /// Membership or a member's cap changed since the last solve.
-    dirty: bool,
+    /// A member's cap changed or a handover moved members: the next solve
+    /// rebuilds `order` from `slots`.
+    resort: bool,
+    /// Membership changed since the last solve: the next solve re-runs
+    /// the water-fill even if the capacity did not move.
+    refill: bool,
     /// Effective capacity (bytes/ns) the members' rates were solved under.
     capacity: f64,
+}
+
+impl Lane {
+    /// Adds `slot`, keyed `cap`, keeping `slots` ascending and splicing
+    /// `(cap, slot)` into a current order.
+    fn join(&mut self, slot: usize, cap: f64) {
+        let i = self.slots.partition_point(|&s| s < slot);
+        self.slots.insert(i, slot);
+        if !self.resort {
+            let entry = (cap, slot);
+            let j = self.order.partition_point(|e| order_cmp(e, &entry).is_lt());
+            self.order.insert(j, entry);
+        }
+        self.refill = true;
+    }
+
+    /// Removes `slot`, keyed `cap`, from `slots` and from a current order.
+    fn leave(&mut self, slot: usize, cap: f64) {
+        let i = self
+            .slots
+            .binary_search(&slot)
+            .expect("leaving slot is a member");
+        self.slots.remove(i);
+        if !self.resort {
+            let j = self
+                .order
+                .binary_search_by(|e| order_cmp(e, &(cap, slot)))
+                .expect("a current order holds every member under its key");
+            self.order.remove(j);
+        }
+        self.refill = true;
+    }
 }
 
 /// A completed transfer, as reported by [`Medium::advance`].
@@ -499,12 +576,16 @@ pub struct Medium<K: Copy> {
     /// Earliest mobility tick across all clients.
     next_tick: Option<SimTime>,
     wake_gen: u64,
-    /// Instant of the last rate solve (for invariant checking).
+    /// The instant every live flow's `remaining` was last settled at.
+    settled_at: SimTime,
+    /// Instant of the last rate solve: deadlines and cross-traffic phase
+    /// are taken from it.
     resolved_at: SimTime,
     offered_bytes: f64,
     delivered_bytes: f64,
     handovers: u64,
     reallocs: u64,
+    resorts: u64,
 }
 
 fn dir_idx(dir: Direction) -> usize {
@@ -532,11 +613,13 @@ impl<K: Copy> Medium<K> {
             next_done: None,
             next_tick: None,
             wake_gen: 0,
+            settled_at: SimTime::ZERO,
             resolved_at: SimTime::ZERO,
             offered_bytes: 0.0,
             delivered_bytes: 0.0,
             handovers: 0,
             reallocs: 0,
+            resorts: 0,
         }
     }
 
@@ -587,8 +670,8 @@ impl<K: Copy> Medium<K> {
         key: K,
     ) {
         assert!(bytes > 0.0, "flow must carry bytes");
-        self.settle_all(now);
-        let cell = self.clients[client].cell;
+        let dt = self.elapse(now);
+        let ClientState { cell, cap, .. } = self.clients[client];
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
@@ -603,14 +686,14 @@ impl<K: Copy> Medium<K> {
             size: bytes,
             remaining: bytes,
             rate: 0.0,
-            settled_at: now,
+            cap,
             done_at: None,
         });
-        let lane = &mut self.lanes[cell][dir_idx(dir)];
-        lane.slots.push(slot);
-        lane.dirty = true;
+        self.lanes[cell][dir_idx(dir)].join(slot, cap);
         self.offered_bytes += bytes;
-        self.resolve(now);
+        // The new flow has no rate yet, so settling it with the rest moves
+        // none of its bytes.
+        self.resolve(now, dt);
     }
 
     /// The earliest internal deadline: a flow completion, a mobility tick,
@@ -646,25 +729,27 @@ impl<K: Copy> Medium<K> {
                 Some(t) if t <= now => t,
                 _ => break,
             };
-            self.settle_all(step);
-            // 1. Completions at `step` (settled remaining has hit zero).
-            let n_flows = self.flows.len();
-            for slot in 0..n_flows {
-                let done = matches!(&self.flows[slot], Some(f) if f.remaining <= EPS_BYTES);
-                if done {
-                    let f = self.flows[slot].take().expect("flow just matched");
-                    let cell = self.clients[f.client].cell;
-                    let lane = &mut self.lanes[cell][dir_idx(f.dir)];
-                    lane.slots.retain(|&s| s != slot);
-                    lane.dirty = true;
-                    self.free.push(slot);
-                    self.delivered_bytes += f.size;
-                    completed.push(Completion {
-                        key: f.key,
-                        cell,
-                        dir: f.dir,
-                    });
+            // 1. Settle to `step` and complete the flows whose settled
+            //    remaining has hit zero, in one pass over the slab.
+            let dt = self.elapse(step);
+            for slot in 0..self.flows.len() {
+                let Some(f) = &mut self.flows[slot] else {
+                    continue;
+                };
+                f.settle(dt);
+                if f.remaining > EPS_BYTES {
+                    continue;
                 }
+                let f = self.flows[slot].take().expect("flow just matched");
+                let cell = self.clients[f.client].cell;
+                self.lanes[cell][dir_idx(f.dir)].leave(slot, f.cap);
+                self.free.push(slot);
+                self.delivered_bytes += f.size;
+                completed.push(Completion {
+                    key: f.key,
+                    cell,
+                    dir: f.dir,
+                });
             }
             // 2. Mobility ticks due at `step` (client order).
             if self.next_tick.is_some_and(|t| t <= step) {
@@ -676,16 +761,18 @@ impl<K: Copy> Medium<K> {
                 self.next_tick = self.clients.iter().filter_map(|c| c.next_tick).min();
             }
             // 3. Re-solve (also refreshes cross-traffic effective capacity,
-            //    so a flip deadline needs no handling of its own).
-            self.resolve(step);
+            //    so a flip deadline needs no handling of its own); the
+            //    flows are settled at `step` already.
+            self.resolve(step, 0.0);
         }
-        // Stamp progress up to `now` so observers see settled state.
-        self.settle_all(now);
+        // Stamp progress up to `now` so observers see settled state (a
+        // no-op when the last deadline processed was `now`).
+        self.settle(now);
         self.wake_gen += 1;
     }
 
-    /// Re-evaluates a walking client: position, rate cap, handover. Marks
-    /// the lanes its flows sit in dirty when it hands over or its cap
+    /// Re-evaluates a walking client: position, rate cap, handover. Flags
+    /// the lanes its flows sit in for re-sort when it hands over or its cap
     /// changes.
     fn mobility_tick(&mut self, client: usize, now: SimTime) {
         let (x, y) = self.clients[client].position_at(now);
@@ -709,9 +796,10 @@ impl<K: Copy> Medium<K> {
                     }
                     !mine
                 });
+                to.sort_unstable();
                 self.lanes[nearest][di].slots = to;
-                self.lanes[nearest][di].dirty = true;
-                self.lanes[serving][di].dirty = true;
+                self.lanes[nearest][di].resort = true;
+                self.lanes[serving][di].resort = true;
             }
             self.clients[client].cell = nearest;
             self.clients[client].handovers += 1;
@@ -723,7 +811,7 @@ impl<K: Copy> Medium<K> {
         if cap.to_bits() != self.clients[client].cap.to_bits() {
             self.clients[client].cap = cap;
             for lane in &mut self.lanes[cell] {
-                lane.dirty = true;
+                lane.resort = true;
             }
         }
         let tick = SimDuration::from_millis_f64(self.params.mobility_tick_ms);
@@ -742,51 +830,85 @@ impl<K: Copy> Medium<K> {
         best
     }
 
-    /// Settles every active flow's `remaining` up to `now`.
-    fn settle_all(&mut self, now: SimTime) {
+    /// Settles every active flow's `remaining` up to `now`; free when the
+    /// medium is already settled at `now`.
+    fn settle(&mut self, now: SimTime) {
+        if now == self.settled_at {
+            return;
+        }
+        let dt = self.elapse(now);
         for f in self.flows.iter_mut().flatten() {
-            let dt = (now - f.settled_at).as_nanos() as f64;
-            if dt > 0.0 && f.rate > 0.0 {
-                f.remaining = (f.remaining - f.rate * dt).max(0.0);
-            }
-            f.settled_at = now;
+            f.settle(dt);
         }
     }
 
-    /// Re-solves every cell's allocation (water-filling under per-client
-    /// caps) and recomputes every completion deadline; see the module docs
-    /// for what a clean lane reuses. Bumps the generation.
-    fn resolve(&mut self, now: SimTime) {
+    /// Marks the medium settled at `now`; returns the nanoseconds of
+    /// progress every flow has made since the last settlement, which the
+    /// caller must apply with [`FlowState::settle`].
+    fn elapse(&mut self, now: SimTime) -> f64 {
+        let dt = (now - self.settled_at).as_nanos() as f64;
+        self.settled_at = now;
+        dt
+    }
+
+    /// Settles every flow by the `dt` nanoseconds [`Medium::elapse`]
+    /// returned for `now`, re-solves every cell's allocation (water-filling
+    /// under per-client caps) and recomputes every completion deadline, in
+    /// one pass over each lane's members unless its rates change; see the
+    /// module docs for what a lane reuses. Bumps the generation.
+    fn resolve(&mut self, now: SimTime, dt: f64) {
         let mut next_done: Option<SimTime> = None;
         for (cell, lanes) in self.params.cells.iter().zip(&mut self.lanes) {
             for (lane, dir) in lanes.iter_mut().zip([Direction::Up, Direction::Down]) {
                 if lane.slots.is_empty() {
+                    // An idle lane has nothing to solve; its next member
+                    // splices into an empty order.
+                    lane.order.clear();
+                    lane.resort = false;
                     continue;
                 }
                 let capacity = bytes_per_ns(cell.effective_mbps(dir, now));
                 let flows = &mut self.flows;
-                if lane.dirty {
-                    // Deterministic solve order regardless of arrival history.
-                    lane.slots.sort_unstable();
+                if lane.resort {
                     let clients = &self.clients;
                     lane.order.clear();
                     lane.order.extend(lane.slots.iter().map(|&s| {
-                        let f = flows[s].as_ref().expect("active slot live");
-                        (clients[f.client].cap, s)
+                        let f = flows[s].as_mut().expect("active slot live");
+                        f.cap = clients[f.client].cap;
+                        (f.cap, s)
                     }));
                     sort_order(&mut lane.order);
+                    lane.resort = false;
+                    lane.refill = true;
+                    self.resorts += 1;
                 }
-                if lane.dirty || capacity.to_bits() != lane.capacity.to_bits() {
+                let mut fold = |f: &mut FlowState<K>| {
+                    f.done_at = deadline(now, f.remaining, f.rate);
+                    if let Some(t) = f.done_at {
+                        if next_done.is_none_or(|n| t < n) {
+                            next_done = Some(t);
+                        }
+                    }
+                };
+                if lane.refill || capacity.to_bits() != lane.capacity.to_bits() {
+                    // Settle at the old rates before the water-fill moves
+                    // them.
+                    for &s in &lane.slots {
+                        flows[s].as_mut().expect("active slot live").settle(dt);
+                    }
                     water_fill(capacity, &lane.order, |s, rate| {
-                        flows[s].as_mut().expect("active slot live").rate = rate;
+                        let f = flows[s].as_mut().expect("active slot live");
+                        f.rate = rate;
+                        fold(f);
                     });
                     lane.capacity = capacity;
-                    lane.dirty = false;
-                }
-                for &s in &lane.slots {
-                    let f = flows[s].as_mut().expect("active slot live");
-                    f.done_at = deadline(f.settled_at, f.remaining, f.rate);
-                    next_done = next_done.into_iter().chain(f.done_at).min();
+                    lane.refill = false;
+                } else {
+                    for &s in &lane.slots {
+                        let f = flows[s].as_mut().expect("active slot live");
+                        f.settle(dt);
+                        fold(f);
+                    }
                 }
             }
         }
@@ -825,6 +947,14 @@ impl<K: Copy> Medium<K> {
     /// shared medium, exposed so sweeps can report it per cell.
     pub fn reallocs(&self) -> u64 {
         self.reallocs
+    }
+
+    /// Number of full water-fill order rebuilds: one per busy lane a solve
+    /// finds flagged, after a mobility tick changed the cap of a client in
+    /// its cell or handed members over. Flow starts and completions splice
+    /// the order instead and do not count.
+    pub fn resorts(&self) -> u64 {
+        self.resorts
     }
 
     /// Bytes of backing storage currently held by the medium's dynamic
@@ -916,14 +1046,19 @@ impl<K: Copy> Medium<K> {
                         f.rate
                     );
                     assert!(f.remaining >= 0.0 && f.remaining <= f.size + TOL);
+                    assert_eq!(
+                        f.cap.to_bits(),
+                        ccap.to_bits(),
+                        "flow {s}: water-fill key differs from its client's cap"
+                    );
                     assert!(
                         self.clients[f.client].cell == ci && f.dir == dir,
                         "flow {s} sits in lane ({ci}, {dir:?}) of another cell or direction"
                     );
-                    if f.settled_at == self.resolved_at {
+                    if self.settled_at == self.resolved_at {
                         assert_eq!(
                             f.done_at,
-                            deadline(f.settled_at, f.remaining, f.rate),
+                            deadline(self.resolved_at, f.remaining, f.rate),
                             "flow {s}: cached deadline differs from a fresh one"
                         );
                     }
@@ -933,7 +1068,10 @@ impl<K: Copy> Medium<K> {
                     continue;
                 }
                 // From-scratch solve of the lane, compared bit for bit.
-                assert!(!lane.dirty, "lane ({ci}, {dir:?}) left dirty by a solve");
+                assert!(
+                    !lane.resort && !lane.refill,
+                    "lane ({ci}, {dir:?}) left stale by a solve"
+                );
                 assert!(
                     lane.slots.windows(2).all(|w| w[0] < w[1]),
                     "lane ({ci}, {dir:?}) slots out of order"
@@ -1158,6 +1296,116 @@ mod tests {
         assert!(m.in_flight_bytes() <= m.offered_bytes() - m.delivered_bytes() + 1e-6);
     }
 
+    /// Position of the flow keyed `key` in lane `(0, Up)`'s water-fill order.
+    fn order_index(m: &Medium<u64>, key: u64) -> usize {
+        let slot = m
+            .flows
+            .iter()
+            .position(|f| f.as_ref().is_some_and(|f| f.key == key))
+            .expect("flow is live");
+        m.lanes[0][0]
+            .order
+            .iter()
+            .position(|&(_, s)| s == slot)
+            .expect("live flow is in its lane's order")
+    }
+
+    #[test]
+    fn splices_remove_at_front_middle_and_back_and_join_a_flagged_lane() {
+        let mut m: Medium<u64> = Medium::new(MediumParams::single_cell(80.0, 160.0));
+        let at = |x_m: f64| Mobility::Fixed { x_m, y_m: 0.0 };
+        // Caps fall with distance, so the order runs from the farthest
+        // client to the nearest; clients parked at 20 m tie on cap.
+        let near = m.add_client(SimTime::ZERO, at(5.0));
+        let far = m.add_client(SimTime::ZERO, at(35.0));
+        let twin = m.add_client(SimTime::ZERO, at(20.0));
+        let long = |m: &mut Medium<u64>, x: f64, key: u64| {
+            let c = m.add_client(SimTime::ZERO, at(x));
+            m.start_flow(SimTime::ZERO, c, Direction::Up, 1e9, key);
+            m.check_invariants();
+        };
+        for (key, x) in [10.0, 15.0, 25.0, 30.0].into_iter().enumerate() {
+            long(&mut m, x, key as u64);
+        }
+        // A short flow finishes within a millisecond while the long flows
+        // hold the lane: run past its deadline and return what completed.
+        let finish = |m: &mut Medium<u64>| -> Vec<u64> {
+            let t = m.next_deadline().expect("flows pending");
+            let until = t + SimDuration::from_millis_f64(1.0);
+            let mut done = drain(m, until);
+            m.advance(until, &mut done);
+            m.check_invariants();
+            done.iter().map(|c| c.key).collect()
+        };
+        // Middle: two long flows tie with the short one on cap and sort
+        // after it by slot.
+        m.start_flow(SimTime::ZERO, twin, Direction::Up, 100.0, 100);
+        long(&mut m, 20.0, 4);
+        long(&mut m, 20.0, 5);
+        assert_eq!(order_index(&m, 100), 2);
+        assert_eq!(finish(&mut m), [100]);
+        // Front and back, each reusing the slot the last short flow freed.
+        for (client, key, index) in [(far, 101, 0), (near, 102, 6)] {
+            m.start_flow(m.settled_at, client, Direction::Up, 100.0, key);
+            m.check_invariants();
+            assert_eq!(
+                order_index(&m, key),
+                index,
+                "flow {key} spliced out of place"
+            );
+            assert_eq!(finish(&mut m), [key]);
+        }
+        assert_eq!(m.active_flows(0, Direction::Up), 6);
+        assert_eq!(
+            m.resorts(),
+            0,
+            "starts and completions splice, never re-sort"
+        );
+        // A lane a mobility tick flagged for re-sort takes a new member
+        // without splicing; the solve rebuilds the order once. (Every
+        // mutation ends in a solve, so only a test can start a flow here.)
+        m.lanes[0][0].resort = true;
+        m.start_flow(m.settled_at, near, Direction::Up, 100.0, 103);
+        m.check_invariants();
+        assert_eq!(m.resorts(), 1);
+        assert_eq!(order_index(&m, 103), 6);
+    }
+
+    #[test]
+    fn ceil_ns_matches_the_float_formula() {
+        let float = |x: f64| x.ceil().max(1.0) as u64;
+        let mut xs = vec![
+            f64::NAN,
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.5,
+            1e15 + 0.5,
+            9_007_199_254_740_991.0,
+            9_007_199_254_740_992.0,
+            18_446_744_073_709_549_568.0,
+            18_446_744_073_709_551_616.0,
+            1e300,
+            f64::INFINITY,
+        ];
+        let mut h = 0x3E11_CE11u64;
+        for _ in 0..10_000 {
+            h = mix(h, 1);
+            // Random bit patterns across every exponent, and quotients
+            // like the deadlines the medium computes.
+            xs.push(f64::from_bits(h));
+            xs.push(unit(h) * 1e9);
+        }
+        for x in xs {
+            assert_eq!(ceil_ns(x), float(x), "x = {x:e} ({:#x})", x.to_bits());
+        }
+    }
+
     #[test]
     fn wake_generation_bumps_on_every_mutation() {
         let mut m: Medium<u64> = Medium::new(MediumParams::single_cell(80.0, 160.0));
@@ -1192,18 +1440,21 @@ mod properties {
     use super::{CellParams, CrossTraffic, Medium, MediumParams, Mobility};
     use crate::link::Direction;
 
+    /// Flow arrivals per case.
+    const STEPS: u64 = 60;
+
     #[test]
     fn rates_capped_and_bytes_conserved_under_churn_and_handover() {
         check::check(
             "medium_invariants",
             (
                 u64s(..),
-                usizes(1..=6),
+                (usizes(1..=24), usizes(0..=4)),
                 f64s(10.0..200.0),
                 f64s(0.0..15.0),
                 f64s(0.0..1.0),
             ),
-            |&(seed, n_clients, cap_mbps, speed_mps, cross_frac)| {
+            |&(seed, (n_clients, n_together), cap_mbps, speed_mps, cross_frac)| {
                 // Two cells 80 m apart; walkers cross the handover
                 // boundary, parked clients (speed drawn ~0) never do.
                 // Cross-traffic, when drawn, flips cell 0's capacity (up to
@@ -1223,9 +1474,13 @@ mod properties {
                     cross: cross.filter(|_| seed & 1 == 1),
                 });
                 let mut m: Medium<u64> = Medium::new(params);
+                // The first `n_together` clients park at one spot, so
+                // their caps tie and the slot orders them.
                 for i in 0..n_clients {
                     let client_seed = mix(seed, i as u64);
-                    let mobility = if speed_mps > 0.5 {
+                    let mobility = if i < n_together {
+                        Mobility::parked(seed, 100.0)
+                    } else if speed_mps > 0.5 {
                         Mobility::Waypoints {
                             seed: client_seed,
                             speed_mps,
@@ -1237,13 +1492,14 @@ mod properties {
                     m.add_client(SimTime::ZERO, mobility);
                 }
                 // Churn: flow arrivals interleave at random with
-                // completions, mobility ticks, handovers and flips.
+                // completions, mobility ticks, handovers and flips; lanes
+                // grow long enough that starts reuse freed slots mid-lane.
                 // check_invariants pins the rate-cap and byte-conservation
                 // invariants, and the cached solve against a from-scratch
                 // one, at every mutation.
                 let mut now = SimTime::ZERO;
                 let mut out = Vec::new();
-                for step in 0..30u64 {
+                for step in 0..STEPS {
                     let draw = mix(seed, 0x1000 + step);
                     let client = (draw % n_clients as u64) as usize;
                     let dir = if draw & 1 == 0 {
@@ -1287,7 +1543,11 @@ mod properties {
                     m.delivered_bytes(),
                     m.handovers()
                 );
-                prop_assert!(out.len() == 30, "completed {} of 30 flows", out.len());
+                prop_assert!(
+                    out.len() == STEPS as usize,
+                    "completed {} of {STEPS} flows",
+                    out.len()
+                );
                 Ok(())
             },
         );

@@ -740,6 +740,33 @@ fn cross_traffic_and_dense_mobility_cells_are_pinned() {
     assert_eq!(got, golden_dense, "64-session mobility cell drifted");
 }
 
+/// Exact work counters of the 64-session mobility cell pinned above: the
+/// medium's solves and its full water-fill order rebuilds. Flow starts
+/// and completions splice a lane's order, so only mobility ticks that
+/// move caps and handovers re-sort it.
+#[test]
+fn dense_mobility_cell_work_counters_are_pinned() {
+    let fleet = marsim::FleetSpec::mar_default(64).with_horizon(2.0);
+    let seed = marsim::runner::job_seed(2024, 8);
+    let mut params = marsim::fleet::mar_cluster(fleet.link, edgelink::RoutePolicy::ShortestQueue);
+    params.radio = edgelink::ClusterRadio::Shared(marsim::fleet::mobility_medium());
+    let mut sim = edgelink::ClusterSim::new(params, fleet.sessions(seed), fleet.queue);
+    sim.run_for_secs(fleet.horizon_secs);
+    let m = sim.medium().expect("shared radios expose the medium");
+    // The same cell run_mobility_cell builds.
+    assert_eq!(
+        m.reallocs(),
+        marsim::run_mobility_cell(&fleet, seed)
+            .telemetry
+            .medium_reallocs
+    );
+    assert_eq!(
+        (m.reallocs(), m.resorts()),
+        (3332, 31),
+        "64-session mobility cell: (solves, re-sorts)"
+    );
+}
+
 /// One line per window of an activation: the allocation letters and the
 /// bit patterns of the triangle ratio and the cost, in window order.
 fn window_digest(records: &[hbo_core::IterationRecord]) -> Vec<String> {
