@@ -74,13 +74,21 @@ pub struct BoOptimizer<S> {
     observations: Vec<(Vec<f64>, f64)>,
     surrogate: GaussianProcess,
     tracer: Tracer,
-    trace_track: Option<TrackId>,
+    trace_track: TrackId,
     trace_now: SimTime,
 }
 
 impl<S: SampleSpace> BoOptimizer<S> {
     /// Creates an optimizer with no observations whose first `n_initial`
     /// suggestions are random designs (paper: 5).
+    ///
+    /// The optimizer records into the tracer in scope when it is built
+    /// ([`simcore::trace::observe`]), on a `bo suggest` track registered
+    /// here. It runs in wall time, outside the simulation clock, so trace
+    /// records are stamped with the simulated time last supplied via
+    /// [`Self::set_trace_now`] (typically the start of the HBO window that
+    /// triggered the suggestion). Tracing never touches the RNG stream:
+    /// suggestions are bit-identical with tracing on or off.
     ///
     /// # Panics
     ///
@@ -90,28 +98,17 @@ impl<S: SampleSpace> BoOptimizer<S> {
             config.n_candidates + config.n_local > 0,
             "need at least one candidate per suggestion"
         );
+        let tracer = Tracer::current();
         BoOptimizer {
             space,
             config,
             n_initial,
             observations: Vec::new(),
             surrogate: GaussianProcess::new(config.kernel, config.noise_var),
-            tracer: Tracer::disabled(),
-            trace_track: None,
+            trace_track: tracer.register_track("bo", "bo suggest"),
+            tracer,
             trace_now: SimTime::ZERO,
         }
-    }
-
-    /// Installs a tracer and registers the optimizer's `bo suggest` track.
-    ///
-    /// The optimizer runs in wall time, outside the simulation clock, so
-    /// trace records are stamped with the simulated time last supplied via
-    /// [`Self::set_trace_now`] (typically the start of the HBO window that
-    /// triggered the suggestion). Tracing never touches the RNG stream:
-    /// suggestions are bit-identical with tracing on or off.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.trace_track = Some(tracer.register_track("bo", "bo suggest"));
-        self.tracer = tracer;
     }
 
     /// Sets the simulated timestamp applied to subsequent trace records.
@@ -211,41 +208,37 @@ impl<S: SampleSpace> BoOptimizer<S> {
     /// Emits a zero-duration span on the `bo suggest` track (no-op when the
     /// tracer is disabled).
     fn trace_span(&self, name: &str, args: &[(&'static str, ArgValue)]) {
-        if let Some(track) = self.trace_track {
-            if self.tracer.is_enabled() {
-                self.tracer.complete(
-                    self.trace_now,
-                    simcore::SimDuration::from_nanos(0),
-                    track,
-                    "bo",
-                    name,
-                    args,
-                );
-            }
+        if self.tracer.is_enabled() {
+            self.tracer.complete(
+                self.trace_now,
+                simcore::SimDuration::from_nanos(0),
+                self.trace_track,
+                "bo",
+                name,
+                args,
+            );
         }
     }
 
     /// Emits an instant on the `bo suggest` track carrying the proposed
     /// point (no-op when the tracer is disabled).
     fn trace_instant(&self, name: &str, z: &[f64], acq: f64) {
-        if let Some(track) = self.trace_track {
-            if self.tracer.is_enabled() {
-                let point = z
-                    .iter()
-                    .map(|v| format!("{v:.4}"))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                self.tracer.instant(
-                    self.trace_now,
-                    track,
-                    "bo",
-                    name,
-                    &[
-                        ("point", ArgValue::from(point)),
-                        ("acq", ArgValue::from(acq)),
-                    ],
-                );
-            }
+        if self.tracer.is_enabled() {
+            let point = z
+                .iter()
+                .map(|v| format!("{v:.4}"))
+                .collect::<Vec<_>>()
+                .join(",");
+            self.tracer.instant(
+                self.trace_now,
+                self.trace_track,
+                "bo",
+                name,
+                &[
+                    ("point", ArgValue::from(point)),
+                    ("acq", ArgValue::from(acq)),
+                ],
+            );
         }
     }
 
@@ -441,17 +434,21 @@ mod tests {
 
     #[test]
     fn tracing_does_not_change_suggestions_and_captures_spans() {
-        use simcore::trace::{ChromeTraceSink, Tracer};
+        use simcore::trace::{observe, ChromeTraceSink, Tracer};
         use std::cell::RefCell;
         use std::rc::Rc;
 
         let run = |traced: bool| {
             let space = BoxSpace::new(vec![(0.0, 1.0), (0.0, 1.0)]);
-            let mut bo = BoOptimizer::new(space, BoConfig::default(), N_INITIAL);
             let sink = Rc::new(RefCell::new(ChromeTraceSink::new()));
-            if traced {
-                bo.set_tracer(Tracer::with_sink(Rc::clone(&sink)));
-            }
+            let tracer = if traced {
+                Tracer::with_sink(Rc::clone(&sink))
+            } else {
+                Tracer::disabled()
+            };
+            let mut bo = observe(tracer, || {
+                BoOptimizer::new(space, BoConfig::default(), N_INITIAL)
+            });
             let mut r = rng(17);
             let mut points = Vec::new();
             for i in 0..8 {

@@ -98,7 +98,10 @@ pub struct HboController {
 }
 
 impl HboController {
-    /// Creates a controller for a taskset.
+    /// Creates a controller for a taskset. Its Bayesian optimizer records
+    /// per-suggest fit / acquisition-scoring / chosen-point spans into the
+    /// tracer in scope when it is built ([`simcore::trace::observe`]);
+    /// tracing never touches the RNG stream.
     ///
     /// # Panics
     ///
@@ -279,13 +282,6 @@ impl HboController {
     pub fn reset_activation(&mut self) {
         self.bo.reset();
         self.records.clear();
-    }
-
-    /// Installs a tracer on the inner Bayesian optimizer (per-suggest
-    /// fit / acquisition-scoring / chosen-point spans on the `bo suggest`
-    /// track). Tracing never touches the RNG stream.
-    pub fn set_tracer(&mut self, tracer: simcore::trace::Tracer) {
-        self.bo.set_tracer(tracer);
     }
 
     /// Sets the simulated timestamp stamped onto subsequent BO trace

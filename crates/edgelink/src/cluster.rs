@@ -253,41 +253,35 @@ pub enum ClusterRadio {
     /// Every session gets its own private serializer pair; radios never
     /// contend.
     Private,
-    /// Sessions contend for shared cells ([`crate::medium`]), with
-    /// seed-derived placement, optional waypoint mobility, and handover.
+    /// Sessions walk across shared cells ([`crate::medium`]), with
+    /// seed-derived waypoint mobility and handover.
     Shared(SharedMedium),
     /// Sessions contend for one cell, each parked at
     /// `SharedCell::parked(seed)`.
     Cell(SharedCell),
 }
 
-/// A shared-medium deployment for the cluster: the cell layout plus how
-/// the session population is placed and moves. Placement and walks derive
-/// from each session's own seed, so relabeling invariance holds exactly
-/// as in the private model.
+/// A walking shared-medium deployment for the cluster: the cell layout
+/// plus how the session population moves. Walks derive from each
+/// session's own seed, so relabeling invariance holds exactly as in the
+/// private model. Parked sessions on one cell are [`ClusterRadio::Cell`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SharedMedium {
-    /// Cells, rate law, mobility tick, handover hysteresis.
+    /// Cell sites.
     pub medium: MediumParams,
-    /// Walking speed in m/s; `0` parks every session at its drawn
-    /// position (no mobility ticks, no handover).
+    /// Walking speed of every session, m/s (positive).
     pub walk_speed_mps: f64,
-    /// Side of the deployment square positions and waypoints are drawn
-    /// in, meters.
+    /// Side of the deployment square waypoints are drawn in, meters.
     pub area_m: f64,
 }
 
 impl SharedMedium {
-    /// The mobility model for a session with `seed`.
+    /// The walk of a session with `seed`.
     fn mobility(&self, seed: u64) -> Mobility {
-        if self.walk_speed_mps > 0.0 {
-            Mobility::Waypoints {
-                seed,
-                speed_mps: self.walk_speed_mps,
-                area_m: self.area_m,
-            }
-        } else {
-            Mobility::parked(seed, self.area_m)
+        Mobility::Waypoints {
+            seed,
+            speed_mps: self.walk_speed_mps,
+            area_m: self.area_m,
         }
     }
 }
@@ -330,12 +324,14 @@ impl ClusterParams {
             ClusterRadio::Shared(shared) => {
                 shared.medium.validate();
                 assert!(
-                    shared.walk_speed_mps.is_finite() && shared.walk_speed_mps >= 0.0,
-                    "walk speed must be non-negative"
+                    shared.walk_speed_mps.is_finite() && shared.walk_speed_mps > 0.0,
+                    "walk speed must be positive: {} m/s",
+                    shared.walk_speed_mps
                 );
                 assert!(
                     shared.area_m.is_finite() && shared.area_m > 0.0,
-                    "deployment area must be positive"
+                    "deployment area must be positive: {} m",
+                    shared.area_m
                 );
             }
             ClusterRadio::Cell(cell) => cell.medium_params().validate(),
@@ -1661,22 +1657,16 @@ mod tests {
         }
     }
 
-    fn shared_params(policy: RoutePolicy, walk_speed_mps: f64) -> ClusterParams {
+    /// The two-zone cluster with every session parked in the stadium cell.
+    fn shared_params(policy: RoutePolicy) -> ClusterParams {
         let mut p = two_zone_params(policy);
-        p.radio = ClusterRadio::Shared(SharedMedium {
-            medium: MediumParams::single_cell(120.0, 240.0),
-            walk_speed_mps,
-            area_m: 40.0,
-        });
+        p.radio = ClusterRadio::Cell(SharedCell::stadium());
         p
     }
 
     #[test]
     fn shared_radio_completes_round_trips_and_conserves_bytes() {
-        let mut sim = cluster_sim(
-            shared_params(RoutePolicy::ShortestQueue, 0.0),
-            sessions(6, 10.0),
-        );
+        let mut sim = cluster_sim(shared_params(RoutePolicy::ShortestQueue), sessions(6, 10.0));
         sim.run_for_secs(10.0);
         assert!(
             sim.metrics().completed() > 100,
@@ -1693,10 +1683,7 @@ mod tests {
     #[test]
     fn shared_radio_is_deterministic_across_runs() {
         let run = || {
-            let mut sim = cluster_sim(
-                shared_params(RoutePolicy::PowerOfTwo, 0.0),
-                sessions(5, 8.0),
-            );
+            let mut sim = cluster_sim(shared_params(RoutePolicy::PowerOfTwo), sessions(5, 8.0));
             sim.run_for_secs(8.0);
             (
                 sim.metrics().completed(),
@@ -1710,12 +1697,12 @@ mod tests {
 
     #[test]
     fn shared_radio_preserves_relabeling_invariance() {
-        // Placement and walks key off the session seed, not the vector
-        // index, so the relabeling guarantee must survive shared cells.
+        // Placement keys off the session seed, not the vector index, so
+        // the relabeling guarantee must survive shared cells.
         let run = |order: &[usize]| {
             let base = sessions(5, 8.0);
             let sess: Vec<SessionSpec> = order.iter().map(|&i| base[i].clone()).collect();
-            let mut sim = cluster_sim(shared_params(RoutePolicy::ShortestQueue, 0.0), sess);
+            let mut sim = cluster_sim(shared_params(RoutePolicy::ShortestQueue), sess);
             sim.run_for_secs(8.0);
             let per: Vec<u64> = (0..5).map(|s| sim.session_completed(s)).collect();
             (sim.metrics().completed(), per)
@@ -1741,7 +1728,6 @@ mod tests {
             y_m: 0.0,
             uplink_mbps: 120.0,
             downlink_mbps: 240.0,
-            cross: None,
         });
         params.radio = ClusterRadio::Shared(SharedMedium {
             medium,
@@ -1756,6 +1742,18 @@ mod tests {
         );
         assert!(sim.metrics().completed() > 100);
         sim.medium().unwrap().check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "walk speed must be positive: 0 m/s")]
+    fn zero_walk_speed_is_rejected() {
+        let mut params = two_zone_params(RoutePolicy::ShortestQueue);
+        params.radio = ClusterRadio::Shared(SharedMedium {
+            medium: MediumParams::single_cell(120.0, 240.0),
+            walk_speed_mps: 0.0,
+            area_m: 40.0,
+        });
+        cluster_sim(params, sessions(2, 1.0));
     }
 
     #[test]
@@ -1926,7 +1924,12 @@ mod tests {
     /// plan `send` stored instead of an event field.
     #[test]
     fn shared_transmitted_bytes_match_the_planned_attempts() {
-        let params = shared_params(RoutePolicy::ShortestQueue, 1.5);
+        let mut params = two_zone_params(RoutePolicy::ShortestQueue);
+        params.radio = ClusterRadio::Shared(SharedMedium {
+            medium: MediumParams::single_cell(120.0, 240.0),
+            walk_speed_mps: 1.5,
+            area_m: 40.0,
+        });
         check_transmitted_bytes_match_the_planned_attempts(params);
     }
 

@@ -49,7 +49,7 @@ pub use cluster::{
     RoutePolicy, ServerSpec, SessionSpec, SharedMedium,
 };
 pub use link::{ByteCounters, Direction, LinkParams, TransferPlan};
-pub use medium::{CellParams, CrossTraffic, Medium, MediumParams, Mobility, RateLaw, SharedCell};
+pub use medium::{CellParams, Medium, MediumParams, Mobility, SharedCell};
 pub use server::{Admission, EdgeServer, ServerParams};
 
 #[cfg(test)]
@@ -64,11 +64,10 @@ mod properties {
 
     use crate::cluster::{
         one_server, ClientSpec, ClusterParams, ClusterRadio, ClusterSim, RoutePolicy, ServerSpec,
-        SessionSpec, SharedMedium,
+        SessionSpec,
     };
     use crate::link::{plan_transfer, Direction, LinkParams};
-    use crate::medium::MediumParams;
-    use crate::ServerParams;
+    use crate::{ServerParams, SharedCell};
 
     /// The deployments every simulator property runs on.
     #[derive(Debug, Clone, Copy)]
@@ -78,7 +77,7 @@ mod properties {
         /// The four-server, two-zone fleet cluster (lanes 4/2/2/1, speeds
         /// 1.25/1/1/0.75, two admission retries) on private radios.
         FourPrivate,
-        /// The same cluster with every session on one shared cell.
+        /// The same cluster with every session parked in the stadium cell.
         FourShared,
     }
 
@@ -123,11 +122,7 @@ mod properties {
             Shape::OneServer => one_server(link, ServerParams::small(), None, clients, seed),
             Shape::FourPrivate | Shape::FourShared => {
                 let radio = match shape {
-                    Shape::FourShared => ClusterRadio::Shared(SharedMedium {
-                        medium: MediumParams::single_cell(120.0, 240.0),
-                        walk_speed_mps: 0.0,
-                        area_m: 40.0,
-                    }),
+                    Shape::FourShared => ClusterRadio::Cell(SharedCell::stadium()),
                     _ => ClusterRadio::Private,
                 };
                 let sessions = clients

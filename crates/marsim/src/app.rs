@@ -110,7 +110,6 @@ impl MarApp {
         let device = spec.device.clone();
         let (topo, procs) = device.topology();
         let mut sim = SocSim::new(topo);
-        sim.set_tracer(simcore::trace::Tracer::current());
         let zoo = spec.zoo();
 
         // Render loop: starts with an empty scene (prep only).

@@ -199,13 +199,9 @@ pub struct EdgeWorld {
     /// it with a window-start time offset, so their events land on the
     /// app timeline.
     tracer: Tracer,
-    /// Edge counters accumulated across every measurement window (each
-    /// window runs a fresh [`ClusterSim`] which is dropped afterwards).
-    cum_rejected: u64,
-    cum_retransmits: u64,
-    cum_handovers: u64,
-    cum_medium_reallocs: u64,
-    edge_peak_queue: usize,
+    /// Edge totals merged across every measurement window (each window
+    /// runs a fresh [`ClusterSim`] which is dropped afterwards).
+    edge_telemetry: TelemetrySummary,
 }
 
 impl EdgeWorld {
@@ -246,11 +242,7 @@ impl EdgeWorld {
             master_seed: seed,
             epoch: 0,
             tracer: Tracer::current(),
-            cum_rejected: 0,
-            cum_retransmits: 0,
-            cum_handovers: 0,
-            cum_medium_reallocs: 0,
-            edge_peak_queue: 0,
+            edge_telemetry: TelemetrySummary::default(),
         }
     }
 
@@ -383,11 +375,8 @@ impl EdgeWorld {
                 .collect();
             pooled.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
             let (_, rejected, _) = esim.server_counters(0);
-            self.cum_rejected += rejected;
-            self.cum_retransmits += esim.metrics().retransmits;
-            self.cum_handovers += esim.handovers();
-            self.cum_medium_reallocs += esim.medium_reallocs();
-            self.edge_peak_queue = self.edge_peak_queue.max(esim.peak_queue());
+            self.edge_telemetry
+                .merge(&TelemetrySummary::of_cluster(&esim));
             edge_stats = Some(EdgeStats {
                 p95_ms: percentile(&pooled, 0.95),
                 mean_ms: if pooled.is_empty() {
@@ -412,17 +401,14 @@ impl EdgeWorld {
     }
 
     /// Telemetry totals for the whole session: the on-device summary
-    /// ([`MarApp::telemetry`]) plus the edge counters accumulated across
-    /// every measurement window.
+    /// ([`MarApp::telemetry`]) merged with the edge totals of every
+    /// measurement window. The one server retries every rejection until
+    /// it is admitted, so the edge drops nothing and its rejections are
+    /// the server's.
     pub fn telemetry(&self) -> TelemetrySummary {
-        TelemetrySummary {
-            edge_rejected: self.cum_rejected,
-            edge_retransmits: self.cum_retransmits,
-            edge_peak_queue: self.edge_peak_queue,
-            cluster_handovers: self.cum_handovers,
-            medium_reallocs: self.cum_medium_reallocs,
-            ..self.app.telemetry()
-        }
+        let mut telemetry = self.app.telemetry();
+        telemetry.merge(&self.edge_telemetry);
+        telemetry
     }
 }
 
@@ -774,6 +760,12 @@ mod tests {
                 "task {i}: {ms} ms is below the link floor"
             );
         }
+        // The window's cluster totals reach the world's telemetry: its
+        // rejections are the one server's, and a server that retries
+        // every rejection drops nothing.
+        let t = world.telemetry();
+        assert_eq!(t.edge_rejected, e.rejected);
+        assert_eq!(t.cluster_dropped, 0);
     }
 
     #[test]

@@ -186,12 +186,10 @@ pub(crate) fn run_activation<P: Plant>(
     mut plant: P,
     warm_seed: Option<&StoredConfig>,
 ) -> HboRunResult {
-    let tracer = Tracer::current();
-    let track = tracer.register_track("hbo", "hbo control");
+    let track = Tracer::current().register_track("hbo", "hbo control");
     plant.app_mut().place_all_objects();
     plant.app_mut().run_for_secs(WARMUP_SECS);
     let mut hbo = HboController::new(spec.profiles(), config.clone());
-    hbo.set_tracer(tracer);
     let mut rng = StdRng::seed_from_u64(seed);
     let ratio = plant.app().scene().overall_ratio().min(1.0);
     activate(

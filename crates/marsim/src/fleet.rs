@@ -331,6 +331,19 @@ pub struct FleetCellResult {
     pub mean_ms: Option<f64>,
 }
 
+impl FleetCellResult {
+    /// The result of a finished cell: its rendered `row` and `sim`'s
+    /// totals.
+    fn of_cluster(row: String, sim: &ClusterSim) -> Self {
+        FleetCellResult {
+            row,
+            telemetry: TelemetrySummary::of_cluster(sim),
+            completed: sim.metrics().completed(),
+            mean_ms: sim.metrics().mean_ms(),
+        }
+    }
+}
+
 /// Runs one fleet cell: generate the population from `seed`, serve it
 /// with `policy` for the spec's horizon, and pool cluster-level stats.
 /// Under a tracer ([`simcore::trace::observe`]) the cluster records
@@ -379,21 +392,7 @@ pub fn run_fleet_cell(spec: &FleetSpec, policy: RoutePolicy, seed: u64) -> Fleet
         .f64("busy_lanes", sim.total_avg_busy_lanes(), 6)
         .raw("servers", &servers)
         .finish();
-    let telemetry = TelemetrySummary {
-        edge_rejected: m.reject_events,
-        edge_retransmits: m.retransmits,
-        edge_peak_queue: sim.peak_queue(),
-        cluster_dropped: m.dropped,
-        cluster_handovers: sim.handovers(),
-        medium_reallocs: sim.medium_reallocs(),
-        ..TelemetrySummary::default()
-    };
-    FleetCellResult {
-        row,
-        completed: m.completed(),
-        mean_ms: m.mean_ms(),
-        telemetry,
-    }
+    FleetCellResult::of_cluster(row, &sim)
 }
 
 /// The two-cell walking deployment the stadium sweep's mobility cell
@@ -407,7 +406,6 @@ pub fn mobility_medium() -> SharedMedium {
         y_m: 0.0,
         uplink_mbps: 120.0,
         downlink_mbps: 240.0,
-        cross: None,
     });
     SharedMedium {
         medium,
@@ -452,21 +450,7 @@ pub fn run_mobility_cell(spec: &FleetSpec, seed: u64) -> FleetCellResult {
         .opt_ms("mean_ms", m.mean_ms())
         .u64("retransmits", m.retransmits)
         .finish();
-    let telemetry = TelemetrySummary {
-        edge_rejected: m.reject_events,
-        edge_retransmits: m.retransmits,
-        edge_peak_queue: sim.peak_queue(),
-        cluster_dropped: m.dropped,
-        cluster_handovers: sim.handovers(),
-        medium_reallocs: sim.medium_reallocs(),
-        ..TelemetrySummary::default()
-    };
-    FleetCellResult {
-        row,
-        completed: m.completed(),
-        mean_ms: m.mean_ms(),
-        telemetry,
-    }
+    FleetCellResult::of_cluster(row, &sim)
 }
 
 /// The fleet-cache identity of one device class: device fingerprint, its

@@ -8,6 +8,8 @@
 //! simulation state, so merged summaries are bit-identical across thread
 //! counts (merging happens in job-index order).
 
+use edgelink::ClusterSim;
+
 /// Completion and queueing totals for one simulated processor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProcessorTelemetry {
@@ -57,6 +59,23 @@ pub struct TelemetrySummary {
 }
 
 impl TelemetrySummary {
+    /// The cluster totals of one [`ClusterSim`] run: rejections,
+    /// retransmits, the deepest admission queue, drops, handovers and
+    /// medium re-solves (no on-device processors). Every caller that turns
+    /// a cluster run into telemetry reads it through here.
+    pub(crate) fn of_cluster(sim: &ClusterSim) -> Self {
+        let m = sim.metrics();
+        TelemetrySummary {
+            edge_rejected: m.reject_events,
+            edge_retransmits: m.retransmits,
+            edge_peak_queue: sim.peak_queue(),
+            cluster_dropped: m.dropped,
+            cluster_handovers: sim.handovers(),
+            medium_reallocs: sim.medium_reallocs(),
+            ..TelemetrySummary::default()
+        }
+    }
+
     /// The deepest queue observed anywhere: SoC FIFO backlogs and the
     /// edge admission queue.
     pub(crate) fn max_queue_depth(&self) -> usize {

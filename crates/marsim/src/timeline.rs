@@ -13,7 +13,7 @@ use simcore::{SimDuration, SimTime};
 use soc::{DeviceProfile, SocSim, SourceSpec, Stage, StageSeq, StreamId, StreamSpec};
 
 use crate::app::MarApp;
-use crate::experiment::activate;
+use crate::experiment::{activate, CONTROL_PERIOD_SECS};
 use crate::load::{inflated_plan, render_utilization};
 use crate::scenario::ScenarioSpec;
 
@@ -288,7 +288,11 @@ pub struct ActivationTrace {
 ///
 /// `placement_secs` lists when each pending object is placed;
 /// `distance_changes` moves the user to a new distance at given times
-/// (sorted by time).
+/// (sorted by time). The run stays inside `total_secs`: it takes a
+/// monitoring sample only when its window ends by then, and acts on a
+/// reuse or an activation only when every window the action runs (the
+/// exploration's control windows, the settling window and the reference
+/// windows) ends by then; otherwise it holds.
 pub fn run_activation_study(
     spec: &ScenarioSpec,
     config: &HboConfig,
@@ -299,6 +303,13 @@ pub fn run_activation_study(
     seed: u64,
 ) -> ActivationTrace {
     let monitor_period = 2.0; // the paper monitors B_t at 2 s intervals
+
+    // After an action the app settles for one monitoring window; a reuse
+    // then measures one window, an activation (after exploring) several.
+    let reference_windows = 3;
+    let reuse_secs = 2.0 * monitor_period;
+    let activation_secs = (config.n_initial + config.iterations) as f64 * CONTROL_PERIOD_SECS
+        + (1 + reference_windows) as f64 * monitor_period;
     let mut app = MarApp::new(spec);
     let hbo_track = Tracer::current().register_track("hbo", "hbo control");
     let mut hbo = HboController::new(spec.profiles(), config.clone());
@@ -339,7 +350,7 @@ pub fn run_activation_study(
         during_activation: false,
     };
 
-    while app.now().as_secs_f64() < total_secs {
+    while app.now().as_secs_f64() + monitor_period <= total_secs {
         let now = app.now().as_secs_f64();
         // Scene events due now.
         while next_placement < placement_secs.len() && placement_secs[next_placement] <= now {
@@ -371,11 +382,15 @@ pub fn run_activation_study(
         };
 
         if let ActivationDecision::Activate(reason) = decision {
+            let secs_left = total_secs - app.now().as_secs_f64();
             // Lookup-assisted mode: reuse a stored configuration when the
             // current conditions approximately match a past activation.
             let lookup_key = lookup_key_now(&app);
             if use_lookup {
                 if let Some(stored) = lookup.find_similar(&lookup_key).cloned() {
+                    if reuse_secs > secs_left {
+                        continue;
+                    }
                     app.set_allocation(&stored.allocation);
                     app.set_triangle_ratio(stored.x);
                     app.run_for_secs(monitor_period);
@@ -386,6 +401,9 @@ pub fn run_activation_study(
                     samples.push(steady(&app, m.reward(w)));
                     continue;
                 }
+            }
+            if activation_secs > secs_left {
+                continue;
             }
             activations.push((app.now().as_secs_f64(), reason));
             hbo.reset_activation();
@@ -412,7 +430,6 @@ pub fn run_activation_study(
             // monitoring windows to form a faithful reference reward.
             app.run_for_secs(monitor_period);
             let mut reference = 0.0;
-            let reference_windows = 3;
             for _ in 0..reference_windows {
                 let m = app.measure_for_secs(monitor_period);
                 reference += m.reward(w);

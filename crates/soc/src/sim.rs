@@ -255,6 +255,12 @@ impl std::fmt::Debug for SocSim {
 
 impl SocSim {
     /// Creates a simulator over `topology` at time zero.
+    ///
+    /// The simulator records into the tracer in scope when it is built
+    /// ([`simcore::trace::observe`]): one span track per FIFO slot and one
+    /// counter track per processor are registered here, and each stream
+    /// and source registers its own when it is added. Tracing never
+    /// changes the simulation.
     pub fn new(topology: Topology) -> Self {
         let start = SimTime::ZERO;
         let servers = topology
@@ -265,6 +271,29 @@ impl SocSim {
             })
             .collect();
         let server_count = topology.iter().count();
+        let tracer = Tracer::current();
+        let mut trace = TraceIds::default();
+        for (id, spec) in topology.iter() {
+            debug_assert_eq!(id.index(), trace.proc_track.len());
+            match spec.policy {
+                ServicePolicy::Fifo { slots } => {
+                    let tracks: Vec<TrackId> = (0..slots)
+                        .map(|s| tracer.register_track("soc", &format!("{} slot{s}", spec.name)))
+                        .collect();
+                    trace.proc_track.push(tracks[0]);
+                    trace.fifo_slots.push(tracks);
+                    trace.proc_counter.push(format!("{} queue", spec.name));
+                }
+                ServicePolicy::ProcessorSharing => {
+                    trace
+                        .proc_track
+                        .push(tracer.register_track("soc", &spec.name));
+                    trace.fifo_slots.push(Vec::new());
+                    trace.proc_counter.push(format!("{} resident", spec.name));
+                }
+            }
+        }
+        trace.mem_track = tracer.register_track("soc", "mem");
         SocSim {
             sim: Simulator::new(),
             state: SocState {
@@ -274,57 +303,10 @@ impl SocSim {
                 sources: Vec::new(),
                 peak_queue: vec![0; server_count],
                 finished_scratch: Vec::new(),
-                tracer: Tracer::disabled(),
-                trace: TraceIds::default(),
+                tracer,
+                trace,
             },
         }
-    }
-
-    /// Installs a tracer and registers one span track per FIFO slot and
-    /// one counter track per processor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if streams or sources were already added — their tracks
-    /// must be registered in creation order, so the tracer has to be
-    /// installed first.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        assert!(
-            self.state.streams.len() == 0 && self.state.sources.is_empty(),
-            "install the tracer before adding streams or sources"
-        );
-        self.state.tracer = tracer;
-        self.state.trace = TraceIds::default();
-        for (id, spec) in self.state.topo.iter() {
-            debug_assert_eq!(id.index(), self.state.trace.proc_track.len());
-            match spec.policy {
-                ServicePolicy::Fifo { slots } => {
-                    let tracks: Vec<TrackId> = (0..slots)
-                        .map(|s| {
-                            self.state
-                                .tracer
-                                .register_track("soc", &format!("{} slot{s}", spec.name))
-                        })
-                        .collect();
-                    self.state.trace.proc_track.push(tracks[0]);
-                    self.state.trace.fifo_slots.push(tracks);
-                    self.state
-                        .trace
-                        .proc_counter
-                        .push(format!("{} queue", spec.name));
-                }
-                ServicePolicy::ProcessorSharing => {
-                    let track = self.state.tracer.register_track("soc", &spec.name);
-                    self.state.trace.proc_track.push(track);
-                    self.state.trace.fifo_slots.push(Vec::new());
-                    self.state
-                        .trace
-                        .proc_counter
-                        .push(format!("{} resident", spec.name));
-                }
-            }
-        }
-        self.state.trace.mem_track = self.state.tracer.register_track("soc", "mem");
     }
 
     /// Peak FIFO queue depth observed on a processor so far (always 0
@@ -1164,14 +1146,13 @@ mod tests {
 
     #[test]
     fn tracer_captures_balanced_slot_spans_and_counters() {
-        use simcore::trace::{ChromeTraceSink, TracePhase, Tracer};
+        use simcore::trace::{observe, ChromeTraceSink, TracePhase, Tracer};
         use std::cell::RefCell;
         use std::rc::Rc;
 
         let (t, _, _, npu) = topo_cgn();
         let sink = Rc::new(RefCell::new(ChromeTraceSink::new()));
-        let mut sim = SocSim::new(t);
-        sim.set_tracer(Tracer::with_sink(sink.clone()));
+        let mut sim = observe(Tracer::with_sink(sink.clone()), || SocSim::new(t));
         sim.add_stream(
             StreamSpec::new(vec![Stage::compute(npu, ms(10.0))], ms(0.0)).with_label("a"),
         );
@@ -1273,14 +1254,13 @@ mod tests {
 
     #[test]
     fn memory_accounting_tracks_in_flight_sources_and_emits_counters() {
-        use simcore::trace::{ChromeTraceSink, TracePhase, Tracer};
+        use simcore::trace::{observe, ChromeTraceSink, TracePhase, Tracer};
         use std::cell::RefCell;
         use std::rc::Rc;
 
         let (t, _, gpu, _) = topo_cgn();
         let sink = Rc::new(RefCell::new(ChromeTraceSink::new()));
-        let mut sim = SocSim::new(t);
-        sim.set_tracer(Tracer::with_sink(sink.clone()));
+        let mut sim = observe(Tracer::with_sink(sink.clone()), || SocSim::new(t));
         // max_outstanding 2 with a slow stage: the in-flight high-water
         // mark must reach the cap, and the footprint must be nonzero.
         sim.add_source(SourceSpec::new(
@@ -1304,14 +1284,16 @@ mod tests {
 
     #[test]
     fn tracing_does_not_change_measurements() {
-        use simcore::trace::{NullSink, Tracer};
+        use simcore::trace::{observe, NullSink, Tracer};
 
         let run = |traced: bool| {
             let (t, cpu, gpu, _) = topo_cgn();
-            let mut sim = SocSim::new(t);
-            if traced {
-                sim.set_tracer(Tracer::new(NullSink));
-            }
+            let tracer = if traced {
+                Tracer::new(NullSink)
+            } else {
+                Tracer::disabled()
+            };
+            let mut sim = observe(tracer, || SocSim::new(t));
             let s = sim.add_stream(StreamSpec::new(
                 vec![Stage::compute(cpu, ms(10.0)), Stage::compute(gpu, ms(3.0))],
                 ms(1.0),

@@ -9,6 +9,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# A run must not rewrite tracked files: hash each tracked file's
+# `git diff HEAD` now and again at the end, and fail naming every file
+# whose diff moved. perfbench/Cargo.lock is exempt while it is known to
+# be stale (every perfbench build rewrites it); the benchmark change that
+# regenerates it drops the exemption.
+tracked_state() {
+  git diff HEAD --name-only -- . ':(exclude)perfbench/Cargo.lock' |
+    while IFS= read -r path; do
+      printf '%s %s\n' "$(git diff HEAD -- "$path" | sha256sum | cut -d' ' -f1)" "$path"
+    done
+}
+tracked_before="$(tracked_state)"
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -220,5 +233,14 @@ done
 # `correct`.
 echo "==> bench_ab: HEAD vs working tree, fleet_private, 1 pair x 1 s"
 scripts/bench_ab.sh HEAD fleet_private 1 1
+
+echo "==> tracked files: unchanged by this run"
+tracked_after="$(tracked_state)"
+if [[ "$tracked_before" != "$tracked_after" ]]; then
+  echo "error: this run rewrote tracked files:" >&2
+  diff <(printf '%s\n' "$tracked_before") <(printf '%s\n' "$tracked_after") |
+    sed -n 's/^[<>] [0-9a-f]* //p' | sort -u >&2
+  exit 1
+fi
 
 echo "==> OK"

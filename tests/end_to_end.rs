@@ -685,21 +685,15 @@ fn stadium_sweep_identical_across_thread_counts() {
 }
 
 /// Golden pins for the shared-medium paths the cells above leave
-/// uncovered: a one-server stadium cell whose capacity flips under
-/// cross-traffic, and a 64-session population walking across two cells
-/// (dense lanes, frequent handovers). Each line, the medium's re-solve
-/// count included, is pinned bit-for-bit.
+/// uncovered: a 16-client one-server stadium cell read at the medium
+/// (server counters, re-solves, delivered and in-flight bits, per-session
+/// p95), and a 64-session population walking across two cells (dense
+/// lanes, frequent handovers). Each line, the medium's re-solve count
+/// included, is pinned bit-for-bit.
 #[test]
-fn cross_traffic_and_dense_mobility_cells_are_pinned() {
-    let cell = edgelink::SharedCell {
-        cross: Some(edgelink::CrossTraffic {
-            load_mbps: 50.0,
-            period_ms: 40.0,
-            duty: 0.5,
-        }),
-        ..edgelink::SharedCell::stadium()
-    };
-    let golden_cross = "server=(201, 37, 199) retransmits=5 reallocs=913 delivered=416b140000000000 in_flight=411ff445ce6cc36c p95_ms=[214.807643,205.668113,282.603154,177.498409,198.959876,197.567111,223.039501,189.096581,214.544325,168.819302,191.685455,175.592760,222.597326,204.340618,292.525707,169.154560]";
+fn stadium_and_dense_mobility_cells_are_pinned() {
+    let cell = edgelink::SharedCell::stadium();
+    let golden_cell = "server=(290, 32, 290) retransmits=9 reallocs=1174 delivered=4173970000000000 in_flight=4117ae4e290cc313 p95_ms=[169.733954,153.909694,186.300490,125.362573,130.824040,152.540372,147.281082,144.960745,162.408489,117.060883,182.265509,138.566021,163.729810,169.473102,176.739298,117.018724]";
     let golden_dense = "{\"sweep\":\"stadium_mobility\",\"fleet\":64,\"sessions\":73,\"handovers\":11,\"submitted\":863,\"completed\":809,\"dropped\":0,\"rejects\":0,\"p50_ms\":71.795178,\"p95_ms\":299.906275,\"mean_ms\":102.692447,\"retransmits\":25} reallocs=3332";
     let specs = (0..16)
         .map(|i| edgelink::ClientSpec::mar_default(format!("c{i}")))
@@ -733,7 +727,7 @@ fn cross_traffic_and_dense_mobility_cells_are_pinned() {
         m.in_flight_bytes().to_bits(),
         p95.join(",")
     );
-    assert_eq!(got, golden_cross, "cross-traffic stadium cell drifted");
+    assert_eq!(got, golden_cell, "16-client stadium cell drifted");
     let fleet = marsim::FleetSpec::mar_default(64).with_horizon(2.0);
     let r = marsim::run_mobility_cell(&fleet, marsim::runner::job_seed(2024, 8));
     let got = format!("{} reallocs={}", r.row, r.telemetry.medium_reallocs);
@@ -981,12 +975,12 @@ fn observed_exports_are_pinned() {
         "9023 7a44b911477200ff",
         "826894 7e900b3550c4a4cc",
         "21993 6420bb4214aa0531",
-        "1086295 494a7a540c274cb9",
-        "18578 92794d246422e0e0",
+        "1086295 9a1810d9a93a8f84",
+        "18578 332311d663096097",
         "585946 60201d80e457f027",
         "27788 a09406f36a9b4b85",
-        "1083019 c76e4902e160dc1c",
-        "9944 919f30834675406e",
+        "1083019 db6d9fb0d80be6a8",
+        "9944 da06e91fcfb30a86",
     ];
     assert_eq!(got, golden, "an observed export drifted");
 
@@ -1004,14 +998,58 @@ fn observed_exports_are_pinned() {
     );
 }
 
-/// Golden pin of the Fig. 8 activation study under each policy on a
-/// small session: the time and reason of every exploring activation, the
-/// time of every lookup reuse, and an FNV-1a digest over the bit
-/// patterns of every reward sample. The study's activations were only
-/// ever compared with themselves (run twice); this pins their bytes.
+/// The Fig. 8 activation study under `policy` on a small 110 s session:
+/// three placements early on, then the user steps back and forth, so the
+/// lookup table sees familiar conditions again.
+fn small_activation_study(
+    policy: marsim::timeline::PolicyKind,
+) -> marsim::timeline::ActivationTrace {
+    let spec = ScenarioSpec::sc1_cf2();
+    let config = HboConfig {
+        n_initial: 2,
+        iterations: 3,
+        ..HboConfig::default()
+    };
+    let placements = [2.0, 4.0, 6.0];
+    let moves = [(30.0, 2.4), (50.0, 1.0), (70.0, 2.4), (90.0, 1.0)];
+    marsim::timeline::run_activation_study(&spec, &config, policy, &placements, &moves, 110.0, 31)
+}
+
+/// Every policy of the activation study stays inside its horizon: no
+/// sample, activation or reuse is stamped after `total_secs`, so an
+/// action whose windows would end past it is held instead.
+#[test]
+fn activation_study_respects_its_horizon() {
+    use marsim::timeline::PolicyKind;
+
+    for policy in [
+        PolicyKind::EventBased,
+        PolicyKind::Periodic {
+            interval_secs: 20.0,
+        },
+        PolicyKind::LookupAssisted,
+    ] {
+        let trace = small_activation_study(policy);
+        let late: Vec<f64> = trace
+            .samples
+            .iter()
+            .map(|s| s.t_secs)
+            .chain(trace.activations.iter().map(|&(t, _)| t))
+            .chain(trace.reuses.iter().copied())
+            .filter(|&t| t > 110.0)
+            .collect();
+        assert!(late.is_empty(), "{policy:?} acted past 110 s at {late:?}");
+    }
+}
+
+/// Golden pin of the Fig. 8 activation study under each policy on
+/// [`small_activation_study`]: the time and reason of every exploring
+/// activation, the time of every lookup reuse, and an FNV-1a digest over
+/// the bit patterns of every reward sample. The study's activations were
+/// only ever compared with themselves (run twice); this pins their bytes.
 #[test]
 fn activation_study_is_pinned() {
-    use marsim::timeline::{run_activation_study, ActivationTrace, PolicyKind};
+    use marsim::timeline::{ActivationTrace, PolicyKind};
 
     fn digest(trace: &ActivationTrace) -> String {
         let activations: Vec<String> = trace
@@ -1035,21 +1073,11 @@ fn activation_study_is_pinned() {
         )
     }
 
-    let spec = ScenarioSpec::sc1_cf2();
-    let config = HboConfig {
-        n_initial: 2,
-        iterations: 3,
-        ..HboConfig::default()
-    };
-    let placements = [2.0, 4.0, 6.0];
-    // The user steps back and forth, so the lookup table sees familiar
-    // conditions again.
-    let moves = [(30.0, 2.4), (50.0, 1.0), (70.0, 2.4), (90.0, 1.0)];
     let golden = [
         (
             PolicyKind::EventBased,
-            "activations=[4:FirstPlacement 60:RewardDecreased 100:RewardDecreased] reuses=[] \
-             samples=56 8c854d7808b0ace5",
+            "activations=[4:FirstPlacement 60:RewardDecreased] reuses=[] \
+             samples=53 3f141378b48067ea",
         ),
         (
             PolicyKind::Periodic {
@@ -1060,12 +1088,12 @@ fn activation_study_is_pinned() {
         ),
         (
             PolicyKind::LookupAssisted,
-            "activations=[4:FirstPlacement 60:RewardDecreased] reuses=[104 114] \
-             samples=53 df6e09b7e30b66fc",
+            "activations=[4:FirstPlacement 60:RewardDecreased] reuses=[104] \
+             samples=52 fdbfaac2296e504e",
         ),
     ];
     for (policy, want) in golden {
-        let trace = run_activation_study(&spec, &config, policy, &placements, &moves, 110.0, 31);
+        let trace = small_activation_study(policy);
         assert_eq!(digest(&trace), want, "{policy:?} activation study drifted");
     }
 }
