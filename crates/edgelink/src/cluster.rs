@@ -62,7 +62,7 @@
 use simcore::rng::mix;
 use simcore::stats::{LogHistogram, Running};
 use simcore::trace::{ArgValue, Tracer, TrackId};
-use simcore::{QueueKind, Scheduler, SimDuration, SimTime, Simulator};
+use simcore::{EventId, QueueKind, Scheduler, SimDuration, SimTime, Simulator};
 
 use crate::link::{plan_transfer, ByteCounters, Direction, LinkParams};
 use crate::medium::{Completion, Medium, MediumParams, Mobility, SharedCell};
@@ -512,8 +512,8 @@ enum Ev {
     },
     /// A server worker lane finished an inference.
     ServerDone { server: usize, slot: usize },
-    /// The shared medium's next internal deadline (generation-guarded).
-    MediumWake { gen: u64 },
+    /// The shared medium's next internal deadline.
+    MediumWake,
 }
 
 /// How one session reaches the air.
@@ -586,6 +586,8 @@ struct ClusterState {
     servers: Vec<ServerState>,
     /// The contended cells, when sessions run shared radios.
     medium: Option<Medium<(usize, u64)>>,
+    /// The one pending [`Ev::MediumWake`], replaced on every reschedule.
+    wake: Option<EventId>,
     /// Completion buffer [`Medium::advance`] fills on each wake, reused
     /// across wakes.
     medium_done: Vec<Completion<(usize, u64)>>,
@@ -759,6 +761,7 @@ impl ClusterSim {
                 sessions: states,
                 servers,
                 medium,
+                wake: None,
                 medium_done: Vec::new(),
                 medium_plans,
                 rr_next: 0,
@@ -1040,7 +1043,7 @@ impl ClusterState {
                 tries,
             } => self.dispatch(sched, session, seq, tries),
             Ev::ServerDone { server, slot } => self.server_done(sched, server, slot),
-            Ev::MediumWake { gen } => self.medium_wake(sched, gen),
+            Ev::MediumWake => self.medium_wake(sched),
         }
     }
 
@@ -1129,26 +1132,24 @@ impl ClusterState {
         );
     }
 
-    /// Schedules the one logical wake-up at the medium's next internal
-    /// deadline; stale generations are ignored on arrival.
+    /// Replaces the pending wake-up with one at the medium's next
+    /// internal deadline, if it has one.
     fn reschedule_wake(&mut self, sched: &mut Sched<'_>) {
-        if let Some(m) = &self.medium {
-            if let Some(t) = m.next_deadline() {
-                sched.schedule_at(t.max(sched.now()), Ev::MediumWake { gen: m.wake_gen() });
-            }
+        if let Some(id) = self.wake.take() {
+            sched.cancel(id);
         }
+        let next = self.medium.as_ref().and_then(Medium::next_deadline);
+        self.wake = next.map(|t| sched.schedule_at(t.max(sched.now()), Ev::MediumWake));
     }
 
-    /// The medium hit an internal deadline (flow completion, mobility
-    /// tick, cross-traffic flip): advance it and hand finished transfers
-    /// to the same post-serialization path the private radios use, with
-    /// the plan `send` stored for each.
-    fn medium_wake(&mut self, sched: &mut Sched<'_>, gen: u64) {
+    /// The medium hit an internal deadline (flow completion or mobility
+    /// tick): advance it and hand finished transfers to the same
+    /// post-serialization path the private radios use, with the plan
+    /// `send` stored for each.
+    fn medium_wake(&mut self, sched: &mut Sched<'_>) {
         let now = sched.now();
+        self.wake = None;
         let m = self.medium.as_mut().expect("medium wake without a medium");
-        if gen != m.wake_gen() {
-            return;
-        }
         let mut done = std::mem::take(&mut self.medium_done);
         m.advance(now, &mut done);
         for c in done.drain(..) {

@@ -16,11 +16,9 @@
 //! medium is *settled* (every flow's `remaining -= rate × elapsed`), the
 //! allocation is re-solved, and every flow's completion deadline is
 //! recomputed from its settled `remaining`.
-//! [`simcore`]'s scheduler has no event cancellation, so the host
-//! simulator keeps exactly one logical wake-up outstanding: it schedules
-//! an event at `Medium::next_deadline` carrying `Medium::wake_gen`, and
-//! ignores any event whose generation is stale. Every mutation bumps the
-//! generation.
+//! The host simulator keeps exactly one wake-up pending, at
+//! `Medium::next_deadline`: after every mutation it cancels the pending
+//! wake in [`simcore`]'s event list and schedules the new one.
 //!
 //! All live flows share one settlement instant, so the medium keeps a
 //! single settled time rather than one per flow. Settling rides on passes
@@ -462,7 +460,7 @@ pub struct Completion<K> {
 }
 
 /// The shared-medium engine. Host simulators drive it with a single
-/// generation-guarded wake event; see the module docs for the protocol.
+/// pending wake event; see the module docs for the protocol.
 #[derive(Debug, Clone)]
 pub struct Medium<K: Copy> {
     params: MediumParams,
@@ -475,7 +473,6 @@ pub struct Medium<K: Copy> {
     next_done: Option<SimTime>,
     /// Earliest mobility tick across all clients.
     next_tick: Option<SimTime>,
-    wake_gen: u64,
     /// The instant every live flow's `remaining` was last settled at.
     settled_at: SimTime,
     /// Instant of the last rate solve, which every cached deadline was
@@ -513,7 +510,6 @@ impl<K: Copy> Medium<K> {
             lanes,
             next_done: None,
             next_tick: None,
-            wake_gen: 0,
             settled_at: SimTime::ZERO,
             #[cfg(test)]
             resolved_at: SimTime::ZERO,
@@ -557,7 +553,6 @@ impl<K: Copy> Medium<K> {
             handovers: 0,
         });
         self.next_tick = self.next_tick.into_iter().chain(next_tick).min();
-        self.wake_gen += 1;
         self.clients.len() - 1
     }
 
@@ -607,12 +602,6 @@ impl<K: Copy> Medium<K> {
         }
     }
 
-    /// The current wake generation: bumped on every mutation, so a host
-    /// event carrying an older generation is stale and must be ignored.
-    pub(crate) fn wake_gen(&self) -> u64 {
-        self.wake_gen
-    }
-
     /// Processes every internal deadline up to and including `now`,
     /// appending finished transfers to `completed` in deterministic order
     /// (deadline time, then flow slot).
@@ -659,7 +648,6 @@ impl<K: Copy> Medium<K> {
         // Stamp progress up to `now` so observers see settled state (a
         // no-op when the last deadline processed was `now`).
         self.settle(now);
-        self.wake_gen += 1;
     }
 
     /// Re-evaluates a walking client: position, rate cap, handover. Flags
@@ -746,7 +734,7 @@ impl<K: Copy> Medium<K> {
     /// returned for `now`, re-solves every cell's allocation (water-filling
     /// under per-client caps) and recomputes every completion deadline, in
     /// one pass over each lane's members unless its rates change; see the
-    /// module docs for what a lane reuses. Bumps the generation.
+    /// module docs for what a lane reuses.
     fn resolve(&mut self, now: SimTime, dt: f64) {
         let mut next_done: Option<SimTime> = None;
         for (cell, lanes) in self.params.cells.iter().zip(&mut self.lanes) {
@@ -807,7 +795,6 @@ impl<K: Copy> Medium<K> {
         {
             self.resolved_at = now;
         }
-        self.wake_gen += 1;
         self.reallocs += 1;
     }
 
@@ -1274,22 +1261,6 @@ mod tests {
         for x in xs {
             assert_eq!(ceil_ns(x), float(x), "x = {x:e} ({:#x})", x.to_bits());
         }
-    }
-
-    #[test]
-    fn wake_generation_bumps_on_every_mutation() {
-        let mut m: Medium<u64> = Medium::new(MediumParams::single_cell(80.0, 160.0));
-        let g0 = m.wake_gen();
-        let c = m.add_client(SimTime::ZERO, Mobility::Fixed { x_m: 0.0, y_m: 0.0 });
-        let g1 = m.wake_gen();
-        assert!(g1 > g0);
-        m.start_flow(SimTime::ZERO, c, Direction::Up, 1000.0, 1);
-        let g2 = m.wake_gen();
-        assert!(g2 > g1);
-        let mut out = Vec::new();
-        m.advance(m.next_deadline().expect("flow pending"), &mut out);
-        assert!(m.wake_gen() > g2);
-        assert_eq!(out.len(), 1);
     }
 }
 

@@ -58,5 +58,5 @@ pub mod stats;
 mod time;
 pub mod trace;
 
-pub use queue::{EventQueue, QueueKind, Scheduler, Simulator};
+pub use queue::{EventId, EventQueue, QueueKind, Scheduler, Simulator};
 pub use time::{SimDuration, SimTime};

@@ -30,13 +30,17 @@
 //! schedules, since nothing goes before `now`) is a list append.
 //! Scheduling a raw queue below its base stays correct but slow: every
 //! pending entry is relinked, in `seq` order, around the new base.
+//!
+//! A cancel leaves its entry linked as a tombstone, which the pop that
+//! reaches it frees, so the base may rest on a cancelled entry's time;
+//! a [`Simulator`] pops only up to its deadline, so never past its clock.
 
 use crate::time::SimTime;
 
 /// End of an index list; also the empty free list.
 const NIL: u32 = u32::MAX;
 
-/// A slab slot. `event` is `None` while the slot is on the free list.
+/// A slab slot. `event` is `None` on the free list and in a tombstone.
 struct Node<E> {
     time: SimTime,
     seq: u64,
@@ -60,6 +64,14 @@ const EMPTY: List = List {
     tail: NIL,
     min: SimTime::MAX,
 };
+
+/// A scheduled entry's slab slot and `seq`, which is never reissued, so
+/// an id whose entry has gone matches nothing even once the slot is reused.
+#[derive(Debug, Clone, Copy)]
+pub struct EventId {
+    slot: u32,
+    seq: u64,
+}
 
 /// A future-event list: a priority queue of `(SimTime, E)` pairs with
 /// deterministic FIFO tie-breaking.
@@ -125,14 +137,15 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules `event` to fire at `time`.
-    pub fn schedule(&mut self, time: SimTime, event: E) {
+    /// Schedules `event` to fire at `time`; the id can cancel it.
+    pub fn schedule(&mut self, time: SimTime, event: E) -> EventId {
         if time < self.base {
             self.rebase(time);
         }
+        let seq = self.next_seq;
         let node = Node {
             time,
-            seq: self.next_seq,
+            seq,
             next: NIL,
             event: Some(event),
         };
@@ -154,17 +167,27 @@ impl<E> EventQueue<E> {
         };
         self.link(idx);
         self.len += 1;
+        EventId { slot: idx, seq }
+    }
+
+    /// Cancels the entry `id` names if it is still pending; otherwise
+    /// does nothing.
+    pub fn cancel(&mut self, id: EventId) {
+        let node = self.nodes.get_mut(id.slot as usize);
+        if let Some(_dropped) = node.and_then(|n| n.event.take_if(|_| n.seq == id.seq)) {
+            self.len -= 1;
+        }
     }
 
     /// [`schedule`](Self::schedule) for the [`Simulator`] paths, which
     /// never go below `now` and so never below the base.
-    fn schedule_forward(&mut self, time: SimTime, event: E) {
+    fn schedule_forward(&mut self, time: SimTime, event: E) -> EventId {
         debug_assert!(
             time >= self.base,
             "simulator schedule at {time} fell below the queue base {}",
             self.base
         );
-        self.schedule(time, event);
+        self.schedule(time, event)
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
@@ -178,41 +201,43 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest entry if it fires at or before
-    /// `deadline`. The base moves only to the time it returns, so it
-    /// never passes a simulator's clock.
+    /// `deadline`, freeing the tombstones it passes. The base moves only
+    /// to times it pops, so it never passes a simulator's clock.
     fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, u64, E)> {
-        let idx = if self.front.head != NIL {
-            if self.base > deadline {
-                return None;
-            }
-            self.take_front()
-        } else {
-            if self.mask == 0 {
-                return None;
-            }
-            let b = self.mask.trailing_zeros() as usize;
-            let bucket = self.buckets[b];
-            if bucket.min > deadline {
-                return None;
-            }
-            if bucket.head == bucket.tail {
-                // A lone entry in the lowest bucket is the earliest one:
-                // take it without relinking.
-                self.buckets[b] = EMPTY;
-                self.mask &= !(1 << b);
-                self.base = bucket.min;
-                bucket.head
-            } else {
-                self.redistribute(b, bucket.min);
+        loop {
+            let idx = if self.front.head != NIL {
+                if self.base > deadline {
+                    return None;
+                }
                 self.take_front()
+            } else {
+                if self.mask == 0 {
+                    return None;
+                }
+                let b = self.mask.trailing_zeros() as usize;
+                let bucket = self.buckets[b];
+                if bucket.min > deadline {
+                    return None;
+                }
+                if bucket.head == bucket.tail {
+                    // A lone entry in the lowest bucket is the earliest
+                    // one: take it without relinking.
+                    self.buckets[b] = EMPTY;
+                    self.mask &= !(1 << b);
+                    self.base = bucket.min;
+                    bucket.head
+                } else {
+                    self.redistribute(b, bucket.min);
+                    self.take_front()
+                }
+            };
+            let node = &mut self.nodes[idx as usize];
+            node.next = std::mem::replace(&mut self.free, idx);
+            if let Some(event) = node.event.take() {
+                self.len -= 1;
+                return Some((node.time, node.seq, event));
             }
-        };
-        let node = &mut self.nodes[idx as usize];
-        let event = node.event.take().expect("linked slot holds an event");
-        node.next = self.free;
-        self.free = idx;
-        self.len -= 1;
-        Some((node.time, node.seq, event))
+        }
     }
 
     /// Unlinks the front list's head.
@@ -225,18 +250,7 @@ impl<E> EventQueue<E> {
         idx
     }
 
-    /// The firing time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if self.front.head != NIL {
-            Some(self.base)
-        } else if self.mask == 0 {
-            None
-        } else {
-            Some(self.buckets[self.mask.trailing_zeros() as usize].min)
-        }
-    }
-
-    /// Number of pending events.
+    /// Number of pending events; cancelled ones do not count.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -295,14 +309,19 @@ impl<E> EventQueue<E> {
     }
 
     /// The slow path of a schedule below the base: relinks every pending
-    /// entry, in `seq` order, around `time` as the new base.
+    /// entry, in `seq` order, around `time` as the new base, and frees
+    /// every other slot, tombstones included.
     #[cold]
     fn rebase(&mut self, time: SimTime) {
-        let nodes = &self.nodes;
-        let mut live: Vec<u32> = (0..nodes.len() as u32)
-            .filter(|&i| nodes[i as usize].event.is_some())
-            .collect();
-        live.sort_unstable_by_key(|&i| nodes[i as usize].seq);
+        let mut live = Vec::with_capacity(self.len);
+        self.free = NIL;
+        for (idx, node) in self.nodes.iter_mut().enumerate().rev() {
+            match node.event {
+                Some(_) => live.push(idx as u32),
+                None => node.next = std::mem::replace(&mut self.free, idx as u32),
+            }
+        }
+        live.sort_unstable_by_key(|&i| self.nodes[i as usize].seq);
         self.front = EMPTY;
         self.buckets = [EMPTY; 64];
         self.mask = 0;
@@ -355,13 +374,18 @@ impl<E> Scheduler<'_, E> {
     /// # Panics
     ///
     /// Panics if `time` is in the past: causality violations are bugs.
-    pub fn schedule_at(&mut self, time: SimTime, event: E) {
+    pub fn schedule_at(&mut self, time: SimTime, event: E) -> EventId {
         assert!(
             time >= self.now,
             "cannot schedule into the past: {time} < {}",
             self.now
         );
-        self.queue.schedule_forward(time, event);
+        self.queue.schedule_forward(time, event)
+    }
+
+    /// Cancels a pending event; see [`EventQueue::cancel`].
+    pub fn cancel(&mut self, id: EventId) {
+        self.queue.cancel(id);
     }
 
     /// Schedules a follow-up event `delay` after now.
@@ -444,7 +468,7 @@ impl<E> Simulator<E> {
     /// Runs the simulation, dispatching every event with firing time
     /// `<= deadline` to `handler`, then advances the clock to `deadline`.
     ///
-    /// Returns the number of events dispatched.
+    /// Returns the number of events dispatched, cancelled ones not included.
     pub fn run_until<F>(&mut self, deadline: SimTime, mut handler: F) -> u64
     where
         F: FnMut(&mut Scheduler<'_, E>, E),
@@ -606,6 +630,31 @@ mod tests {
         assert_eq!(sim.run_until(SimTime::from_nanos(50), |_, _| {}), 0);
         assert_eq!(sim.pending(), 1);
         assert_eq!(sim.now(), SimTime::from_nanos(100));
+    }
+
+    /// A stale id leaves its slot's next occupant alone, and a rebase
+    /// puts cancelled slots back on the free list.
+    #[test]
+    fn cancelled_slots_are_reused_and_stale_ids_miss() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_nanos(10), 'a');
+        q.pop();
+        let b = q.schedule(SimTime::from_nanos(20), 'b');
+        assert_eq!(a.slot, b.slot);
+        q.cancel(a);
+        assert_eq!(q.len(), 1);
+        let c = q.schedule(SimTime::from_nanos(30), 'c');
+        q.cancel(b);
+        // Below the base of 10: a rebase, which frees b's tombstone.
+        let d = q.schedule(SimTime::from_nanos(5), 'd');
+        assert_eq!(d.slot, b.slot);
+        q.schedule(SimTime::from_nanos(40), 'e');
+        assert_eq!(q.nodes.len(), 3);
+        q.cancel(b);
+        q.cancel(c);
+        q.cancel(c);
+        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!['d', 'e']);
     }
 
     #[test]

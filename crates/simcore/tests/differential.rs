@@ -1,13 +1,13 @@
 //! Differential suite: `EventQueue` must be observationally identical
 //! to a sorted-`Vec` reference model — same `(time, seq, event)` pop
-//! sequence, same `peek_time`, same `len`, same `next_seq` — under
-//! arbitrary schedule/pop/clear interleavings. The model is simple
+//! sequence, same `len`, same `next_seq` — under arbitrary
+//! schedule/pop/cancel/clear interleavings. The model is simple
 //! enough to be correct by inspection, so the heap is checked against an
 //! independent oracle and not only against its own earlier output.
 
 use simcore::check;
 use simcore::prop_assert_eq;
-use simcore::{EventQueue, SimDuration, SimTime, Simulator};
+use simcore::{EventId, EventQueue, SimDuration, SimTime, Simulator};
 
 /// The reference model: pending entries kept sorted by `(time, seq)` with
 /// a linear-scan insert, plus the same never-reset sequence counter.
@@ -33,8 +33,13 @@ impl<E> Model<E> {
         (!self.pending.is_empty()).then(|| self.pending.remove(0))
     }
 
-    fn peek_time(&self) -> Option<SimTime> {
+    fn next_time(&self) -> Option<SimTime> {
         self.pending.first().map(|&(t, _, _)| t)
+    }
+
+    /// Removes the entry `seq` if it is still pending.
+    fn cancel(&mut self, seq: u64) {
+        self.pending.retain(|&(_, s, _)| s != seq);
     }
 
     fn len(&self) -> usize {
@@ -43,6 +48,60 @@ impl<E> Model<E> {
 
     fn clear(&mut self) {
         self.pending.clear();
+    }
+}
+
+/// The heap and the model driven through the same calls. Each payload is
+/// its entry's `seq`, and `ids[seq]` is the id the heap returned for it,
+/// so a cancel can name any entry ever scheduled: pending, popped,
+/// cancelled or cleared.
+#[derive(Default)]
+struct Lockstep {
+    heap: EventQueue<u64>,
+    model: Model<u64>,
+    ids: Vec<EventId>,
+}
+
+impl Lockstep {
+    /// Schedules the next entry, its payload its `seq`, at `nanos` on both.
+    fn schedule(&mut self, nanos: u64) {
+        let t = SimTime::from_nanos(nanos);
+        let seq = self.ids.len() as u64;
+        self.ids.push(self.heap.schedule(t, seq));
+        self.model.schedule(t, seq);
+    }
+
+    /// Cancels entry `seq` on both, whatever state it is in.
+    fn cancel(&mut self, seq: u64) {
+        self.heap.cancel(self.ids[seq as usize]);
+        self.model.cancel(seq);
+    }
+
+    /// Pops both, which must return the same entry.
+    fn pop(&mut self) -> Result<Option<(SimTime, u64, u64)>, String> {
+        let h = self.heap.pop_entry();
+        let m = self.model.pop_entry();
+        prop_assert_eq!(h, m, "pop diverged: heap={h:?} model={m:?}");
+        Ok(h)
+    }
+
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.model.clear();
+    }
+
+    /// Both agree on `len`, `is_empty` and `next_seq`.
+    fn agree(&self) -> Result<(), String> {
+        prop_assert_eq!(self.heap.len(), self.model.len());
+        prop_assert_eq!(self.heap.is_empty(), self.model.len() == 0);
+        prop_assert_eq!(self.heap.next_seq(), self.model.next_seq);
+        Ok(())
+    }
+
+    /// Pops both until empty, entry for entry.
+    fn drain(&mut self) -> Result<(), String> {
+        while self.pop()?.is_some() {}
+        self.agree()
     }
 }
 
@@ -57,8 +116,9 @@ enum Op {
     ScheduleFar { time: u64, shift: u32 },
     /// Pop up to `count` events, checking each against the model.
     Pop { count: u64 },
-    /// Peek without popping.
-    Peek,
+    /// Cancel one of the 64 most recently scheduled entries, `back`
+    /// schedules ago, whether it is pending, popped, cancelled or cleared.
+    Cancel { back: u64 },
     /// Drop everything (sequence counters must survive).
     Clear,
 }
@@ -81,7 +141,7 @@ fn decode(step: &(u64, u64, u64)) -> Op {
             shift: (b % 24) as u32,
         },
         9..=12 => Op::Pop { count: 1 + b % 48 },
-        13..=14 => Op::Peek,
+        13..=14 => Op::Cancel { back: a % 64 },
         _ => Op::Clear,
     }
 }
@@ -89,68 +149,39 @@ fn decode(step: &(u64, u64, u64)) -> Op {
 /// Drives the heap and the model through the same op sequence, asserting
 /// lockstep observational equality after every step.
 fn run_differential(ops: &[(u64, u64, u64)]) -> Result<(), String> {
-    let mut heap: EventQueue<u64> = EventQueue::new();
-    let mut model: Model<u64> = Model::default();
-    let mut payload = 0u64;
+    let mut q = Lockstep::default();
     for step in ops {
         match decode(step) {
             Op::Schedule { time, count } => {
                 for i in 0..count {
-                    let t = SimTime::from_nanos(time + i % 3);
-                    heap.schedule(t, payload);
-                    model.schedule(t, payload);
-                    payload += 1;
+                    q.schedule(time + i % 3);
                 }
             }
             Op::ScheduleFar { time, shift } => {
-                let t = SimTime::from_nanos(time.saturating_mul(1 << shift));
-                heap.schedule(t, payload);
-                model.schedule(t, payload);
-                payload += 1;
+                q.schedule(time.saturating_mul(1 << shift));
             }
             Op::Pop { count } => {
                 for _ in 0..count {
-                    // Schedule-while-popping: peek first, then pop, then
-                    // sometimes schedule at exactly the popped time (the
-                    // soonest legal instant) — the hostile case for FIFO
-                    // tie-breaking.
-                    prop_assert_eq!(heap.peek_time(), model.peek_time());
-                    let h = heap.pop_entry();
-                    let m = model.pop_entry();
-                    prop_assert_eq!(h, m, "pop diverged: heap={h:?} model={m:?}");
-                    if let Some((t, seq, _)) = h {
-                        if seq % 3 == 0 {
-                            heap.schedule(t, payload);
-                            model.schedule(t, payload);
-                            payload += 1;
-                        }
-                    } else {
-                        break;
+                    // Schedule-while-popping: sometimes schedule at
+                    // exactly the popped time (the soonest legal instant)
+                    // — the hostile case for FIFO tie-breaking.
+                    let Some((t, seq, _)) = q.pop()? else { break };
+                    if seq % 3 == 0 {
+                        q.schedule(t.as_nanos());
                     }
                 }
             }
-            Op::Peek => {
-                prop_assert_eq!(heap.peek_time(), model.peek_time());
+            Op::Cancel { back } => {
+                if let Some(seq) = (q.ids.len() as u64).checked_sub(1 + back) {
+                    q.cancel(seq);
+                }
             }
-            Op::Clear => {
-                heap.clear();
-                model.clear();
-            }
+            Op::Clear => q.clear(),
         }
-        prop_assert_eq!(heap.len(), model.len());
-        prop_assert_eq!(heap.is_empty(), model.len() == 0);
-        prop_assert_eq!(heap.next_seq(), model.next_seq);
+        q.agree()?;
     }
     // Final full drain must agree entry-for-entry.
-    loop {
-        let h = heap.pop_entry();
-        let m = model.pop_entry();
-        prop_assert_eq!(h, m, "drain diverged: heap={h:?} model={m:?}");
-        if h.is_none() {
-            break;
-        }
-    }
-    Ok(())
+    q.drain()
 }
 
 #[test]
@@ -241,70 +272,46 @@ fn check_next_seq_counts_every_schedule_across_clears() {
     });
 }
 
-/// Drains `heap` and `model` side by side, requiring identical entries.
-fn drain_matches(heap: &mut EventQueue<u64>, model: &mut Model<u64>) {
-    loop {
-        assert_eq!(heap.peek_time(), model.peek_time());
-        let h = heap.pop_entry();
-        assert_eq!(h, model.pop_entry());
-        if h.is_none() {
-            break;
-        }
-    }
-}
-
 /// A schedule below the last popped time takes the slow relink path and
 /// must still slot in ahead of every pending entry, ties FIFO.
 #[test]
 fn schedule_below_the_last_pop_matches_model() {
-    let mut heap: EventQueue<u64> = EventQueue::new();
-    let mut model: Model<u64> = Model::default();
-    let mut payload = 0u64;
-    let mut both = |heap: &mut EventQueue<u64>, model: &mut Model<u64>, t: u64| {
-        heap.schedule(SimTime::from_nanos(t), payload);
-        model.schedule(SimTime::from_nanos(t), payload);
-        payload += 1;
-    };
+    let mut q = Lockstep::default();
     for t in [1_000, 5_000, 5_000, 70_000, 1 << 40, 5_000] {
-        both(&mut heap, &mut model, t);
+        q.schedule(t);
     }
-    assert_eq!(heap.pop_entry(), model.pop_entry());
-    assert_eq!(heap.pop_entry(), model.pop_entry());
+    q.pop().unwrap();
+    q.pop().unwrap();
     // The last pop was at 5 µs; go below it, to it, and far below it.
     for t in [4_999, 5_000, 3, 5_000, 4_999, 0] {
-        both(&mut heap, &mut model, t);
+        q.schedule(t);
     }
-    assert_eq!(heap.len(), model.len());
-    drain_matches(&mut heap, &mut model);
+    q.agree().unwrap();
+    q.drain().unwrap();
 }
 
 /// `clear` keeps the base; a later schedule before it must still pop.
 #[test]
 fn clear_then_earlier_schedule_matches_model() {
-    let mut heap: EventQueue<u64> = EventQueue::new();
-    let mut model: Model<u64> = Model::default();
-    for (t, e) in [(900, 0), (950, 1), (1_200, 2)] {
-        heap.schedule(SimTime::from_nanos(t), e);
-        model.schedule(SimTime::from_nanos(t), e);
+    let mut q = Lockstep::default();
+    for t in [900, 950, 1_200] {
+        q.schedule(t);
     }
-    assert_eq!(heap.pop_entry(), model.pop_entry());
-    heap.clear();
-    model.clear();
-    for (t, e) in [(10, 3), (2_000, 4), (10, 5), (899, 6)] {
-        heap.schedule(SimTime::from_nanos(t), e);
-        model.schedule(SimTime::from_nanos(t), e);
+    q.pop().unwrap();
+    q.clear();
+    for t in [10, 2_000, 10, 899] {
+        q.schedule(t);
     }
-    drain_matches(&mut heap, &mut model);
+    q.drain().unwrap();
 }
 
 /// Times at and next to `SimTime::MAX` use the top bucket; the key must
 /// not overflow and ties there stay FIFO.
 #[test]
 fn times_near_max_match_model() {
-    let mut heap: EventQueue<u64> = EventQueue::new();
-    let mut model: Model<u64> = Model::default();
+    let mut q = Lockstep::default();
     let max = u64::MAX;
-    let times = [
+    for t in [
         max,
         max - 1,
         0,
@@ -314,17 +321,117 @@ fn times_near_max_match_model() {
         max - 1,
         7,
         max,
-    ];
-    for (e, &t) in times.iter().enumerate() {
-        heap.schedule(SimTime::from_nanos(t), e as u64);
-        model.schedule(SimTime::from_nanos(t), e as u64);
+    ] {
+        q.schedule(t);
     }
     for _ in 0..3 {
-        assert_eq!(heap.pop_entry(), model.pop_entry());
+        q.pop().unwrap();
     }
-    heap.schedule(SimTime::MAX, 100);
-    model.schedule(SimTime::MAX, 100);
-    drain_matches(&mut heap, &mut model);
+    q.schedule(max);
+    q.drain().unwrap();
+}
+
+/// Cancelling the front list's head: the next same-time entry pops.
+#[test]
+fn cancel_of_the_front_head_matches_model() {
+    let mut q = Lockstep::default();
+    for _ in 0..3 {
+        q.schedule(5);
+    }
+    // The first pop moves the base to 5 and the other two to the front.
+    q.pop().unwrap();
+    q.cancel(1);
+    assert_eq!(q.pop().unwrap().map(|(_, seq, _)| seq), Some(2));
+    q.drain().unwrap();
+}
+
+/// Cancelling the entry whose time is the lowest bucket's minimum: the
+/// minimum goes stale, and the relink around it frees the tombstone.
+#[test]
+fn cancel_of_the_lowest_bucket_minimum_matches_model() {
+    let mut q = Lockstep::default();
+    // 20 and 30 share bucket 4 (minimum 20); 1000 sits in bucket 9.
+    for t in [20, 30, 1_000] {
+        q.schedule(t);
+    }
+    q.cancel(0);
+    q.agree().unwrap();
+    assert_eq!(q.pop().unwrap().map(|(_, seq, _)| seq), Some(1));
+    q.drain().unwrap();
+}
+
+/// Cancelling the lone entry of the lowest bucket.
+#[test]
+fn cancel_of_a_lone_bucket_entry_matches_model() {
+    let mut q = Lockstep::default();
+    q.schedule(10);
+    q.schedule(1_000);
+    q.cancel(0);
+    assert_eq!(q.pop().unwrap().map(|(_, seq, _)| seq), Some(1));
+    q.drain().unwrap();
+}
+
+/// Cancelling an entry that already popped, twice, does nothing.
+#[test]
+fn cancel_of_a_popped_entry_does_nothing() {
+    let mut q = Lockstep::default();
+    q.schedule(10);
+    q.schedule(20);
+    q.pop().unwrap();
+    q.cancel(0);
+    q.cancel(0);
+    q.agree().unwrap();
+    assert_eq!(q.heap.len(), 1);
+    q.drain().unwrap();
+}
+
+/// A popped entry's slot is reused by the next schedule; the old id must
+/// not cancel the new occupant.
+#[test]
+fn cancel_of_a_reused_slot_keeps_the_new_occupant() {
+    let mut q = Lockstep::default();
+    q.schedule(10);
+    q.pop().unwrap();
+    q.schedule(20);
+    q.cancel(0);
+    assert_eq!(q.pop().unwrap().map(|(_, seq, _)| seq), Some(1));
+    q.drain().unwrap();
+}
+
+/// Ids from before a `clear` match none of the entries scheduled after
+/// it into the same slots.
+#[test]
+fn cancel_of_an_id_from_before_a_clear_does_nothing() {
+    let mut q = Lockstep::default();
+    q.schedule(10);
+    q.schedule(20);
+    q.clear();
+    q.schedule(10);
+    q.schedule(20);
+    q.cancel(0);
+    q.cancel(1);
+    q.agree().unwrap();
+    assert_eq!(q.heap.len(), 2);
+    q.drain().unwrap();
+}
+
+/// A cancelled entry still pending when a schedule below the base relinks
+/// the queue: its slot goes back on the free list, the next schedule
+/// reuses it, and the old id leaves that entry alone.
+#[test]
+fn cancel_before_a_rebase_frees_the_slot_for_reuse() {
+    let mut q = Lockstep::default();
+    for t in [100, 200, 300] {
+        q.schedule(t);
+    }
+    q.pop().unwrap();
+    q.cancel(1);
+    q.schedule(50);
+    q.schedule(400);
+    q.cancel(1);
+    q.agree().unwrap();
+    assert_eq!(q.heap.len(), 3);
+    q.drain().unwrap();
 }
 
 /// Ten thousand events at one instant, scheduled around pops of that
@@ -360,7 +467,8 @@ enum SimOp {
     Burst { count: u64 },
     /// `run_until(now + span)`, or `now - span` when `behind`; each
     /// dispatched event `p` schedules a follow-up when `p % 4 != 3`: at
-    /// `now` when `p % 4 == 0`, otherwise `delay(p)` later.
+    /// `now` when `p % 4 == 0`, otherwise `delay(p)` later. It may also
+    /// cancel an earlier event (see [`cancel_target`]).
     Run { span: u64, behind: bool },
 }
 
@@ -387,13 +495,23 @@ fn follow_up(p: u64) -> Option<u64> {
     }
 }
 
+/// The earlier event a dispatched payload cancels: every fifth payload
+/// names a pseudo-random smaller `seq`, which may be pending, dispatched
+/// or already cancelled. Payloads equal their `seq`.
+fn cancel_target(p: u64) -> Option<u64> {
+    (p % 5 == 2).then(|| p.wrapping_mul(0x2545_f491_4f6c_dd1d) % p)
+}
+
 /// Drives a `Simulator` and the model through the same op sequence: the
 /// model pops while its earliest time is at or before the deadline and
-/// replays the same follow-ups, so dispatch order, `pending` and the
-/// clock must agree after every step.
+/// replays the same follow-ups and cancels, so dispatch order, `pending`
+/// and the clock must agree after every step. Only handlers hold ids, so
+/// only events a handler scheduled can be cancelled; `ids[seq]` is `None`
+/// for the rest.
 fn run_sim_differential(ops: &[(u64, u64, u64)]) -> Result<(), String> {
     let mut sim: Simulator<u64> = Simulator::new();
     let mut model: Model<u64> = Model::default();
+    let mut ids: Vec<Option<EventId>> = Vec::new();
     let mut now = SimTime::ZERO;
     let mut payload = 0u64;
     for step in ops {
@@ -402,12 +520,14 @@ fn run_sim_differential(ops: &[(u64, u64, u64)]) -> Result<(), String> {
                 let t = now + SimDuration::from_nanos(delay);
                 sim.schedule(t, payload);
                 model.schedule(t, payload);
+                ids.push(None);
                 payload += 1;
             }
             SimOp::Burst { count } => {
                 for _ in 0..count {
                     sim.schedule(now, payload);
                     model.schedule(now, payload);
+                    ids.push(None);
                     payload += 1;
                 }
             }
@@ -422,17 +542,24 @@ fn run_sim_differential(ops: &[(u64, u64, u64)]) -> Result<(), String> {
                 sim.run_until(deadline, |sched, p| {
                     seen.push((sched.now(), p));
                     if let Some(d) = follow_up(p) {
-                        sched.schedule_after(SimDuration::from_nanos(d), next);
+                        let at = sched.now() + SimDuration::from_nanos(d);
+                        ids.push(Some(sched.schedule_at(at, next)));
                         next += 1;
+                    }
+                    if let Some(Some(id)) = cancel_target(p).map(|seq| ids[seq as usize]) {
+                        sched.cancel(id);
                     }
                 });
                 let mut expected = Vec::new();
-                while model.peek_time().is_some_and(|t| t <= deadline) {
+                while model.next_time().is_some_and(|t| t <= deadline) {
                     let (t, _, p) = model.pop_entry().unwrap();
                     expected.push((t, p));
                     if let Some(d) = follow_up(p) {
                         model.schedule(t + SimDuration::from_nanos(d), payload);
                         payload += 1;
+                    }
+                    if let Some(seq) = cancel_target(p).filter(|&seq| ids[seq as usize].is_some()) {
+                        model.cancel(seq);
                     }
                 }
                 prop_assert_eq!(seen, expected);

@@ -146,14 +146,12 @@ impl<K: Copy> FifoServer<K> {
 
 /// Egalitarian processor-sharing server: `n` resident jobs each progress at
 /// rate `1/n`. Simulated exactly by re-deriving the next completion time on
-/// every membership change. Generic in the job-key type `K`.
+/// every membership change; the host keeps one check pending at that time,
+/// cancelling the one it replaces. Generic in the job-key type `K`.
 #[derive(Debug)]
 pub struct PsServer<K: Copy> {
     jobs: Vec<PsJob<K>>,
     last_update: SimTime,
-    /// Bumped on every membership change; stale check events are discarded
-    /// by comparing generations.
-    pub generation: u64,
     /// Time-weighted number of resident jobs.
     pub active: TimeWeighted,
     /// Time-weighted 0/1 busy indicator (any job resident) — the engine's
@@ -180,7 +178,6 @@ impl<K: Copy> PsServer<K> {
         PsServer {
             jobs: Vec::new(),
             last_update: start,
-            generation: 0,
             active: TimeWeighted::new(start, 0.0),
             busy: TimeWeighted::new(start, 0.0),
             completed: 0,
@@ -221,7 +218,7 @@ impl<K: Copy> PsServer<K> {
         Some(now + dt)
     }
 
-    /// Adds a job; returns the new next-check time. Bumps the generation.
+    /// Adds a job; returns the next-check time, which supersedes any earlier one.
     pub fn enqueue(&mut self, now: SimTime, key: K, work: SimDuration) -> Option<SimTime> {
         self.advance(now);
         if self.jobs.is_empty() {
@@ -232,15 +229,13 @@ impl<K: Copy> PsServer<K> {
             remaining: work.as_secs_f64(),
         });
         self.active.add(now, 1.0);
-        self.generation += 1;
         self.next_check(now)
     }
 
     /// Processes a check event: completes every job whose remaining work is
     /// within `PS_EPSILON` (1e-9), appending the finished jobs to a
     /// caller-owned scratch buffer (the hot simulation loop reuses one
-    /// across events) and returning the next check time. Bumps the
-    /// generation iff membership changed.
+    /// across events) and returning the next check time.
     pub(crate) fn on_check_into(&mut self, now: SimTime, finished: &mut Vec<K>) -> Option<SimTime> {
         self.advance(now);
         let before = finished.len();
@@ -259,7 +254,6 @@ impl<K: Copy> PsServer<K> {
             if self.jobs.is_empty() {
                 self.busy.set(now, 0.0);
             }
-            self.generation += 1;
         }
         self.next_check(now)
     }
@@ -372,25 +366,12 @@ mod tests {
     }
 
     #[test]
-    fn ps_generation_bumps_on_membership_change() {
-        let mut s = PsServer::new(SimTime::ZERO);
-        let g0 = s.generation;
-        let check = s.enqueue(SimTime::ZERO, key(1), ms(1.0)).unwrap();
-        assert!(s.generation > g0);
-        let g1 = s.generation;
-        finish_due(&mut s, check);
-        assert!(s.generation > g1);
-    }
-
-    #[test]
-    fn ps_check_without_completion_keeps_generation() {
+    fn ps_early_check_finishes_nothing() {
         let mut s = PsServer::new(SimTime::ZERO);
         s.enqueue(SimTime::ZERO, key(1), ms(10.0));
-        let g = s.generation;
-        // An early (stale-ish) check finds nothing done.
+        // A check before the job is due finds nothing done.
         let (fin, next) = finish_due(&mut s, t(1.0));
         assert!(fin.is_empty());
-        assert_eq!(s.generation, g);
         assert!(next.is_some());
     }
 

@@ -3,7 +3,7 @@
 
 use simcore::stats::{LogHistogram, Running};
 use simcore::trace::{ArgValue, Tracer, TrackId};
-use simcore::{SimTime, Simulator};
+use simcore::{EventId, SimTime, Simulator};
 
 use crate::job::{SourceId, SourceSpec, Stage, StageSeq, StreamId, StreamSpec};
 use crate::server::{FifoServer, JobKey, Owner, PsServer, ServicePolicy};
@@ -14,9 +14,8 @@ use crate::topology::{ProcId, Topology};
 enum SocEvent {
     /// The job in `slot` of FIFO processor `proc` finished.
     FifoDone { proc: usize, slot: usize },
-    /// Re-derive completions on PS processor `proc`; stale if the server's
-    /// generation moved past `generation`.
-    PsCheck { proc: usize, generation: u64 },
+    /// Re-derive completions on PS processor `proc`.
+    PsCheck { proc: usize },
     /// A contention-free delay stage elapsed.
     DelayDone { key: JobKey },
     /// Periodic release point of a source.
@@ -227,6 +226,8 @@ struct SocState {
     sources: Vec<SourceState>,
     /// Peak FIFO queue depth observed per server (0 for PS servers).
     peak_queue: Vec<usize>,
+    /// Per server: the one pending `PsCheck` (`None` on FIFO servers).
+    ps_checks: Vec<Option<EventId>>,
     /// Reusable buffer for PS completion batches (taken/returned around
     /// each `PsCheck`), so checks do not allocate per event.
     finished_scratch: Vec<JobKey>,
@@ -302,6 +303,7 @@ impl SocSim {
                 streams: StreamTable::default(),
                 sources: Vec::new(),
                 peak_queue: vec![0; server_count],
+                ps_checks: vec![None; server_count],
                 finished_scratch: Vec::new(),
                 tracer,
                 trace,
@@ -547,22 +549,17 @@ impl SocState {
                 }
                 self.on_stage_done(sched, finished);
             }
-            SocEvent::PsCheck { proc, generation } => {
+            SocEvent::PsCheck { proc } => {
                 let now = sched.now();
                 let ServerImpl::Ps(server) = &mut self.servers[proc] else {
                     unreachable!("PsCheck on a non-PS processor");
                 };
-                if generation != server.generation {
-                    return; // stale check superseded by a membership change
-                }
                 let mut finished = std::mem::take(&mut self.finished_scratch);
                 finished.clear();
                 let next = server.on_check_into(now, &mut finished);
                 let resident = server.resident();
-                if let Some(t) = next {
-                    let generation = server.generation;
-                    sched.schedule_at(t, SocEvent::PsCheck { proc, generation });
-                }
+                self.ps_checks[proc] =
+                    next.map(|t| sched.schedule_at(t, SocEvent::PsCheck { proc }));
                 if !finished.is_empty() && self.tracer.is_enabled() {
                     self.tracer.counter(
                         now,
@@ -678,16 +675,12 @@ impl SocState {
                         }
                     }
                     ServerImpl::Ps(server) => {
-                        if let Some(t) = server.enqueue(now, key, work) {
-                            let generation = server.generation;
-                            sched.schedule_at(
-                                t,
-                                SocEvent::PsCheck {
-                                    proc: p,
-                                    generation,
-                                },
-                            );
+                        if let Some(id) = self.ps_checks[p].take() {
+                            sched.cancel(id);
                         }
+                        self.ps_checks[p] = server
+                            .enqueue(now, key, work)
+                            .map(|t| sched.schedule_at(t, SocEvent::PsCheck { proc: p }));
                         Enqueued::Ps {
                             resident: server.resident(),
                         }

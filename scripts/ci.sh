@@ -38,6 +38,13 @@ echo "non-test lines under crates/: $loc"
 echo "==> cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
 
+# Event-list depth: the differential suite again at 4,096 cases per
+# property instead of 256, sweeping schedule/pop/cancel/clear and rebase
+# interleavings against the reference model far deeper (about 6 s on a
+# 2-vCPU VM, build included).
+echo "==> simcore differential suite at 4096 cases"
+SIMCORE_CHECK_CASES=4096 cargo test --release --offline -q -p simcore --test differential
+
 # Doc links: every intra-doc link must resolve, so docs that name a
 # deleted or renamed item fail here instead of rotting silently.
 echo "==> cargo doc --no-deps --workspace (warnings are errors)"
