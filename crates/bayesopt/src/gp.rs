@@ -9,7 +9,7 @@ const JITTERS: [f64; 4] = [0.0, 1e-10, 1e-8, 1e-6];
 /// Candidates per block in [`GaussianProcess::predict_batch`]: wide enough
 /// to hide the forward-substitution divide latency across independent
 /// candidates, small enough that the cross-covariance block stays in L1.
-const PREDICT_BLOCK: usize = 8;
+pub(crate) const PREDICT_BLOCK: usize = 8;
 
 /// A Gaussian-process posterior over an unknown function, built from noisy
 /// observations `(z_i, y_i)`.
@@ -31,7 +31,9 @@ const PREDICT_BLOCK: usize = 8;
 ///     gp.add_observation(vec![z], (z - 0.5).powi(2));
 /// }
 /// gp.fit().unwrap();
-/// let post = gp.predict_batch(&[[0.5], [5.0]]);
+/// // Two 1-D candidates as flat rows: z = 0.5 and z = 5.0.
+/// let mut post = Vec::new();
+/// gp.predict_batch(&[0.5, 5.0], &mut post);
 /// let ((mu, var), (_, var_far)) = (post[0], post[1]);
 /// assert!(mu < 0.1);                // near the minimum
 /// assert!(var_far > 10.0 * var);    // far from data = far less certain
@@ -245,8 +247,11 @@ impl GaussianProcess {
         self.chol.is_some() && self.fitted == self.xs.len()
     }
 
-    /// Posterior mean and variance (Eq. 6 of the paper) at every point of
-    /// `zs`, as the acquisition-scoring pass uses them.
+    /// Posterior mean and variance (Eq. 6 of the paper) at every candidate
+    /// of `zs`, written to `out` (cleared first) in candidate order. The
+    /// candidates are flat row-major rows with the dimension of the
+    /// observations, so a caller scores a reused block of rows without
+    /// one allocation per candidate.
     ///
     /// Bit-identical to the scalar per-point posterior the tests keep as
     /// an oracle (`predict`) — every per-candidate
@@ -256,20 +261,22 @@ impl GaussianProcess {
     /// (`Cholesky::solve_lower_multi_into`) interleave independent
     /// candidates, so the per-row divide chain that serializes the scalar
     /// solve pipelines across the block, and the `k_star` / solve buffers
-    /// are allocated once for the whole batch instead of twice per
-    /// candidate.
+    /// are reused across blocks and calls.
     ///
     /// # Panics
     ///
-    /// Panics if the GP is not fitted.
-    pub fn predict_batch<Z: AsRef<[f64]>>(&mut self, zs: &[Z]) -> Vec<(f64, f64)> {
+    /// Panics if the GP is not fitted, or `zs.len()` is not a multiple of
+    /// the observations' dimension.
+    pub fn predict_batch(&mut self, zs: &[f64], out: &mut Vec<(f64, f64)>) {
         assert!(self.is_fitted(), "GP not fitted: call fit()");
         let chol = self.chol.as_ref().expect("GP not fitted: call fit()");
         let n = self.xs.len();
+        let dim = self.xs[0].len();
+        assert_eq!(zs.len() % dim, 0, "dimension mismatch");
         let signal_var = self.kernel.signal_var();
-        let mut out = Vec::with_capacity(zs.len());
-        for chunk in zs.chunks(PREDICT_BLOCK) {
-            let w = chunk.len();
+        out.clear();
+        for chunk in zs.chunks(PREDICT_BLOCK * dim) {
+            let w = chunk.len() / dim;
             // Row-major n×w cross-covariance block: row i holds
             // k(x_i, z_c) for every candidate c of the chunk. Distances
             // land first and the kernel is applied in place — keeping the
@@ -279,8 +286,8 @@ impl GaussianProcess {
             self.k_star_buf.resize(n * w, 0.0);
             for (i, x) in self.xs.iter().enumerate() {
                 let row = &mut self.k_star_buf[i * w..(i + 1) * w];
-                for (c, z) in chunk.iter().enumerate() {
-                    row[c] = Kernel::distance(x, z.as_ref());
+                for (c, z) in chunk.chunks_exact(dim).enumerate() {
+                    row[c] = Kernel::distance(x, z);
                 }
             }
             self.kernel.eval_from_distance_batch(&mut self.k_star_buf);
@@ -300,7 +307,6 @@ impl GaussianProcess {
                 out.push((mu, (var.max(0.0)) * self.y_scale * self.y_scale));
             }
         }
-        out
     }
 
     /// The smallest observed target (the incumbent for minimization).
@@ -593,11 +599,14 @@ mod tests {
             gp.add_observation(vec![z, (z * 2.0).cos()], z.sin());
         }
         gp.fit().unwrap();
-        let queries: Vec<Vec<f64>> = (0..64)
-            .map(|i| vec![i as f64 * 0.07, (i as f64 * 0.11).sin()])
+        // 61 candidates: seven full blocks and a partial one.
+        let queries: Vec<f64> = (0..61)
+            .flat_map(|i| [i as f64 * 0.07, (i as f64 * 0.11).sin()])
             .collect();
-        let batch = gp.predict_batch(&queries);
-        for (q, &(mu_b, var_b)) in queries.iter().zip(&batch) {
+        let mut batch = vec![(f64::NAN, f64::NAN); 3]; // stale entries are cleared
+        gp.predict_batch(&queries, &mut batch);
+        assert_eq!(batch.len(), 61);
+        for (q, &(mu_b, var_b)) in queries.chunks_exact(2).zip(&batch) {
             let (mu, var) = gp.predict(q);
             assert_eq!(mu.to_bits(), mu_b.to_bits());
             assert_eq!(var.to_bits(), var_b.to_bits());

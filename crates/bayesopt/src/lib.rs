@@ -15,11 +15,15 @@
 //!   [`space`].
 //!
 //! Like skopt, each suggestion scores the whole candidate cloud and takes
-//! the argmax: one batched posterior pass
-//! ([`GaussianProcess::predict_batch`]), one acquisition score per
-//! candidate, and the first of any tied maxima. The scan runs on one
-//! thread: parallelism lives one level up, in the experiment runner,
-//! which runs whole activations side by side.
+//! the argmax, keeping the first of any tied maxima. The cloud is drawn,
+//! scored and discarded in one pass over small reused blocks of
+//! row-major candidates: [`SampleSpace::sample_into`] /
+//! [`SampleSpace::perturb_into`] fill a block, one batched posterior
+//! pass ([`GaussianProcess::predict_batch`]) and one acquisition score
+//! per row follow, and a running argmax copies out the best row. No
+//! candidate gets its own allocation. The scan runs on one thread:
+//! parallelism lives one level up, in the experiment runner, which runs
+//! whole activations side by side.
 //!
 //! The numerical core is a small dense linear-algebra module
 //! ([`linalg`]: Cholesky factorization and triangular solves) — no

@@ -11,18 +11,53 @@ use simcore::rand::Rng;
 
 /// A constrained space of candidate points that the optimizer can sample
 /// from, locally perturb within, and project onto.
+///
+/// A space implements one draw, [`Self::sample_into`], which writes into a
+/// caller-owned row; the allocating [`Self::sample`] and the perturbation
+/// pair are provided on top of it and of [`Self::project`].
 pub trait SampleSpace {
     /// Dimension of points in this space.
     fn dim(&self) -> usize;
 
-    /// Draws a uniform-ish random feasible point.
-    fn sample(&self, rng: &mut dyn simcore::rand::RngCore) -> Vec<f64>;
+    /// Draws a uniform-ish random feasible point into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != dim()`.
+    fn sample_into(&self, rng: &mut dyn simcore::rand::RngCore, out: &mut [f64]);
 
-    /// Draws a feasible point near `base` (Gaussian perturbation of width
-    /// `scale`, projected back onto the feasible set).
+    /// [`Self::sample_into`] into a fresh point.
+    fn sample(&self, rng: &mut dyn simcore::rand::RngCore) -> Vec<f64> {
+        let mut z = vec![0.0; self.dim()];
+        self.sample_into(rng, &mut z);
+        z
+    }
+
+    /// Draws a feasible point near `base` into `out`: a Gaussian
+    /// perturbation of width `scale` per coordinate, projected back onto
+    /// the feasible set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` and `out` are not both `dim()` long.
+    fn perturb_into(
+        &self,
+        base: &[f64],
+        scale: f64,
+        rng: &mut dyn simcore::rand::RngCore,
+        out: &mut [f64],
+    ) {
+        assert_eq!(base.len(), out.len(), "dimension mismatch");
+        for (z, &v) in out.iter_mut().zip(base) {
+            *z = v + scale * gaussian(rng);
+        }
+        self.project(out);
+    }
+
+    /// [`Self::perturb_into`] into a fresh point.
     fn perturb(&self, base: &[f64], scale: f64, rng: &mut dyn simcore::rand::RngCore) -> Vec<f64> {
-        let mut z: Vec<f64> = base.iter().map(|&v| v + scale * gaussian(rng)).collect();
-        self.project(&mut z);
+        let mut z = vec![0.0; base.len()];
+        self.perturb_into(base, scale, rng, &mut z);
         z
     }
 
@@ -74,11 +109,11 @@ impl SampleSpace for BoxSpace {
         self.bounds.len()
     }
 
-    fn sample(&self, rng: &mut dyn simcore::rand::RngCore) -> Vec<f64> {
-        self.bounds
-            .iter()
-            .map(|&(lo, hi)| if lo == hi { lo } else { rng.gen_range(lo..hi) })
-            .collect()
+    fn sample_into(&self, rng: &mut dyn simcore::rand::RngCore, out: &mut [f64]) {
+        assert_eq!(out.len(), self.dim(), "dimension mismatch");
+        for (v, &(lo, hi)) in out.iter_mut().zip(&self.bounds) {
+            *v = if lo == hi { lo } else { rng.gen_range(lo..hi) };
+        }
     }
 
     fn project(&self, z: &mut [f64]) {
@@ -167,23 +202,23 @@ impl SampleSpace for SimplexBoxSpace {
         self.simplex_dim + 1
     }
 
-    fn sample(&self, rng: &mut dyn simcore::rand::RngCore) -> Vec<f64> {
+    fn sample_into(&self, rng: &mut dyn simcore::rand::RngCore, out: &mut [f64]) {
+        assert_eq!(out.len(), self.dim(), "dimension mismatch");
         // Uniform on the simplex: normalized standard exponentials
         // (Dirichlet(1, …, 1)).
-        let mut z: Vec<f64> = (0..self.simplex_dim)
-            .map(|_| -(rng.gen_range(f64::EPSILON..1.0f64)).ln())
-            .collect();
-        let sum: f64 = z.iter().sum();
-        for v in &mut z {
+        let (c, x) = out.split_at_mut(self.simplex_dim);
+        for v in c.iter_mut() {
+            *v = -(rng.gen_range(f64::EPSILON..1.0f64)).ln();
+        }
+        let sum: f64 = c.iter().sum();
+        for v in c.iter_mut() {
             *v /= sum;
         }
-        let x = if self.x_lo == self.x_hi {
+        x[0] = if self.x_lo == self.x_hi {
             self.x_lo
         } else {
             rng.gen_range(self.x_lo..self.x_hi)
         };
-        z.push(x);
-        z
     }
 
     fn project(&self, z: &mut [f64]) {
@@ -227,7 +262,7 @@ mod tests {
     use super::*;
     use simcore::check::{self, f64s, vec as cvec};
     use simcore::prop_assert;
-    use simcore::rand::SeedableRng;
+    use simcore::rand::{RngCore, SeedableRng};
 
     fn rng(seed: u64) -> simcore::rand::StdRng {
         simcore::rand::StdRng::seed_from_u64(seed)
@@ -336,6 +371,72 @@ mod tests {
             let z2 = space.perturb(&z, 0.3, &mut r);
             assert!(space.contains(&z2, 1e-9), "{z2:?}");
         }
+    }
+
+    #[test]
+    fn sampler_streams_are_pinned() {
+        // Bits of the first draws at a fixed seed: three samples, then
+        // three perturbations of the first (the second clamps x to 1.0),
+        // then the next raw word. Reordering or adding an RNG draw, or
+        // changing a float operation, fails here.
+        let space = SimplexBoxSpace::new(3, 0.2, 1.0);
+        let mut r = rng(2024);
+        let samples: Vec<Vec<f64>> = (0..3).map(|_| space.sample(&mut r)).collect();
+        let perturbs: Vec<Vec<f64>> = (0..3)
+            .map(|_| space.perturb(&samples[0], 0.15, &mut r))
+            .collect();
+        let bits = |zs: &[Vec<f64>]| -> Vec<[u64; 4]> {
+            zs.iter()
+                .map(|z| std::array::from_fn(|i| z[i].to_bits()))
+                .collect()
+        };
+        assert_eq!(
+            bits(&samples),
+            [
+                [
+                    0x3fe6b3a6331ec78b,
+                    0x3fbdc0ae069abaaa,
+                    0x3fc651103037847d,
+                    0x3fe9843c4f9a9948
+                ],
+                [
+                    0x3fc955c37b1d7dcf,
+                    0x3fd909860c1ee1e0,
+                    0x3fda4b9836525f38,
+                    0x3fd6d18df1d1c03d
+                ],
+                [
+                    0x3fc2e2a6a3ea0e97,
+                    0x3fe5bc7096f1f1d9,
+                    0x3fc62b97004e2a06,
+                    0x3fec7c772775bd46
+                ],
+            ]
+        );
+        assert_eq!(
+            bits(&perturbs),
+            [
+                [
+                    0x3fe66bfd65c7e939,
+                    0x3fb27612a2fe7191,
+                    0x3fcd150117612257,
+                    0x3fe7eb8bb6da2d29
+                ],
+                [
+                    0x3fe47100973b8031,
+                    0x3fc25dc102f2e3fc,
+                    0x3fcbde3ca01f1b42,
+                    0x3ff0000000000000
+                ],
+                [
+                    0x3fe2259c9c1d0978,
+                    0x3fca820445962273,
+                    0x3fcce78949f5b7ab,
+                    0x3fee314c8aefa576
+                ],
+            ]
+        );
+        assert_eq!(r.next_u64(), 0x9f36e1da764a2686);
     }
 
     #[test]

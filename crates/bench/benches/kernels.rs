@@ -103,11 +103,13 @@ fn bench_gp(h: &mut Harness) {
         },
         |mut gp| gp.fit().unwrap(),
     );
-    // Batched posterior over a full acquisition candidate cloud.
-    let candidates: Vec<Vec<f64>> = {
+    // Batched posterior over a full acquisition candidate cloud, as flat
+    // row-major rows, into a reused output buffer.
+    let candidates: Vec<f64> = {
         let mut r = StdRng::seed_from_u64(2);
-        (0..1280).map(|_| space.sample(&mut r)).collect()
+        (0..1280).flat_map(|_| space.sample(&mut r)).collect()
     };
+    let mut posterior = Vec::with_capacity(1280);
     h.bench_batched(
         "gp_predict_batch_1280",
         || {
@@ -118,7 +120,10 @@ fn bench_gp(h: &mut Harness) {
             gp.fit().unwrap();
             gp
         },
-        |mut gp| black_box(gp.predict_batch(&candidates)),
+        |mut gp| {
+            gp.predict_batch(&candidates, &mut posterior);
+            black_box(&posterior);
+        },
     );
     // Type-II MLE grid search at K = 20: the pairwise-distance cache is
     // shared across all candidate length scales.

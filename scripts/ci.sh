@@ -45,6 +45,14 @@ cargo test -q --workspace --offline
 echo "==> simcore differential suite at 4096 cases"
 SIMCORE_CHECK_CASES=4096 cargo test --release --offline -q -p simcore --test differential
 
+# BO scoring depth: the blocked candidate scan of BoOptimizer::suggest
+# against its unblocked reference (every candidate materialized, one
+# posterior pass, argmax) at 4,096 cases — five spaces, K = 1..24, clouds
+# off the block width, all three acquisitions — compared by to_bits.
+echo "==> blocked BO suggest vs unblocked reference at 4096 cases"
+SIMCORE_CHECK_CASES=4096 cargo test --release --offline -q -p bayesopt --lib \
+  blocked_suggest_is_bit_identical_to_the_unblocked_reference
+
 # Doc links: every intra-doc link must resolve, so docs that name a
 # deleted or renamed item fail here instead of rotting silently.
 echo "==> cargo doc --no-deps --workspace (warnings are errors)"
