@@ -309,9 +309,15 @@ impl GaussianProcess {
         }
     }
 
-    /// The smallest observed target (the incumbent for minimization).
-    pub(crate) fn best_observed(&self) -> Option<f64> {
-        self.ys.iter().copied().min_by(f64::total_cmp)
+    /// The observation with the smallest target (the incumbent for
+    /// minimization) and that target; the first of tied minima.
+    pub(crate) fn best(&self) -> Option<(&[f64], f64)> {
+        let (i, &y) = self
+            .ys
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.total_cmp(b.1))?;
+        Some((&self.xs[i], y))
     }
 
     /// The log marginal likelihood of the (standardized) targets under the
@@ -444,7 +450,7 @@ mod tests {
     #[test]
     fn best_observed_tracks_minimum() {
         let gp = fitted_on(|z| (z - 1.0).powi(2), &[0.0, 0.5, 1.0, 2.0]);
-        assert_eq!(gp.best_observed(), Some(0.0));
+        assert_eq!(gp.best(), Some((&[1.0][..], 0.0)));
         assert_eq!(gp.len(), 4);
         assert!(!gp.is_empty());
     }

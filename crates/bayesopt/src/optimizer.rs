@@ -77,7 +77,8 @@ pub struct BoOptimizer<S> {
     space: S,
     config: BoConfig,
     n_initial: usize,
-    observations: Vec<(Vec<f64>, f64)>,
+    /// The dataset `D` and the GP fitted to it: the one copy of every
+    /// observation.
     surrogate: GaussianProcess,
     tracer: Tracer,
     trace_track: TrackId,
@@ -114,7 +115,6 @@ impl<S: SampleSpace> BoOptimizer<S> {
             space,
             config,
             n_initial,
-            observations: Vec::new(),
             surrogate: GaussianProcess::new(config.kernel, config.noise_var),
             trace_track: tracer.register_track("bo", "bo suggest"),
             tracer,
@@ -136,20 +136,18 @@ impl<S: SampleSpace> BoOptimizer<S> {
 
     /// Number of observations recorded so far.
     pub fn len(&self) -> usize {
-        self.observations.len()
+        self.surrogate.len()
     }
 
     /// True if no observations have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.observations.is_empty()
+        self.surrogate.is_empty()
     }
 
-    /// The best (lowest-cost) observation so far.
+    /// The best (lowest-cost) observation so far; the first of tied
+    /// minima.
     pub fn best(&self) -> Option<(&[f64], f64)> {
-        self.observations
-            .iter()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(z, c)| (z.as_slice(), *c))
+        self.surrogate.best()
     }
 
     /// Proposes the next point to evaluate.
@@ -208,7 +206,7 @@ impl<S: SampleSpace> BoOptimizer<S> {
     /// carries the incumbent cost and point the candidate cloud is scored
     /// against.
     fn fit_or_sample(&mut self, rng: &mut dyn RngCore) -> Result<(f64, Vec<f64>), Vec<f64>> {
-        if self.observations.len() < self.n_initial {
+        if self.len() < self.n_initial {
             let z = self.space.sample(rng);
             self.trace_instant("random design", &z, f64::NAN);
             return Err(z);
@@ -220,7 +218,7 @@ impl<S: SampleSpace> BoOptimizer<S> {
         self.trace_span(
             "fit",
             &[
-                ("observations", ArgValue::from(self.observations.len())),
+                ("observations", ArgValue::from(self.len())),
                 ("ok", ArgValue::from(u64::from(fit_ok))),
             ],
         );
@@ -229,12 +227,8 @@ impl<S: SampleSpace> BoOptimizer<S> {
             self.trace_instant("fit fallback", &z, f64::NAN);
             return Err(z);
         }
-        let f_best = self.surrogate.best_observed().expect("non-empty history");
-        let incumbent = self
-            .best()
-            .map(|(z, _)| z.to_vec())
-            .expect("non-empty history");
-        Ok((f_best, incumbent))
+        let (incumbent, f_best) = self.best().expect("non-empty history");
+        Ok((f_best, incumbent.to_vec()))
     }
 
     /// Records the scored cloud's size and best acquisition value, then
@@ -300,8 +294,7 @@ impl<S: SampleSpace> BoOptimizer<S> {
             self.space.contains(&z, 1e-6),
             "infeasible observation: {z:?}"
         );
-        self.surrogate.add_observation(z.clone(), cost);
-        self.observations.push((z, cost));
+        self.surrogate.add_observation(z, cost);
     }
 
     /// The persistent GP surrogate (fitted lazily by [`Self::suggest`]).
@@ -312,7 +305,6 @@ impl<S: SampleSpace> BoOptimizer<S> {
     /// Clears the history (a fresh activation starts a new dataset `D`),
     /// including the persistent surrogate and its fitted factor.
     pub fn reset(&mut self) {
-        self.observations.clear();
         self.surrogate = GaussianProcess::new(self.config.kernel, self.config.noise_var);
     }
 }
@@ -465,6 +457,17 @@ mod tests {
     }
 
     #[test]
+    fn tied_costs_keep_the_first_minimum_as_best() {
+        let space = BoxSpace::new(vec![(0.0, 1.0)]);
+        let mut bo = BoOptimizer::new(space, BoConfig::default(), N_INITIAL);
+        for (z, cost) in [(0.1, 2.0), (0.4, 0.5), (0.6, 1.0), (0.8, 0.5), (0.9, 0.5)] {
+            bo.observe(vec![z], cost);
+        }
+        assert_eq!(bo.best(), Some((&[0.4][..], 0.5)));
+        assert_eq!(bo.len(), 5);
+    }
+
+    #[test]
     fn reset_clears_the_dataset() {
         let space = BoxSpace::new(vec![(0.0, 1.0)]);
         let mut bo = BoOptimizer::new(space, BoConfig::default(), N_INITIAL);
@@ -515,19 +518,16 @@ mod tests {
 
     #[test]
     fn tracing_does_not_change_suggestions_and_captures_spans() {
-        use simcore::trace::{observe, ChromeTraceSink, Tracer};
-        use std::cell::RefCell;
-        use std::rc::Rc;
+        use simcore::trace::observe;
 
         let run = |traced: bool| {
             let space = BoxSpace::new(vec![(0.0, 1.0), (0.0, 1.0)]);
-            let sink = Rc::new(RefCell::new(ChromeTraceSink::new()));
             let tracer = if traced {
-                Tracer::with_sink(Rc::clone(&sink))
+                Tracer::observing(true, false)
             } else {
                 Tracer::disabled()
             };
-            let mut bo = observe(tracer, || {
+            let mut bo = observe(tracer.clone(), || {
                 BoOptimizer::new(space, BoConfig::default(), N_INITIAL)
             });
             let mut r = rng(17);
@@ -539,13 +539,13 @@ mod tests {
                 bo.observe(z.clone(), cost);
                 points.push(z);
             }
-            let snapshot = sink.borrow().snapshot();
-            (points, snapshot)
+            (points, tracer.snapshot().0)
         };
         let (plain, empty) = run(false);
         let (traced, buffer) = run(true);
         assert_eq!(plain, traced, "tracing must not perturb the RNG stream");
-        assert!(empty.records.is_empty());
+        assert!(empty.is_none());
+        let buffer = buffer.expect("chrome buffering is on");
         // 5 random-design instants, then 3 surrogate suggests each emitting
         // fit span + score span + chosen instant.
         assert_eq!(buffer.records.len(), 5 + 3 * 3);
@@ -576,7 +576,7 @@ mod tests {
     }
 
     /// A traced optimizer over `space` with `k` observations at
-    /// `n_initial = 0` (so the next suggest scores a cloud) and a sink
+    /// `n_initial = 0` (so the next suggest scores a cloud) and a probe
     /// that sees its records. `constant` gives every observation cost 1.
     fn traced_history<S: SampleSpace>(
         space: S,
@@ -586,11 +586,8 @@ mod tests {
         constant: bool,
     ) -> (BoOptimizer<S>, TraceProbe) {
         use simcore::rand::Rng;
-        let sink = std::rc::Rc::new(std::cell::RefCell::new(
-            simcore::trace::ChromeTraceSink::new(),
-        ));
-        let tracer = Tracer::with_sink(std::rc::Rc::clone(&sink));
-        let mut bo = simcore::trace::observe(tracer, || BoOptimizer::new(space, config, 0));
+        let tracer = Tracer::observing(true, false);
+        let mut bo = simcore::trace::observe(tracer.clone(), || BoOptimizer::new(space, config, 0));
         let mut r = rng(seed);
         for _ in 0..k {
             let z = bo.space().sample(&mut r);
@@ -601,15 +598,16 @@ mod tests {
             };
             bo.observe(z, cost);
         }
-        (bo, TraceProbe(sink))
+        (bo, TraceProbe(tracer))
     }
 
-    struct TraceProbe(std::rc::Rc<std::cell::RefCell<simcore::trace::ChromeTraceSink>>);
+    /// A handle on the optimizer's Chrome-buffering tracer.
+    struct TraceProbe(Tracer);
 
     impl TraceProbe {
         /// Bits of the `best_acq` argument of the latest `score` span.
         fn last_best_acq(&self) -> u64 {
-            let buffer = self.0.borrow().snapshot();
+            let buffer = self.0.snapshot().0.expect("chrome buffering is on");
             let score = buffer
                 .records
                 .iter()

@@ -9,6 +9,7 @@
 use bayesopt::SampleSpace;
 use hbo_bench::harness::Harness;
 use simcore::rand::{Rng, SeedableRng, StdRng};
+use simcore::trace::{observe, Tracer};
 use std::hint::black_box;
 
 /// Seed for every GP/BO fixture below: history growth and the timed call
@@ -216,21 +217,25 @@ fn bench_substrates(h: &mut Harness) {
         |mut app| app.run_for_secs(1.0),
     );
 
-    // Tracing overhead on the same one-second SC1-CF1 workload, all three
-    // sink configurations in one run so their deltas are same-conditions:
+    // Tracing overhead on the same one-second SC1-CF1 workload, all four
+    // observer configurations in one run so their deltas are
+    // same-conditions:
     //
     // * `disabled` — no tracer in scope, the same path as
     //   `socsim_sc1cf1_1s` above. Their delta is the noise floor; any
     //   eager work sneaking in ahead of an `is_enabled` check shows up
     //   here (EXPERIMENTS.md requires ≤ 2%).
-    // * `null` — a sink is in scope, so every instrumentation site fires
-    //   and builds its record, but `NullSink` discards it: the record-
-    //   construction cost alone.
+    // * `null` — an observer with neither output is in scope, so every
+    //   instrumentation site fires and builds its names and arguments,
+    //   and the observer drops the event: the instrumentation cost alone.
     // * `chrome` — full in-memory buffering of every span/counter.
-    // * `agg` — the streaming [`simcore::metrics::AggregatingSink`]:
-    //   every event folds into bounded per-series statistics instead of
-    //   being buffered, so it must land well below `chrome` (EXPERIMENTS
-    //   .md tracks the ratio).
+    // * `agg` — the streaming aggregator ([`simcore::metrics`]): every
+    //   event folds into bounded per-series statistics instead of being
+    //   buffered, so it must land well below `chrome` (EXPERIMENTS.md
+    //   tracks the ratio).
+    //
+    // Each routine returns the tracer, so dropping what the observer
+    // collected is timed too.
     h.bench_batched(
         "trace_overhead_disabled_1s",
         || {
@@ -240,54 +245,27 @@ fn bench_substrates(h: &mut Harness) {
         },
         |mut app| app.run_for_secs(1.0),
     );
-    h.bench_batched(
-        "trace_overhead_null_1s",
-        || {
-            let mut app = simcore::trace::observe(
-                simcore::trace::Tracer::new(simcore::trace::NullSink),
-                || marsim::MarApp::new(&marsim::ScenarioSpec::sc1_cf1()),
-            );
-            app.place_all_objects();
-            app
-        },
-        |mut app| app.run_for_secs(1.0),
-    );
-    h.bench_batched(
-        "trace_overhead_chrome_1s",
-        || {
-            let sink = std::rc::Rc::new(std::cell::RefCell::new(
-                simcore::trace::ChromeTraceSink::new(),
-            ));
-            let mut app = simcore::trace::observe(
-                simcore::trace::Tracer::with_sink(std::rc::Rc::clone(&sink)),
-                || marsim::MarApp::new(&marsim::ScenarioSpec::sc1_cf1()),
-            );
-            app.place_all_objects();
-            (app, sink)
-        },
-        |(mut app, sink)| {
-            app.run_for_secs(1.0);
-            black_box(sink.borrow().len())
-        },
-    );
-    h.bench_batched(
-        "trace_overhead_agg_1s",
-        || {
-            let sink = std::rc::Rc::new(std::cell::RefCell::new(
-                simcore::metrics::AggregatingSink::default(),
-            ));
-            let mut app = simcore::trace::observe(
-                simcore::trace::Tracer::with_sink(std::rc::Rc::clone(&sink)),
-                || marsim::MarApp::new(&marsim::ScenarioSpec::sc1_cf1()),
-            );
-            app.place_all_objects();
-            (app, sink)
-        },
-        |(mut app, sink)| {
-            app.run_for_secs(1.0);
-            black_box(sink.borrow().snapshot().spans.len())
-        },
-    );
+    for (name, chrome, metrics) in [
+        ("trace_overhead_null_1s", false, false),
+        ("trace_overhead_chrome_1s", true, false),
+        ("trace_overhead_agg_1s", false, true),
+    ] {
+        h.bench_batched(
+            name,
+            || {
+                let tracer = Tracer::observing(chrome, metrics);
+                let mut app = observe(tracer.clone(), || {
+                    marsim::MarApp::new(&marsim::ScenarioSpec::sc1_cf1())
+                });
+                app.place_all_objects();
+                (app, tracer)
+            },
+            |(mut app, tracer)| {
+                app.run_for_secs(1.0);
+                tracer
+            },
+        );
+    }
 
     // Wireless link + edge server DES: one simulated second of eight
     // closed-loop clients against a 2-lane server.
@@ -342,55 +320,39 @@ fn bench_substrates(h: &mut Harness) {
 
     // Fleet-scale cluster DES: one simulated second of a 256-session
     // heterogeneous churning population routed across the fixed
-    // four-server cluster by join-shortest-queue. Setup (population
-    // synthesis + sim construction) is untimed; the routine measures
-    // only the event loop.
-    h.bench_sim(
-        "fleet_256c_1s",
-        1.0,
-        || {
-            let sessions = marsim::FleetSpec::mar_default(256).sessions(17);
-            let params = marsim::fleet::mar_cluster(
-                edgelink::LinkParams::wifi(),
-                edgelink::RoutePolicy::ShortestQueue,
-            );
+    // four-server cluster by join-shortest-queue, built under `tracer`.
+    // Setup (population synthesis + sim construction) is untimed; the
+    // routine measures only the event loop.
+    let fleet_256c = |tracer: Tracer| {
+        let sessions = marsim::FleetSpec::mar_default(256).sessions(17);
+        let params = marsim::fleet::mar_cluster(
+            edgelink::LinkParams::wifi(),
+            edgelink::RoutePolicy::ShortestQueue,
+        );
+        let sim = observe(tracer.clone(), || {
             edgelink::ClusterSim::new(params, sessions, simcore::QueueKind::Heap)
-        },
-        |mut sim| {
-            sim.run_for_secs(1.0);
-            black_box(sim.metrics().completed())
-        },
-    );
-
-    // The same 256-session cluster second with the streaming aggregator
-    // attached: fleet-scale observability cost with memory bounded by
-    // the aggregator's configuration, not by the event count.
-    h.bench_sim(
-        "fleet_256c_agg_1s",
-        1.0,
-        || {
-            let sessions = marsim::FleetSpec::mar_default(256).sessions(17);
-            let params = marsim::fleet::mar_cluster(
-                edgelink::LinkParams::wifi(),
-                edgelink::RoutePolicy::ShortestQueue,
-            );
-            let sink = std::rc::Rc::new(std::cell::RefCell::new(
-                simcore::metrics::AggregatingSink::default(),
-            ));
-            let sim = simcore::trace::observe(
-                simcore::trace::Tracer::with_sink(std::rc::Rc::clone(&sink)),
-                || edgelink::ClusterSim::new(params, sessions, simcore::QueueKind::Heap),
-            );
-            (sim, sink)
-        },
-        |(mut sim, sink)| {
-            sim.run_for_secs(1.0);
-            black_box((
-                sim.metrics().completed(),
-                sink.borrow().snapshot().counters.len(),
-            ))
-        },
-    );
+        });
+        (sim, tracer)
+    };
+    // Unobserved, under an observer that keeps nothing (the cost of the
+    // instrumented sites alone), and with the streaming aggregator
+    // attached: fleet-scale observability cost with memory bounded by the
+    // aggregator's configuration, not by the event count.
+    for (name, tracer) in [
+        ("fleet_256c_1s", Tracer::disabled as fn() -> Tracer),
+        ("fleet_256c_null_1s", || Tracer::observing(false, false)),
+        ("fleet_256c_agg_1s", || Tracer::observing(false, true)),
+    ] {
+        h.bench_sim(
+            name,
+            1.0,
+            || fleet_256c(tracer()),
+            |(mut sim, tracer)| {
+                sim.run_for_secs(1.0);
+                black_box((sim.metrics().completed(), tracer))
+            },
+        );
+    }
 }
 
 fn main() {

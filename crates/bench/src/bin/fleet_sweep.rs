@@ -33,7 +33,7 @@
 //! detail for only the `K` cells whose seed-derived hashes are smallest
 //! (deterministic across reruns and thread counts). With `--metrics
 //! PATH` every cell — sampled or not — streams its spans and counters
-//! into a bounded [`simcore::metrics::AggregatingSink`]; the per-cell
+//! into a bounded aggregator ([`simcore::metrics`]); the per-cell
 //! buffers merge in cell order and the Prometheus-style text exposition
 //! is written to `PATH`, byte-identical for any `--threads` setting.
 

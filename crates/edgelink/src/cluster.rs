@@ -1815,17 +1815,14 @@ mod tests {
         sessions: Vec<SessionSpec>,
         secs: f64,
     ) -> (ClusterSim, usize) {
-        use simcore::trace::{ChromeTraceSink, TracePhase};
-        use std::cell::RefCell;
-        use std::rc::Rc;
+        use simcore::trace::TracePhase;
 
         let specs = sessions.clone();
-        let sink = Rc::new(RefCell::new(ChromeTraceSink::new()));
-        let mut sim = simcore::trace::observe(Tracer::with_sink(sink.clone()), || {
-            cluster_sim(params.clone(), sessions)
-        });
+        let tracer = Tracer::observing(true, false);
+        let mut sim =
+            simcore::trace::observe(tracer.clone(), || cluster_sim(params.clone(), sessions));
         sim.run_for_secs(secs);
-        let buf = sink.borrow().snapshot();
+        let buf = tracer.snapshot().0.expect("chrome buffering is on");
         let mut spans = 0;
         for (session, spec) in specs.iter().enumerate() {
             let roots = roots_of(&params, session, spec);
@@ -2111,19 +2108,15 @@ mod tests {
 
     #[test]
     fn tracer_captures_radio_and_server_lane_spans() {
-        use simcore::trace::{ChromeTraceSink, TracePhase};
-        use std::cell::RefCell;
-        use std::rc::Rc;
+        use simcore::trace::TracePhase;
 
         let mut link = LinkParams::wifi();
         link.loss_prob = 0.3; // force retransmissions
-        let sink = Rc::new(RefCell::new(ChromeTraceSink::new()));
+        let tracer = Tracer::observing(true, false);
         let (params, sessions) = one_server(link, ServerParams::small(), None, clients(2), 11);
-        let mut sim = simcore::trace::observe(Tracer::with_sink(sink.clone()), || {
-            cluster_sim(params, sessions)
-        });
+        let mut sim = simcore::trace::observe(tracer.clone(), || cluster_sim(params, sessions));
         sim.run_for_secs(5.0);
-        let buf = sink.borrow().snapshot();
+        let buf = tracer.snapshot().0.expect("chrome buffering is on");
         // Tracks: per session up/down, per server lane, plus the server's
         // admission track and the memory-accounting track.
         assert_eq!(buf.tracks.len(), 2 * 2 + 2 + 1 + 1);
@@ -2157,8 +2150,6 @@ mod tests {
 
     #[test]
     fn tracing_does_not_change_flow_measurements() {
-        use simcore::trace::NullSink;
-
         for cell in [None, Some(SharedCell::stadium())] {
             let run = |tracer: Tracer| {
                 let (params, sessions) = one_server(
@@ -2172,7 +2163,11 @@ mod tests {
                 sim.run_for_secs(10.0);
                 all_samples(&sim)
             };
-            assert_eq!(run(Tracer::disabled()), run(Tracer::new(NullSink)));
+            // Neither the instrumentation alone nor both outputs on move
+            // a sample.
+            let plain = run(Tracer::disabled());
+            assert_eq!(plain, run(Tracer::observing(false, false)));
+            assert_eq!(plain, run(Tracer::observing(true, true)));
         }
     }
 

@@ -330,8 +330,8 @@ impl EdgeWorld {
             let seed = mix(self.master_seed, self.epoch);
             // The edge sim's clock starts at zero each window; building it
             // under the world's tracer shifted by the window start puts its
-            // spans on the app timeline (and the sink's track dedup keeps
-            // one set of radio/lane tracks across windows).
+            // spans on the app timeline (and the observer's track dedup
+            // keeps one set of radio/lane tracks across windows).
             let window_tracer = self.tracer.offset_by(window_start - SimTime::ZERO);
             let (params, sessions) = one_server(
                 self.edge.link,
@@ -712,6 +712,7 @@ pub fn stadium_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::metrics::with_observers;
 
     fn quick_config() -> HboConfig {
         HboConfig {
@@ -846,21 +847,14 @@ mod tests {
 
     #[test]
     fn traced_edge_run_covers_all_four_layers_and_matches_untraced() {
-        use simcore::trace::ChromeTraceSink;
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
         let spec = ScenarioSpec::sc1_cf2().with_edge(edge_spec(2, 5.0));
         let config = quick_config();
-        let sink = Rc::new(RefCell::new(ChromeTraceSink::new()));
-        let traced = observe(Tracer::with_sink(Rc::clone(&sink)), || {
-            run_edge_hbo(&spec, &config, 17)
-        });
+        let (traced, buf, _) = with_observers(true, false, |_| run_edge_hbo(&spec, &config, 17));
         let plain = run_edge_hbo(&spec, &config, 17);
         assert_eq!(plain.best.point, traced.best.point);
         assert_eq!(plain.best_cost_trace, traced.best_cost_trace);
         assert_eq!(plain.telemetry, traced.telemetry);
-        let buf = sink.borrow().snapshot();
+        let buf = buf.expect("chrome buffering is on");
         for cat in ["soc", "edgelink", "hbo", "bo"] {
             assert!(
                 buf.records.iter().any(|r| r.cat == cat),

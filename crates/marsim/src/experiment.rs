@@ -543,17 +543,11 @@ mod tests {
 
     #[test]
     fn traced_run_matches_untraced_and_collects_telemetry() {
-        use simcore::trace::{observe, ChromeTraceSink, Tracer};
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
         let spec = ScenarioSpec::sc2_cf2();
         let config = quick_config();
         let plain = run_hbo(&spec, &config, 9);
-        let sink = Rc::new(RefCell::new(ChromeTraceSink::new()));
-        let traced = observe(Tracer::with_sink(Rc::clone(&sink)), || {
-            run_hbo(&spec, &config, 9)
-        });
+        let (traced, buf, _) =
+            simcore::metrics::with_observers(true, false, |_| run_hbo(&spec, &config, 9));
         // Tracing must not change the activation in any way.
         assert_eq!(plain.best.point, traced.best.point);
         assert_eq!(plain.best_cost_trace, traced.best_cost_trace);
@@ -563,7 +557,7 @@ mod tests {
         assert!(plain.telemetry.frames_rendered > 0);
         // One "hbo" window span per completed iteration, plus SoC and BO
         // events from the lower layers.
-        let buf = sink.borrow().snapshot();
+        let buf = buf.expect("chrome buffering is on");
         let windows = buf.records.iter().filter(|r| r.cat == "hbo").count();
         assert_eq!(windows, plain.records.len());
         assert!(buf.records.iter().any(|r| r.cat == "soc"));

@@ -24,8 +24,8 @@
 //! fallback.
 //!
 //! Observation is one value, [`ObserveConfig`]: [`run_observed`] runs any
-//! job list under it (head-sampling, per-job sinks with their tracer in
-//! scope), and [`merged_trace_json`] / [`merged_metrics`] merge what the
+//! job list under it (head-sampling, one observer per job with its tracer
+//! in scope), and [`merged_trace_json`] / [`merged_metrics`] merge what the
 //! jobs collected in job order. [`run_sweep`] is that runner applied to
 //! HBO activations.
 //!
@@ -169,19 +169,20 @@ pub struct SweepOutcome {
 }
 
 /// What a run observes: Chrome tracing, deterministic head-sampling of
-/// that tracing, and streaming metric aggregation. The default observes
-/// nothing.
+/// that tracing, and streaming metric aggregation. Each job runs under
+/// one observer with the outputs it gets
+/// ([`simcore::metrics::with_observers`]). The default observes nothing.
 #[derive(Debug, Clone, Default)]
 pub struct ObserveConfig {
-    /// Attach a per-job Chrome trace sink (subject to `trace_sample`).
+    /// Keep each job's Chrome trace buffer (subject to `trace_sample`).
     pub traced: bool,
     /// When `Some(k)` and `traced`, only the `k` jobs whose mixed
     /// `(master_seed, job_seed)` hashes are smallest keep full Chrome
     /// detail ([`simcore::metrics::head_sample`]); every job still feeds
     /// the aggregator. `None` traces every job.
     pub trace_sample: Option<usize>,
-    /// Attach a per-job [`simcore::metrics::AggregatingSink`] and return
-    /// its [`MetricsBuffer`] for job-index-order merging.
+    /// Aggregate each job's events into a [`MetricsBuffer`] and return
+    /// it for job-index-order merging.
     pub metrics: bool,
 }
 
@@ -198,9 +199,9 @@ impl ObserveConfig {
         }
     }
 
-    /// Runs one job: `f` runs under this job's sinks (a Chrome buffer
-    /// when `sampled`, the aggregator when `metrics` is on) with their
-    /// tracer in scope, and its value comes back with what they
+    /// Runs one job: `f` runs under this job's observer (a Chrome buffer
+    /// when `sampled`, the aggregator when `metrics` is on) with its
+    /// tracer in scope, and its value comes back with what the observer
     /// collected. Observation never perturbs the simulations.
     pub fn run<R>(&self, sampled: bool, f: impl FnOnce() -> R) -> Observed<R> {
         let (value, trace, metrics) = with_observers(sampled, self.metrics, |_| f());
@@ -223,10 +224,10 @@ pub struct Observed<R> {
     pub metrics: Option<MetricsBuffer>,
 }
 
-/// Runs a job list on `threads` workers, job `i` under the observers
+/// Runs a job list on `threads` workers, job `i` under the observer
 /// that `observe` and `sampled[i]` select ([`ObserveConfig::run`]).
 ///
-/// Sinks are per job, on the worker that runs it, so nothing is shared
+/// Observers are per job, on the worker that runs it, so nothing is shared
 /// across threads. With `f` a pure function of `(index, item)`, every
 /// value and every buffer, and so the merged trace and exposition, is
 /// bit-identical for every thread count and to an unobserved run.

@@ -1,16 +1,20 @@
 //! `simcore::metrics` — bounded streaming aggregation of trace events.
 //!
-//! [`crate::trace::ChromeTraceSink`] buffers every event, so its memory
-//! grows with simulated work: at fleet scale (thousands of sessions,
-//! millions of events per cell) you can have a trace or you can have
-//! the run, not both. This module is the layer between that firehose
-//! and a totals-only summary line:
+//! A Chrome-buffering [`Tracer`] keeps every event, so its memory grows
+//! with simulated work: at fleet scale (thousands of sessions, millions
+//! of events per cell) you can have a trace or you can have the run, not
+//! both. This module is the layer between that firehose and a
+//! totals-only summary line:
 //!
-//! * [`AggregatingSink`] implements [`TraceSink`] and folds span
-//!   begin/end/complete events into per-`(track, span-name)` streaming
-//!   statistics — count, total/max duration, and a [`LogHistogram`] of
-//!   durations for p50/p95/p99 — and counter samples into
-//!   per-`(track, counter-name)` count/sum/min/max/last. It collects
+//! * [`with_observers`] runs a job under one observer with either output,
+//!   both, or neither: the Chrome record buffer and the aggregator share
+//!   the observer's one track table and see every event of one
+//!   instrumented pass. The aggregator folds span begin/end/complete
+//!   events into per-`(track, span-name)` streaming statistics — count,
+//!   total/max duration, and a [`LogHistogram`] of durations for
+//!   p50/p95/p99 — and counter samples into per-`(track, counter-name)`
+//!   count/sum/min/max/last. It reads each event's borrowed name and
+//!   typed value, builds no [`crate::trace::TraceRecord`], and collects
 //!   straight into a [`MetricsBuffer`], so its memory is bounded by the
 //!   series cap, never by the number of events or by simulated time.
 //! * [`MetricsBuffer`] is the plain-data snapshot (`Send`, mergeable in
@@ -26,15 +30,9 @@
 //! so snapshots, merges, and the rendered text are byte-identical
 //! across reruns and `--threads` settings.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use crate::rng::mix;
 use crate::stats::LogHistogram;
-use crate::trace::{
-    observe, ArgValue, ChromeTraceSink, TeeSink, TraceBuffer, TracePhase, TraceRecord, TraceSink,
-    Tracer, TrackId, TrackTable,
-};
+use crate::trace::{observe, TraceBuffer, Tracer, TrackId, TrackTable};
 
 /// Domain-separation tag for [`head_sample`] draws, so the sampling
 /// decision shares no stream with any simulation RNG.
@@ -103,7 +101,7 @@ pub struct CounterStats {
     pub last: f64,
 }
 
-/// Plain-data snapshot of everything an [`AggregatingSink`] collected.
+/// Plain-data snapshot of everything a metered [`Tracer`] aggregated.
 /// `Send`-safe, so parallel runner workers can return one per job for
 /// deterministic job-index-order merging — the aggregated counterpart
 /// of [`TraceBuffer`].
@@ -121,8 +119,7 @@ pub struct MetricsBuffer {
     pub unmatched_ends: u64,
     /// Events dropped because the `max_series` cap was reached.
     pub overflow_events: u64,
-    /// Counter events whose `value` argument was missing or
-    /// non-numeric.
+    /// Counter samples whose value was not finite (NaN or ±∞).
     pub malformed_counters: u64,
 }
 
@@ -391,24 +388,27 @@ fn lookup(
     }
 }
 
-/// A [`TraceSink`] that folds the event stream into bounded streaming
-/// aggregates instead of buffering it: per-`(track, span-name)` duration
-/// statistics and per-`(track, counter-name)` sample statistics. It
-/// collects straight into the [`MetricsBuffer`] it snapshots, naming each
-/// series by its `(process, track)` when the series is created, so
-/// buffers from different jobs merge by identity, not by registration
-/// order. Memory is bounded by the cap of 256 series per kind, never by
-/// the number of events. Snapshot with [`AggregatingSink::snapshot`].
+/// The metrics half of a tracer's observer: folds the event stream into
+/// bounded streaming aggregates instead of buffering it — per-`(track,
+/// span-name)` duration statistics and per-`(track, counter-name)` sample
+/// statistics. Each emit hands it the borrowed name, the duration or the
+/// counter value as typed, so folding an event copies nothing but the
+/// name of a span that stays open. It collects straight into the
+/// [`MetricsBuffer`] it snapshots, naming each series by its `(process,
+/// track)` when the series is created, so buffers from different jobs
+/// merge by identity, not by registration order. Memory is bounded by
+/// the cap of 256 series per kind, never by the number of events.
 #[derive(Debug, Clone, Default)]
-pub struct AggregatingSink {
-    tracks: TrackTable,
+pub(crate) struct Aggregator {
     /// Everything collected so far, except `open_spans`.
     buffer: MetricsBuffer,
     /// Track of each `buffer.spans` entry.
     span_tracks: Vec<TrackId>,
     /// Track of each `buffer.counters` entry.
     counter_tracks: Vec<TrackId>,
-    /// Per-track stack of open `Begin` spans: `(name, cat, at_ns)`.
+    /// Per-track stack of open `Begin` spans: `(name, cat, at_ns)`. The
+    /// name stays a name until the `End`: a span series is created when
+    /// its first span ends, which fixes the exposition's series order.
     open: Vec<Vec<(String, &'static str, u64)>>,
     /// Index of the last span series hit — trace streams repeat the same
     /// series in bursts, so checking it first turns the common-case
@@ -419,35 +419,58 @@ pub struct AggregatingSink {
     last_counter: usize,
 }
 
-impl AggregatingSink {
+impl Aggregator {
     /// Clones out everything collected so far as a plain-data
     /// [`MetricsBuffer`].
-    pub fn snapshot(&self) -> MetricsBuffer {
+    pub(crate) fn snapshot(&self) -> MetricsBuffer {
         MetricsBuffer {
-            open_spans: self.open.iter().map(|s| s.len() as u64).sum(),
+            open_spans: self.open_spans(),
             ..self.buffer.clone()
         }
     }
 
     /// Moves out everything collected, without the copy
     /// [`snapshot`](Self::snapshot) makes.
-    fn into_buffer(self) -> MetricsBuffer {
+    pub(crate) fn into_buffer(self) -> MetricsBuffer {
         MetricsBuffer {
-            open_spans: self.open.iter().map(|s| s.len() as u64).sum(),
+            open_spans: self.open_spans(),
             ..self.buffer
         }
     }
 
-    /// The `(process, track)` names of `track`; an id no registration
-    /// returned is named `track{id}` under an empty process.
-    fn names(&self, track: TrackId) -> (String, String) {
-        self.tracks
-            .get(track)
-            .map(|t| (t.process.clone(), t.track.clone()))
-            .unwrap_or_else(|| (String::new(), format!("track{track}")))
+    fn open_spans(&self) -> u64 {
+        self.open.iter().map(|s| s.len() as u64).sum()
     }
 
-    fn record_span(&mut self, track: TrackId, name: &str, cat: &'static str, dur_ns: u64) {
+    /// Opens a span on `track`.
+    pub(crate) fn begin(&mut self, track: TrackId, cat: &'static str, name: &str, at_ns: u64) {
+        let track = track as usize;
+        if self.open.len() <= track {
+            self.open.resize_with(track + 1, Vec::new);
+        }
+        self.open[track].push((name.to_owned(), cat, at_ns));
+    }
+
+    /// Closes the latest open span on `track`, or counts an unmatched end.
+    pub(crate) fn end(&mut self, tracks: &TrackTable, track: TrackId, at_ns: u64) {
+        match self.open.get_mut(track as usize).and_then(Vec::pop) {
+            Some((name, cat, begin_ns)) => {
+                let dur_ns = at_ns.saturating_sub(begin_ns);
+                self.complete(tracks, track, cat, &name, dur_ns);
+            }
+            None => self.buffer.unmatched_ends += 1,
+        }
+    }
+
+    /// Folds one finished span into its `(track, name)` series.
+    pub(crate) fn complete(
+        &mut self,
+        tracks: &TrackTable,
+        track: TrackId,
+        cat: &'static str,
+        name: &str,
+        dur_ns: u64,
+    ) {
         let spans = &self.buffer.spans;
         let hit = lookup(&self.span_tracks, self.last_span, track, |i| {
             spans[i].name == name
@@ -465,7 +488,7 @@ impl AggregatingSink {
             self.buffer.overflow_events += 1;
             return;
         }
-        let (process, track_name) = self.names(track);
+        let (process, track_name) = names(tracks, track);
         let mut histogram = duration_histogram();
         histogram.record(dur_ns as f64);
         self.last_span = self.span_tracks.len();
@@ -482,7 +505,20 @@ impl AggregatingSink {
         });
     }
 
-    fn record_counter(&mut self, track: TrackId, name: &str, at_ns: u64, value: f64) {
+    /// Folds one counter sample into its `(track, name)` series; a
+    /// non-finite value is counted as malformed instead.
+    pub(crate) fn counter(
+        &mut self,
+        tracks: &TrackTable,
+        track: TrackId,
+        name: &str,
+        at_ns: u64,
+        value: f64,
+    ) {
+        if !value.is_finite() {
+            self.buffer.malformed_counters += 1;
+            return;
+        }
         let counters = &self.buffer.counters;
         let hit = lookup(&self.counter_tracks, self.last_counter, track, |i| {
             counters[i].name == name
@@ -504,7 +540,7 @@ impl AggregatingSink {
             self.buffer.overflow_events += 1;
             return;
         }
-        let (process, track_name) = self.names(track);
+        let (process, track_name) = names(tracks, track);
         self.last_counter = self.counter_tracks.len();
         self.counter_tracks.push(track);
         self.buffer.counters.push(CounterStats {
@@ -519,51 +555,20 @@ impl AggregatingSink {
             last: value,
         });
     }
+
+    /// Counts an instant event.
+    pub(crate) fn instant(&mut self) {
+        self.buffer.instants += 1;
+    }
 }
 
-impl TraceSink for AggregatingSink {
-    fn register_track(&mut self, process: &str, track: &str) -> TrackId {
-        self.tracks.register(process, track)
-    }
-
-    fn event(&mut self, record: TraceRecord) {
-        let track = record.track as usize;
-        match record.phase {
-            TracePhase::Begin => {
-                while self.open.len() <= track {
-                    self.open.push(Vec::new());
-                }
-                self.open[track].push((record.name, record.cat, record.at_ns));
-            }
-            TracePhase::End => match self.open.get_mut(track).and_then(Vec::pop) {
-                Some((name, cat, begin_ns)) => {
-                    let dur_ns = record.at_ns.saturating_sub(begin_ns);
-                    self.record_span(record.track, &name, cat, dur_ns);
-                }
-                None => self.buffer.unmatched_ends += 1,
-            },
-            TracePhase::Complete => {
-                self.record_span(record.track, &record.name, record.cat, record.dur_ns);
-            }
-            TracePhase::Counter => {
-                let value = record.args.iter().find_map(|(k, v)| {
-                    (*k == "value").then(|| match v {
-                        ArgValue::F64(x) => Some(*x),
-                        ArgValue::U64(x) => Some(*x as f64),
-                        ArgValue::I64(x) => Some(*x as f64),
-                        ArgValue::Str(_) => None,
-                    })?
-                });
-                match value {
-                    Some(v) if v.is_finite() => {
-                        self.record_counter(record.track, &record.name, record.at_ns, v);
-                    }
-                    _ => self.buffer.malformed_counters += 1,
-                }
-            }
-            TracePhase::Instant => self.buffer.instants += 1,
-        }
-    }
+/// The `(process, track)` names of `track`; an id no registration
+/// returned is named `track{id}` under an empty process.
+fn names(tracks: &TrackTable, track: TrackId) -> (String, String) {
+    tracks
+        .get(track)
+        .map(|t| (t.process.clone(), t.track.clone()))
+        .unwrap_or_else(|| (String::new(), format!("track{track}")))
 }
 
 /// Deterministic head-sampling for sweeps: picks the `k` jobs whose
@@ -587,79 +592,41 @@ pub fn head_sample(master_seed: u64, seeds: &[u64], k: usize) -> Vec<bool> {
     out
 }
 
-/// Runs `f` under the sink combination selected by `chrome` /
-/// `metrics` and returns what each sink collected: the full-detail
-/// Chrome buffer for sampled jobs, the bounded aggregate for metered
-/// ones, both through one [`TeeSink`] when a job is both. The tracer is
-/// in scope ([`observe`]) while `f` runs, so every simulation `f` builds
-/// records into it; `f` also gets it as its argument. With neither sink
-/// the scope holds a disabled tracer.
+/// Runs `f` under an observer that keeps the Chrome buffer when
+/// `chrome` is set and the bounded aggregate when `metrics` is set, and
+/// returns what it collected: full detail for sampled jobs, the aggregate
+/// for metered ones, both from one instrumented pass when a job is both.
+/// The tracer is in scope ([`observe`]) while `f` runs, so every
+/// simulation `f` builds records into it; `f` also gets it as its
+/// argument. With neither output the scope holds a disabled tracer.
 pub fn with_observers<R>(
     chrome: bool,
     metrics: bool,
     f: impl FnOnce(Tracer) -> R,
 ) -> (R, Option<TraceBuffer>, Option<MetricsBuffer>) {
-    let f = |tracer: Tracer| observe(tracer.clone(), || f(tracer));
-    match (chrome, metrics) {
-        (true, true) => {
-            let sink = Rc::new(RefCell::new(TeeSink {
-                first: ChromeTraceSink::new(),
-                second: AggregatingSink::default(),
-            }));
-            let out = f(Tracer::with_sink(Rc::clone(&sink)));
-            let (chrome, metrics) = take_sink(
-                sink,
-                |tee| (tee.first.into_buffer(), tee.second.into_buffer()),
-                |tee| (tee.first.snapshot(), tee.second.snapshot()),
-            );
-            (out, Some(chrome), Some(metrics))
-        }
-        (true, false) => {
-            let sink = Rc::new(RefCell::new(ChromeTraceSink::new()));
-            let out = f(Tracer::with_sink(Rc::clone(&sink)));
-            let buffer = take_sink(
-                sink,
-                ChromeTraceSink::into_buffer,
-                ChromeTraceSink::snapshot,
-            );
-            (out, Some(buffer), None)
-        }
-        (false, true) => {
-            let sink = Rc::new(RefCell::new(AggregatingSink::default()));
-            let out = f(Tracer::with_sink(Rc::clone(&sink)));
-            let buffer = take_sink(
-                sink,
-                AggregatingSink::into_buffer,
-                AggregatingSink::snapshot,
-            );
-            (out, None, Some(buffer))
-        }
-        (false, false) => (f(Tracer::disabled()), None, None),
-    }
-}
-
-/// What a job's sink collected: moved out when the run dropped every
-/// other handle to it, copied when something (say, a `Tracer` kept in
-/// the job's result) still holds one.
-fn take_sink<S, T>(
-    sink: Rc<RefCell<S>>,
-    moved: impl FnOnce(S) -> T,
-    copied: impl FnOnce(&S) -> T,
-) -> T {
-    match Rc::try_unwrap(sink) {
-        Ok(cell) => moved(cell.into_inner()),
-        Err(shared) => copied(&shared.borrow()),
-    }
+    let tracer = if chrome || metrics {
+        Tracer::observing(chrome, metrics)
+    } else {
+        Tracer::disabled()
+    };
+    let out = observe(tracer.clone(), || f(tracer.clone()));
+    let (chrome, metrics) = tracer.into_buffers();
+    (out, chrome, metrics)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Tracer;
+    use crate::trace::{ArgValue, TracePhase};
     use crate::{SimDuration, SimTime};
 
     fn t(ms: f64) -> SimTime {
         SimTime::from_secs_f64(ms / 1e3)
+    }
+
+    /// What the metered `tracer` has aggregated so far.
+    fn aggregate(tracer: &Tracer) -> MetricsBuffer {
+        tracer.snapshot().1.expect("metrics are on")
     }
 
     /// The `mar_counter_resolution_ns` value the exposition prints for
@@ -681,8 +648,7 @@ mod tests {
         // 1 ms reach the first, the second needs 2 ms, and 30 s needs
         // 64 ms (32 ms × 512 = 16.4 s falls short).
         let ns = |at_ns: u64| SimTime::from_nanos(at_ns);
-        let sink = Rc::new(RefCell::new(AggregatingSink::default()));
-        let tracer = Tracer::with_sink(Rc::clone(&sink));
+        let tracer = Tracer::observing(false, true);
         let a = tracer.register_track("p", "t");
         let streams: [(&str, Vec<u64>); 3] = [
             ("fine", vec![0, 100_000_000, 511_999_000]),
@@ -697,19 +663,18 @@ mod tests {
                 tracer.counter(ns(at), a, "soc", name, at as f64);
             }
         }
-        let snap = sink.borrow().snapshot();
+        let snap = aggregate(&tracer);
         assert_eq!(resolution(&snap, "fine"), 1_000_000);
         assert_eq!(resolution(&snap, "edge"), 2_000_000);
         // The 7 ms sample came after the 30 s one and does not lower it.
         assert_eq!(resolution(&snap, "long"), 64_000_000);
 
-        // Two sinks fed alternate samples merge to the resolution of the
-        // one that saw them all, whichever side held the latest sample.
-        let halves = [
-            Rc::new(RefCell::new(AggregatingSink::default())),
-            Rc::new(RefCell::new(AggregatingSink::default())),
+        // Two observers fed alternate samples merge to the resolution of
+        // the one that saw them all, whichever side held the latest sample.
+        let tracers = [
+            Tracer::observing(false, true),
+            Tracer::observing(false, true),
         ];
-        let tracers = halves.each_ref().map(|h| Tracer::with_sink(Rc::clone(h)));
         let ids = tracers.each_ref().map(|t| t.register_track("p", "t"));
         let mut i = 0;
         for (name, times) in &streams {
@@ -718,8 +683,8 @@ mod tests {
                 i += 1;
             }
         }
-        let mut merged = halves[0].borrow().snapshot();
-        merged.merge(&halves[1].borrow().snapshot());
+        let mut merged = aggregate(&tracers[0]);
+        merged.merge(&aggregate(&tracers[1]));
         for (name, _) in &streams {
             assert_eq!(resolution(&merged, name), resolution(&snap, name), "{name}");
         }
@@ -727,8 +692,7 @@ mod tests {
 
     #[test]
     fn sink_folds_begin_end_and_complete_spans() {
-        let sink = Rc::new(RefCell::new(AggregatingSink::default()));
-        let tracer = Tracer::with_sink(Rc::clone(&sink));
+        let tracer = Tracer::observing(false, true);
         let cpu = tracer.register_track("soc", "CPU slot0");
         tracer.begin(t(1.0), cpu, "soc", "job", &[]);
         tracer.end(t(3.5), cpu, "soc");
@@ -742,7 +706,7 @@ mod tests {
         );
         tracer.counter(t(4.0), cpu, "soc", "queue", 3.0);
         tracer.counter(t(5.0), cpu, "soc", "queue", 5.0);
-        let snap = sink.borrow().snapshot();
+        let snap = aggregate(&tracer);
         let job = snap.span("soc", "CPU slot0", "job").expect("series exists");
         assert_eq!(job.count, 2);
         assert_eq!(job.total_ns, 2_500_000 + 500_000);
@@ -758,12 +722,11 @@ mod tests {
 
     #[test]
     fn sink_counts_unbalanced_spans_instead_of_guessing() {
-        let sink = Rc::new(RefCell::new(AggregatingSink::default()));
-        let tracer = Tracer::with_sink(Rc::clone(&sink));
+        let tracer = Tracer::observing(false, true);
         let a = tracer.register_track("p", "t");
         tracer.end(t(1.0), a, "soc");
         tracer.begin(t(2.0), a, "soc", "dangling", &[]);
-        let snap = sink.borrow().snapshot();
+        let snap = aggregate(&tracer);
         assert_eq!(snap.unmatched_ends, 1);
         assert_eq!(snap.open_spans, 1);
         assert!(snap.span("p", "t", "dangling").is_none());
@@ -771,8 +734,7 @@ mod tests {
 
     #[test]
     fn series_cap_bounds_memory_and_counts_overflow() {
-        let sink = Rc::new(RefCell::new(AggregatingSink::default()));
-        let tracer = Tracer::with_sink(Rc::clone(&sink));
+        let tracer = Tracer::observing(false, true);
         let a = tracer.register_track("p", "t");
         for i in 0..MAX_SERIES + 3 {
             tracer.complete(
@@ -784,7 +746,7 @@ mod tests {
                 &[],
             );
         }
-        let snap = sink.borrow().snapshot();
+        let snap = aggregate(&tracer);
         assert_eq!(snap.spans.len(), MAX_SERIES);
         assert_eq!(snap.overflow_events, 3);
     }
@@ -794,8 +756,7 @@ mod tests {
         // Two jobs with the same track names but different registration
         // orders must merge by identity.
         let make = |first: &str, second: &str, n_first: u64| {
-            let sink = Rc::new(RefCell::new(AggregatingSink::default()));
-            let tracer = Tracer::with_sink(Rc::clone(&sink));
+            let tracer = Tracer::observing(false, true);
             let x = tracer.register_track("edgelink", first);
             let y = tracer.register_track("edgelink", second);
             for _ in 0..n_first {
@@ -816,8 +777,7 @@ mod tests {
                 "serve",
                 &[],
             );
-            let s = sink.borrow().snapshot();
-            s
+            aggregate(&tracer)
         };
         let mut a = make("server0", "server1", 3);
         let b = make("server1", "server0", 5);
@@ -828,8 +788,7 @@ mod tests {
 
     #[test]
     fn render_is_deterministic_and_carries_quantiles() {
-        let sink = Rc::new(RefCell::new(AggregatingSink::default()));
-        let tracer = Tracer::with_sink(Rc::clone(&sink));
+        let tracer = Tracer::observing(false, true);
         let a = tracer.register_track("soc", "CPU");
         for i in 1..=100u64 {
             tracer.complete(
@@ -842,7 +801,7 @@ mod tests {
             );
             tracer.counter(t(i as f64), a, "soc", "queue", (i % 7) as f64);
         }
-        let snap = sink.borrow().snapshot();
+        let snap = aggregate(&tracer);
         let one = snap.render_prometheus();
         let two = snap.render_prometheus();
         assert_eq!(one, two);
@@ -887,16 +846,64 @@ mod tests {
     fn tee_feeds_chrome_and_aggregate_identically() {
         let ((), chrome, agg) = with_observers(true, true, |tracer| {
             let a = tracer.register_track("soc", "CPU");
+            assert_eq!(tracer.register_track("soc", "CPU"), a);
             tracer.begin(t(1.0), a, "soc", "job", &[]);
             tracer.end(t(2.0), a, "soc");
             tracer.counter(t(2.0), a, "soc", "queue", 1.0);
+            // An end with no begin and a NaN sample reach the Chrome
+            // buffer as emitted and the aggregate as counted faults.
+            tracer.end(t(3.0), a, "soc");
+            tracer.counter(t(3.0), a, "soc", "queue", f64::NAN);
         });
         let chrome = chrome.expect("chrome buffer");
         let agg = agg.expect("metrics buffer");
-        assert_eq!(chrome.records.len(), 3);
+        assert_eq!(chrome.records.len(), 5);
         assert_eq!(chrome.tracks.len(), 1);
+        assert_eq!(chrome.records[3].phase, TracePhase::End);
+        assert!(matches!(
+            chrome.records[4].args[..],
+            [("value", ArgValue::F64(v))] if v.is_nan()
+        ));
         assert_eq!(agg.span("soc", "CPU", "job").unwrap().count, 1);
         assert_eq!(agg.counter("soc", "CPU", "queue").unwrap().samples, 1);
+        assert_eq!((agg.unmatched_ends, agg.malformed_counters), (1, 1));
+        let text = agg.render_prometheus();
+        assert!(text.contains("mar_agg_unmatched_ends 1\n"));
+        assert!(text.contains("mar_agg_malformed_counters 1\n"));
+
+        // Both outputs name tracks through one table: one lane name under
+        // two processes is two tracks, an early track re-registered after
+        // many others keeps its first id, ids stay dense in first-seen
+        // order, and both outputs name every series by it.
+        let ((), chrome, agg) = with_observers(true, true, |tracer| {
+            let soc = tracer.register_track("soc", "lane");
+            let edge = tracer.register_track("edgelink", "lane");
+            assert_eq!((soc, edge), (0, 1));
+            let many: Vec<TrackId> = (0..300)
+                .map(|i| tracer.register_track("edgelink", &format!("sess{i} up")))
+                .collect();
+            assert_eq!(many, (2..302).collect::<Vec<TrackId>>());
+            assert_eq!(tracer.register_track("soc", "lane"), soc);
+            assert_eq!(tracer.register_track("edgelink", "lane"), edge);
+            assert_eq!(tracer.register_track("edgelink", "sess7 up"), 9);
+            assert_eq!(tracer.register_track("soc", "sess7 up"), 302);
+            tracer.counter(t(1.0), 9, "edgelink", "queue", 2.0);
+        });
+        let chrome = chrome.expect("chrome buffer");
+        assert_eq!(chrome.tracks.len(), 303);
+        let track = &chrome.tracks[chrome.records[0].track as usize];
+        assert_eq!(
+            (track.process.as_str(), track.track.as_str()),
+            ("edgelink", "sess7 up")
+        );
+        let agg = agg.expect("metrics buffer");
+        assert_eq!(
+            agg.counter("edgelink", "sess7 up", "queue")
+                .unwrap()
+                .samples,
+            1
+        );
+
         // Other combinations produce exactly the requested buffers.
         let ((), c2, a2) = with_observers(false, true, |tr| {
             assert!(tr.is_enabled());

@@ -7,7 +7,10 @@
 //!    predictable `Option` branch and returns immediately. Names and
 //!    arguments that require allocation must be built by the caller
 //!    *behind* [`Tracer::is_enabled`], so the disabled hot path never
-//!    allocates.
+//!    allocates. An enabled tracer holds one observer with the outputs
+//!    the run asked for ([`Tracer::observing`]): it copies an event into
+//!    an owned [`TraceRecord`] only when the Chrome buffer is on, and the
+//!    aggregator of [`crate::metrics`] reads the borrowed event directly.
 //! 2. **Full determinism.** Records carry simulated time only
 //!    ([`SimTime`] nanoseconds) — never wall-clock time — and are kept in
 //!    emit order. Track ids are assigned in registration order. The
@@ -30,6 +33,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
+use crate::metrics::{Aggregator, MetricsBuffer};
 use crate::{SimDuration, SimTime};
 
 /// Identifies one named track (Chrome "thread") inside a trace buffer.
@@ -137,8 +141,9 @@ pub struct TrackDef {
     pub track: String,
 }
 
-/// Plain-data snapshot of everything a sink collected. `Send`-safe, so
-/// parallel runner workers can return buffers for deterministic merging.
+/// Plain-data snapshot of everything a Chrome-buffering [`Tracer`]
+/// collected. `Send`-safe, so parallel runner workers can return buffers
+/// for deterministic merging.
 #[derive(Debug, Clone, Default)]
 pub struct TraceBuffer {
     /// Registered tracks, in registration order (index == [`TrackId`]).
@@ -147,40 +152,13 @@ pub struct TraceBuffer {
     pub records: Vec<TraceRecord>,
 }
 
-/// Destination for trace events.
-///
-/// Object-safe so a [`Tracer`] can hold any sink behind one pointer.
-pub trait TraceSink: fmt::Debug {
-    /// Registers a named track and returns its id. Called in
-    /// deterministic construction order by the instrumented layers.
-    fn register_track(&mut self, process: &str, track: &str) -> TrackId;
-
-    /// Receives one event.
-    fn event(&mut self, record: TraceRecord);
-}
-
-/// A sink that drops everything. Installing it exercises the full
-/// instrumented path (enabled-branch taken, names built, records
-/// constructed) without buffering — the kernels bench uses it to pin
-/// the cost of instrumentation itself.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn register_track(&mut self, _process: &str, _track: &str) -> TrackId {
-        0
-    }
-
-    fn event(&mut self, _record: TraceRecord) {}
-}
-
-/// The track registry of the buffering sinks: [`TrackDef`]s in
+/// The track registry of an [`Observer`]: [`TrackDef`]s in
 /// first-registration order (index == [`TrackId`]) plus an ordered
 /// `(process, track)` index. Re-registering a pair returns its first id
 /// without a scan or an allocation, so layers rebuilt mid-run (e.g. one
 /// edge sim per measurement window) keep appending to the same named
-/// track, and every sink built on it assigns the same ids — which is
-/// what lets a [`TeeSink`] hand one id to both children.
+/// track. The Chrome buffer and the aggregator both name tracks through
+/// this one table.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TrackTable {
     defs: Vec<TrackDef>,
@@ -211,105 +189,60 @@ impl TrackTable {
     }
 }
 
-/// A sink that buffers every event for later Chrome trace-event JSON
-/// export via [`chrome_trace_json`].
-#[derive(Debug, Clone, Default)]
-pub struct ChromeTraceSink {
+/// What an enabled [`Tracer`] records into: one track table, plus the
+/// outputs the run asked for — a Chrome record buffer, the streaming
+/// aggregator, both, or neither. With neither, every instrumented site
+/// still fires and builds its arguments, and the observer drops the
+/// event: the cost of instrumentation alone.
+#[derive(Debug, Default)]
+pub(crate) struct Observer {
     tracks: TrackTable,
-    records: Vec<TraceRecord>,
+    /// Every event in emit order, when Chrome buffering is on.
+    records: Option<Vec<TraceRecord>>,
+    /// Per-series aggregates, when metrics are on.
+    metrics: Option<Aggregator>,
 }
 
-impl ChromeTraceSink {
-    /// Creates an empty buffering sink.
-    pub fn new() -> Self {
-        Self::default()
+impl Observer {
+    /// Appends the record `build` makes to the Chrome buffer; `build` runs
+    /// only when buffering is on, so no other output pays for the copy.
+    fn keep(&mut self, build: impl FnOnce() -> TraceRecord) {
+        if let Some(records) = &mut self.records {
+            records.push(build());
+        }
     }
 
-    /// Clones out everything collected so far.
-    pub fn snapshot(&self) -> TraceBuffer {
-        TraceBuffer {
+    /// Copies out what was collected so far.
+    fn snapshot(&self) -> (Option<TraceBuffer>, Option<MetricsBuffer>) {
+        let chrome = self.records.as_ref().map(|records| TraceBuffer {
             tracks: self.tracks.defs.clone(),
-            records: self.records.clone(),
-        }
+            records: records.clone(),
+        });
+        (chrome, self.metrics.as_ref().map(Aggregator::snapshot))
     }
 
-    /// Moves out everything collected, without the copy
+    /// Moves out what was collected, without the copy
     /// [`snapshot`](Self::snapshot) makes.
-    pub(crate) fn into_buffer(self) -> TraceBuffer {
-        TraceBuffer {
+    fn into_buffers(self) -> (Option<TraceBuffer>, Option<MetricsBuffer>) {
+        let chrome = self.records.map(|records| TraceBuffer {
             tracks: self.tracks.defs,
-            records: self.records,
-        }
-    }
-
-    /// Number of buffered records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when no records have been buffered.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-}
-
-impl TraceSink for ChromeTraceSink {
-    fn register_track(&mut self, process: &str, track: &str) -> TrackId {
-        self.tracks.register(process, track)
-    }
-
-    fn event(&mut self, record: TraceRecord) {
-        self.records.push(record);
-    }
-}
-
-/// A sink that feeds every registration and event to two child sinks —
-/// the glue that lets one job keep full Chrome-trace detail *and* feed
-/// a bounded aggregator from a single instrumented pass.
-///
-/// Both children must use dense first-seen registration ids (as
-/// [`ChromeTraceSink`] and `metrics::AggregatingSink` do, both through
-/// the crate's one track-table type) so the id returned by the first
-/// child is valid for the second; that invariant is checked in debug
-/// builds. [`NullSink`] always answers 0 and is therefore not a valid
-/// tee child.
-#[derive(Debug, Clone, Default)]
-pub struct TeeSink<A: TraceSink, B: TraceSink> {
-    /// First child; its track ids become the tee's ids.
-    pub first: A,
-    /// Second child.
-    pub second: B,
-}
-
-impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
-    fn register_track(&mut self, process: &str, track: &str) -> TrackId {
-        let id = self.first.register_track(process, track);
-        let second = self.second.register_track(process, track);
-        debug_assert_eq!(
-            id, second,
-            "tee children disagree on track id for {process}:{track}"
-        );
-        id
-    }
-
-    fn event(&mut self, record: TraceRecord) {
-        self.second.event(record.clone());
-        self.first.event(record);
+            records,
+        });
+        (chrome, self.metrics.map(Aggregator::into_buffer))
     }
 }
 
 /// Cloneable tracing handle shared by the simulation stack.
 ///
 /// Disabled by default ([`Tracer::disabled`]); every emit method is a
-/// single `Option` check in that state. Clones share one underlying
-/// sink, so a whole single-threaded job (SoC sim, edge sim, control
-/// loop, optimizer) appends to one deterministically ordered buffer.
-/// Simulations do not take a tracer as an argument: each one captures
-/// [`Tracer::current`], the tracer [`observe`] put in scope, when it is
-/// built.
+/// single `Option` check in that state. Clones share one observer, so a
+/// whole single-threaded job (SoC sim, edge sim, control loop, optimizer)
+/// appends to one deterministically ordered buffer. Simulations do not
+/// take a tracer as an argument: each one captures [`Tracer::current`],
+/// the tracer [`observe`] put in scope, when it is built.
 #[derive(Clone, Default)]
 pub struct Tracer {
-    sink: Option<Rc<RefCell<dyn TraceSink>>>,
+    observer: Option<Rc<RefCell<Observer>>>,
     /// Added to every emitted timestamp. Lets a sub-simulation with its
     /// own zero-based clock (e.g. one per-window edge sim) land on the
     /// parent timeline.
@@ -326,24 +259,25 @@ impl Tracer {
     /// A tracer that ignores everything (the default).
     pub const fn disabled() -> Self {
         Self {
-            sink: None,
+            observer: None,
             offset_ns: 0,
         }
     }
 
-    /// Wraps an owned sink.
-    pub fn new(sink: impl TraceSink + 'static) -> Self {
+    /// An enabled tracer with a fresh observer that keeps the Chrome
+    /// record buffer when `chrome` is set and feeds the aggregator when
+    /// `metrics` is set. With neither, the instrumentation runs and its
+    /// events are dropped. Read what it collected with
+    /// [`snapshot`](Self::snapshot), or run a whole job under
+    /// [`crate::metrics::with_observers`].
+    pub fn observing(chrome: bool, metrics: bool) -> Self {
+        let observer = Observer {
+            records: chrome.then(Vec::new),
+            metrics: metrics.then(Aggregator::default),
+            ..Observer::default()
+        };
         Self {
-            sink: Some(Rc::new(RefCell::new(sink))),
-            offset_ns: 0,
-        }
-    }
-
-    /// Wraps a shared sink, letting the caller keep a concrete handle
-    /// (e.g. to snapshot a [`ChromeTraceSink`] after the run).
-    pub fn with_sink<S: TraceSink + 'static>(sink: Rc<RefCell<S>>) -> Self {
-        Self {
-            sink: Some(sink),
+            observer: Some(Rc::new(RefCell::new(observer))),
             offset_ns: 0,
         }
     }
@@ -356,26 +290,56 @@ impl Tracer {
         CURRENT.with(|current| current.borrow().clone())
     }
 
-    /// A handle sharing this tracer's sink whose every timestamp is
+    /// A handle sharing this tracer's observer whose every timestamp is
     /// shifted forward by `offset` (on top of any existing offset).
     pub fn offset_by(&self, offset: SimDuration) -> Tracer {
         Tracer {
-            sink: self.sink.clone(),
+            observer: self.observer.clone(),
             offset_ns: self.offset_ns + offset.as_nanos(),
         }
     }
 
-    /// True when a sink is attached. Callers must guard any
+    /// True when an observer is attached. Callers must guard any
     /// allocation-requiring argument construction behind this.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.sink.is_some()
+        self.observer.is_some()
+    }
+
+    /// Copies out what the observer collected so far: the Chrome buffer
+    /// and the aggregate, each `None` when that output is off (both
+    /// `None` for a disabled tracer).
+    pub fn snapshot(&self) -> (Option<TraceBuffer>, Option<MetricsBuffer>) {
+        match &self.observer {
+            Some(observer) => observer.borrow().snapshot(),
+            None => (None, None),
+        }
+    }
+
+    /// What the observer collected: moved out when this is the last
+    /// handle to it, copied when something (say, a `Tracer` kept in a
+    /// job's result) still holds one.
+    pub(crate) fn into_buffers(self) -> (Option<TraceBuffer>, Option<MetricsBuffer>) {
+        match self.observer.map(Rc::try_unwrap) {
+            Some(Ok(observer)) => observer.into_inner().into_buffers(),
+            Some(Err(shared)) => shared.borrow().snapshot(),
+            None => (None, None),
+        }
+    }
+
+    /// Runs `f` on the observer with the absolute timestamp of `at`;
+    /// nothing when disabled.
+    #[inline]
+    fn emit(&self, at: SimTime, f: impl FnOnce(&mut Observer, u64)) {
+        if let Some(observer) = &self.observer {
+            f(&mut observer.borrow_mut(), self.offset_ns + at.as_nanos());
+        }
     }
 
     /// Registers a named track; returns 0 when disabled.
     pub fn register_track(&self, process: &str, track: &str) -> TrackId {
-        match &self.sink {
-            Some(s) => s.borrow_mut().register_track(process, track),
+        match &self.observer {
+            Some(o) => o.borrow_mut().tracks.register(process, track),
             None => 0,
         }
     }
@@ -390,15 +354,19 @@ impl Tracer {
         name: &str,
         args: &[(&'static str, ArgValue)],
     ) {
-        let Some(sink) = &self.sink else { return };
-        sink.borrow_mut().event(TraceRecord {
-            at_ns: self.offset_ns + at.as_nanos(),
-            dur_ns: 0,
-            track,
-            phase: TracePhase::Begin,
-            cat,
-            name: name.to_string(),
-            args: args.to_vec(),
+        self.emit(at, |o, at_ns| {
+            if let Some(metrics) = &mut o.metrics {
+                metrics.begin(track, cat, name, at_ns);
+            }
+            o.keep(|| TraceRecord {
+                at_ns,
+                dur_ns: 0,
+                track,
+                phase: TracePhase::Begin,
+                cat,
+                name: name.to_string(),
+                args: args.to_vec(),
+            });
         });
     }
 
@@ -406,15 +374,19 @@ impl Tracer {
     /// same track).
     #[inline]
     pub fn end(&self, at: SimTime, track: TrackId, cat: &'static str) {
-        let Some(sink) = &self.sink else { return };
-        sink.borrow_mut().event(TraceRecord {
-            at_ns: self.offset_ns + at.as_nanos(),
-            dur_ns: 0,
-            track,
-            phase: TracePhase::End,
-            cat,
-            name: String::new(),
-            args: Vec::new(),
+        self.emit(at, |o, at_ns| {
+            if let Some(metrics) = &mut o.metrics {
+                metrics.end(&o.tracks, track, at_ns);
+            }
+            o.keep(|| TraceRecord {
+                at_ns,
+                dur_ns: 0,
+                track,
+                phase: TracePhase::End,
+                cat,
+                name: String::new(),
+                args: Vec::new(),
+            });
         });
     }
 
@@ -429,15 +401,19 @@ impl Tracer {
         name: &str,
         args: &[(&'static str, ArgValue)],
     ) {
-        let Some(sink) = &self.sink else { return };
-        sink.borrow_mut().event(TraceRecord {
-            at_ns: self.offset_ns + at.as_nanos(),
-            dur_ns: dur.as_nanos(),
-            track,
-            phase: TracePhase::Complete,
-            cat,
-            name: name.to_string(),
-            args: args.to_vec(),
+        self.emit(at, |o, at_ns| {
+            if let Some(metrics) = &mut o.metrics {
+                metrics.complete(&o.tracks, track, cat, name, dur.as_nanos());
+            }
+            o.keep(|| TraceRecord {
+                at_ns,
+                dur_ns: dur.as_nanos(),
+                track,
+                phase: TracePhase::Complete,
+                cat,
+                name: name.to_string(),
+                args: args.to_vec(),
+            });
         });
     }
 
@@ -445,15 +421,19 @@ impl Tracer {
     /// series need distinct names within one process.
     #[inline]
     pub fn counter(&self, at: SimTime, track: TrackId, cat: &'static str, name: &str, value: f64) {
-        let Some(sink) = &self.sink else { return };
-        sink.borrow_mut().event(TraceRecord {
-            at_ns: self.offset_ns + at.as_nanos(),
-            dur_ns: 0,
-            track,
-            phase: TracePhase::Counter,
-            cat,
-            name: name.to_string(),
-            args: vec![("value", ArgValue::F64(value))],
+        self.emit(at, |o, at_ns| {
+            if let Some(metrics) = &mut o.metrics {
+                metrics.counter(&o.tracks, track, name, at_ns, value);
+            }
+            o.keep(|| TraceRecord {
+                at_ns,
+                dur_ns: 0,
+                track,
+                phase: TracePhase::Counter,
+                cat,
+                name: name.to_string(),
+                args: vec![("value", ArgValue::F64(value))],
+            });
         });
     }
 
@@ -467,15 +447,19 @@ impl Tracer {
         name: &str,
         args: &[(&'static str, ArgValue)],
     ) {
-        let Some(sink) = &self.sink else { return };
-        sink.borrow_mut().event(TraceRecord {
-            at_ns: self.offset_ns + at.as_nanos(),
-            dur_ns: 0,
-            track,
-            phase: TracePhase::Instant,
-            cat,
-            name: name.to_string(),
-            args: args.to_vec(),
+        self.emit(at, |o, at_ns| {
+            if let Some(metrics) = &mut o.metrics {
+                metrics.instant();
+            }
+            o.keep(|| TraceRecord {
+                at_ns,
+                dur_ns: 0,
+                track,
+                phase: TracePhase::Instant,
+                cat,
+                name: name.to_string(),
+                args: args.to_vec(),
+            });
         });
     }
 }
@@ -1015,19 +999,27 @@ mod tests {
         tracer.begin(t(1.0), 0, "soc", "job", &[]);
         tracer.end(t(2.0), 0, "soc");
         tracer.counter(t(2.0), 0, "soc", "queue", 3.0);
+        assert!(matches!(tracer.snapshot(), (None, None)));
+        // With neither output, an observer takes every event and keeps
+        // nothing.
+        let null = Tracer::observing(false, false);
+        assert!(null.is_enabled());
+        let a = null.register_track("p", "t");
+        null.begin(t(1.0), a, "soc", "job", &[]);
+        null.end(t(2.0), a, "soc");
+        assert!(matches!(null.snapshot(), (None, None)));
     }
 
     #[test]
     fn chrome_sink_buffers_in_order() {
-        let sink = Rc::new(RefCell::new(ChromeTraceSink::new()));
-        let tracer = Tracer::with_sink(sink.clone());
+        let tracer = Tracer::observing(true, false);
         let a = tracer.register_track("soc", "CPU slot0");
         let b = tracer.register_track("soc", "GPU");
         assert_eq!((a, b), (0, 1));
         tracer.begin(t(1.0), a, "soc", "detector", &[("seq", 7u64.into())]);
         tracer.end(t(3.5), a, "soc");
         tracer.counter(t(3.5), b, "soc", "GPU resident", 2.0);
-        let buf = sink.borrow().snapshot();
+        let buf = tracer.snapshot().0.expect("chrome buffering is on");
         assert_eq!(buf.tracks.len(), 2);
         assert_eq!(buf.records.len(), 3);
         assert_eq!(buf.records[0].phase, TracePhase::Begin);
@@ -1037,8 +1029,7 @@ mod tests {
 
     #[test]
     fn export_is_valid_chrome_json_and_deterministic() {
-        let sink = Rc::new(RefCell::new(ChromeTraceSink::new()));
-        let tracer = Tracer::with_sink(sink.clone());
+        let tracer = Tracer::observing(true, false);
         let cpu = tracer.register_track("soc", "CPU slot0");
         tracer.begin(t(0.25), cpu, "soc", "job \"x\"", &[("seq", 1u64.into())]);
         tracer.end(t(1.75), cpu, "soc");
@@ -1054,7 +1045,7 @@ mod tests {
         tracer.instant(t(2.5), cpu, "bo", "suggest", &[]);
         let job = TraceJob {
             name: "job0".to_string(),
-            buffer: sink.borrow().snapshot(),
+            buffer: tracer.snapshot().0.expect("chrome buffering is on"),
         };
         let one = chrome_trace_json(&[job.clone()]);
         let two = chrome_trace_json(&[job.clone()]);
@@ -1104,49 +1095,9 @@ mod tests {
     }
 
     #[test]
-    fn tee_sink_feeds_both_children_with_shared_ids() {
-        let sink = Rc::new(RefCell::new(TeeSink {
-            first: ChromeTraceSink::new(),
-            second: ChromeTraceSink::new(),
-        }));
-        let tracer = Tracer::with_sink(sink.clone());
-        let a = tracer.register_track("soc", "CPU");
-        assert_eq!(tracer.register_track("soc", "CPU"), a);
-        tracer.begin(t(1.0), a, "soc", "job", &[]);
-        tracer.end(t(2.0), a, "soc");
-        let tee = sink.borrow();
-        let (one, two) = (tee.first.snapshot(), tee.second.snapshot());
-        assert_eq!(one.tracks.len(), 1);
-        assert_eq!(two.tracks.len(), 1);
-        assert_eq!(one.records.len(), 2);
-        assert_eq!(two.records.len(), 2);
-        assert_eq!(one.records[0].at_ns, two.records[0].at_ns);
-
-        // A Chrome sink and an aggregator agree on every id (the tee
-        // debug-asserts it): one lane name under two processes is two
-        // tracks, an early track re-registered after many others keeps
-        // its first id, and ids stay dense in first-seen order.
-        let tee = Tracer::new(TeeSink {
-            first: ChromeTraceSink::new(),
-            second: crate::metrics::AggregatingSink::default(),
-        });
-        let soc = tee.register_track("soc", "lane");
-        let edge = tee.register_track("edgelink", "lane");
-        assert_eq!((soc, edge), (0, 1));
-        let many: Vec<TrackId> = (0..300)
-            .map(|i| tee.register_track("edgelink", &format!("sess{i} up")))
-            .collect();
-        assert_eq!(many, (2..302).collect::<Vec<TrackId>>());
-        assert_eq!(tee.register_track("soc", "lane"), soc);
-        assert_eq!(tee.register_track("edgelink", "lane"), edge);
-        assert_eq!(tee.register_track("edgelink", "sess7 up"), 9);
-        assert_eq!(tee.register_track("soc", "sess7 up"), 302);
-    }
-
-    #[test]
     fn observe_scopes_nest_and_restore_even_on_panic() {
         assert!(!Tracer::current().is_enabled());
-        let outer = Tracer::new(NullSink);
+        let outer = Tracer::observing(false, false);
         observe(outer, || {
             assert!(Tracer::current().is_enabled());
             observe(Tracer::disabled(), || {
@@ -1164,7 +1115,7 @@ mod tests {
         });
         assert!(!Tracer::current().is_enabled());
         // The scope is per thread: another thread starts outside it.
-        observe(Tracer::new(NullSink), || {
+        observe(Tracer::observing(false, false), || {
             let elsewhere = std::thread::spawn(|| Tracer::current().is_enabled());
             assert!(!elsewhere.join().unwrap());
         });

@@ -1139,13 +1139,11 @@ mod tests {
 
     #[test]
     fn tracer_captures_balanced_slot_spans_and_counters() {
-        use simcore::trace::{observe, ChromeTraceSink, TracePhase, Tracer};
-        use std::cell::RefCell;
-        use std::rc::Rc;
+        use simcore::trace::{observe, TracePhase, Tracer};
 
         let (t, _, _, npu) = topo_cgn();
-        let sink = Rc::new(RefCell::new(ChromeTraceSink::new()));
-        let mut sim = observe(Tracer::with_sink(sink.clone()), || SocSim::new(t));
+        let tracer = Tracer::observing(true, false);
+        let mut sim = observe(tracer.clone(), || SocSim::new(t));
         sim.add_stream(
             StreamSpec::new(vec![Stage::compute(npu, ms(10.0))], ms(0.0)).with_label("a"),
         );
@@ -1153,7 +1151,7 @@ mod tests {
             StreamSpec::new(vec![Stage::compute(npu, ms(10.0))], ms(0.0)).with_label("b"),
         );
         sim.run_until(secs(0.5));
-        let buf = sink.borrow().snapshot();
+        let buf = tracer.snapshot().0.expect("chrome buffering is on");
         assert!(!buf.records.is_empty());
         // Two contending streams on a 1-slot FIFO: queue-depth counters
         // must appear, and begin/end spans must balance per track.
@@ -1247,13 +1245,11 @@ mod tests {
 
     #[test]
     fn memory_accounting_tracks_in_flight_sources_and_emits_counters() {
-        use simcore::trace::{observe, ChromeTraceSink, TracePhase, Tracer};
-        use std::cell::RefCell;
-        use std::rc::Rc;
+        use simcore::trace::{observe, TracePhase, Tracer};
 
         let (t, _, gpu, _) = topo_cgn();
-        let sink = Rc::new(RefCell::new(ChromeTraceSink::new()));
-        let mut sim = observe(Tracer::with_sink(sink.clone()), || SocSim::new(t));
+        let tracer = Tracer::observing(true, false);
+        let mut sim = observe(tracer.clone(), || SocSim::new(t));
         // max_outstanding 2 with a slow stage: the in-flight high-water
         // mark must reach the cap, and the footprint must be nonzero.
         sim.add_source(SourceSpec::new(
@@ -1264,7 +1260,7 @@ mod tests {
         sim.run_until(secs(1.0));
         assert_eq!(sim.peak_in_flight(), 2);
         assert!(sim.in_flight_footprint_bytes() > 0);
-        let buf = sink.borrow().snapshot();
+        let buf = tracer.snapshot().0.expect("chrome buffering is on");
         for series in ["mem in flight bytes", "mem peak in flight"] {
             assert!(
                 buf.records
@@ -1277,15 +1273,10 @@ mod tests {
 
     #[test]
     fn tracing_does_not_change_measurements() {
-        use simcore::trace::{observe, NullSink, Tracer};
+        use simcore::trace::{observe, Tracer};
 
-        let run = |traced: bool| {
+        let run = |tracer: Tracer| {
             let (t, cpu, gpu, _) = topo_cgn();
-            let tracer = if traced {
-                Tracer::new(NullSink)
-            } else {
-                Tracer::disabled()
-            };
             let mut sim = observe(tracer, || SocSim::new(t));
             let s = sim.add_stream(StreamSpec::new(
                 vec![Stage::compute(cpu, ms(10.0)), Stage::compute(gpu, ms(3.0))],
@@ -1300,7 +1291,10 @@ mod tests {
             let m = sim.stream_metrics(s);
             (m.completed(), m.latency_overall().mean().to_bits())
         };
-        assert_eq!(run(false), run(true));
+        // Neither the instrumentation alone nor both outputs on move it.
+        let plain = run(Tracer::disabled());
+        assert_eq!(plain, run(Tracer::observing(false, false)));
+        assert_eq!(plain, run(Tracer::observing(true, true)));
     }
 
     #[test]

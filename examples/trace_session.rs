@@ -6,10 +6,11 @@
 //! ```
 //!
 //! The activation runs a four-client MAR session with **Edge** in the
-//! allocation space, with a [`simcore::trace::ChromeTraceSink`] in scope
-//! ([`simcore::trace::observe`]) across every layer of the stack. The written file (default
-//! `trace_session.json`) loads directly in <https://ui.perfetto.dev> or
-//! `chrome://tracing` and shows, on separate tracks:
+//! allocation space, under a Chrome-buffering observer
+//! ([`simcore::metrics::with_observers`]) that every layer of the stack
+//! records into. The written file (default `trace_session.json`) loads
+//! directly in <https://ui.perfetto.dev> or `chrome://tracing` and shows,
+//! on separate tracks:
 //!
 //! * `soc:*` — per-slot job spans on each simulated processor, plus
 //!   queue-depth counters;
@@ -22,14 +23,10 @@
 //! All timestamps are *simulated* time, so the file is byte-identical on
 //! every run — and recording it changes none of the activation's outputs.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use hbo_suite::prelude::*;
 use marsim::edge::{run_edge_hbo, EdgeSpec};
-use simcore::trace::{
-    chrome_trace_json, chrome_trace_stats, observe, ChromeTraceSink, TraceJob, Tracer,
-};
+use simcore::metrics::with_observers;
+use simcore::trace::{chrome_trace_json, chrome_trace_stats, TraceJob};
 
 fn main() {
     let path = std::env::args()
@@ -43,14 +40,11 @@ fn main() {
         ..HboConfig::default()
     };
 
-    let sink = Rc::new(RefCell::new(ChromeTraceSink::new()));
-    let run = observe(Tracer::with_sink(Rc::clone(&sink)), || {
-        run_edge_hbo(&spec, &config, 2024)
-    });
+    let (run, buffer, _) = with_observers(true, false, |_| run_edge_hbo(&spec, &config, 2024));
 
     let job = TraceJob {
         name: format!("{} edge session", spec.name),
-        buffer: sink.borrow().snapshot(),
+        buffer: buffer.expect("chrome buffering is on"),
     };
     let json = chrome_trace_json(&[job]);
     std::fs::write(&path, &json).expect("write trace file");

@@ -65,13 +65,15 @@ if sys.argv[2] == "0":
             raise SystemExit(f"missing DES throughput row {bench!r}")
         if "sims_per_wall_sec" not in row:
             raise SystemExit(f"row {bench!r} lacks sims_per_wall_sec")
-    # The observability-overhead rows: all four sink configurations on
-    # the same one-second workload, aggregator included.
+    # The observability-overhead rows: all four observer configurations
+    # on the same one-second workload, aggregator included, and the
+    # fleet cell under an observer that keeps nothing.
     for bench in (
         "trace_overhead_disabled_1s",
         "trace_overhead_null_1s",
         "trace_overhead_chrome_1s",
         "trace_overhead_agg_1s",
+        "fleet_256c_null_1s",
     ):
         if bench not in rows:
             raise SystemExit(f"missing trace overhead row {bench!r}")

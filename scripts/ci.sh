@@ -157,11 +157,14 @@ cargo run --release --offline -q -p hbo-bench --bin check_json -- \
   "$trace_dir/fleet_sampled.json"
 
 # Observed-export smoke: the trace and exposition of edge_offload and of
-# stadium_sweep must be byte-identical across --threads 1/2 too (per-job
-# sinks, merged in job order), like explore's trace and fleet_sweep's
-# exposition above. The traces must validate (check_json is linear in
-# the file, so a quadratic parser shows up as a slow step), and every
-# observed run must emit the rows of an unobserved one.
+# stadium_sweep must be byte-identical across --threads 1/2 too (one
+# observer per job, merged in job order), like explore's trace and
+# fleet_sweep's exposition above. A metrics-only stadium run must print
+# the exposition of the run that also keeps the Chrome trace: keeping a
+# trace never changes the aggregate. The traces must validate
+# (check_json is linear in the file, so a quadratic parser shows up as a
+# slow step), and every observed run must emit the rows of an unobserved
+# one.
 echo "==> observed exports: edge_offload and stadium_sweep across threads"
 for threads in 1 2; do
   cargo run --release --offline -q -p hbo-bench --bin edge_offload -- \
@@ -174,6 +177,10 @@ for threads in 1 2; do
     --smoke --threads "$threads" --trace "$trace_dir/stadium_t$threads.json" \
     --metrics "$trace_dir/stadium_metrics_t$threads.txt" 2>/dev/null \
     | grep '"sweep":' > "$trace_dir/stadium_rows_t$threads.txt"
+  cargo run --release --offline -q -p hbo-bench --bin stadium_sweep -- \
+    --smoke --threads "$threads" --metrics "$trace_dir/stadium_metrics_only_t$threads.txt" \
+    2>/dev/null | grep '"sweep":' > "$trace_dir/stadium_rows_metrics_t$threads.txt"
+  cmp "$trace_dir/stadium_metrics_t$threads.txt" "$trace_dir/stadium_metrics_only_t$threads.txt"
 done
 cmp "$trace_dir/edge_t1.json" "$trace_dir/edge_t2.json"
 cmp "$trace_dir/edge_metrics_t1.txt" "$trace_dir/edge_metrics_t2.txt"

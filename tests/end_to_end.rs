@@ -236,19 +236,14 @@ fn edge_offload_golden_cell_is_pinned() {
 /// DES would cascade into different RNG draws and fail loudly here.
 #[test]
 fn traced_hbo_session_replays_bit_identically() {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
     let session = || {
         let spec = ScenarioSpec::sc1_cf2();
-        let sink = Rc::new(RefCell::new(simcore::trace::ChromeTraceSink::new()));
-        let run =
-            simcore::trace::observe(simcore::trace::Tracer::with_sink(Rc::clone(&sink)), || {
-                run_hbo(&spec, &quick_config(), 2024)
-            });
+        let (run, buffer, _) = simcore::metrics::with_observers(true, false, |_| {
+            run_hbo(&spec, &quick_config(), 2024)
+        });
         let job = simcore::trace::TraceJob {
             name: "session".to_owned(),
-            buffer: sink.borrow().snapshot(),
+            buffer: buffer.expect("chrome buffering is on"),
         };
         (run, simcore::trace::chrome_trace_json(&[job]))
     };
@@ -270,26 +265,29 @@ fn traced_hbo_session_replays_bit_identically() {
     assert!(!first_trace.is_empty());
 }
 
-/// Tracing is an observer, not a participant (ISSUE 5): an activation run
-/// with a [`simcore::trace::NullSink`] in scope — the "tracing compiled
-/// in but disabled" configuration — produces bit-identical published
-/// outputs to an untraced run.
+/// Tracing is an observer, not a participant: an activation run with an
+/// observer that keeps nothing in scope — every instrumented site fires,
+/// no output is kept — and one run with both the Chrome buffer and the
+/// aggregator on each produce bit-identical published outputs to an
+/// untraced run.
 #[test]
 fn null_sink_changes_no_published_output() {
     let spec = ScenarioSpec::sc1_cf2();
     let plain = run_hbo(&spec, &quick_config(), 2024);
-    let nulled = simcore::trace::observe(
-        simcore::trace::Tracer::new(simcore::trace::NullSink),
-        || run_hbo(&spec, &quick_config(), 2024),
-    );
-    assert_eq!(plain.best.point, nulled.best.point);
-    assert_eq!(plain.best_cost_trace, nulled.best_cost_trace);
-    assert_eq!(plain.records.len(), nulled.records.len());
-    for (a, b) in plain.records.iter().zip(&nulled.records) {
-        assert_eq!(a.point, b.point);
-        assert_eq!(a.cost, b.cost);
+    for (chrome, metrics) in [(false, false), (true, true)] {
+        let observed =
+            simcore::trace::observe(simcore::trace::Tracer::observing(chrome, metrics), || {
+                run_hbo(&spec, &quick_config(), 2024)
+            });
+        assert_eq!(plain.best.point, observed.best.point);
+        assert_eq!(plain.best_cost_trace, observed.best_cost_trace);
+        assert_eq!(plain.records.len(), observed.records.len());
+        for (a, b) in plain.records.iter().zip(&observed.records) {
+            assert_eq!(a.point, b.point);
+            assert_eq!(a.cost, b.cost);
+        }
+        assert_eq!(plain.telemetry, observed.telemetry);
     }
-    assert_eq!(plain.telemetry, nulled.telemetry);
 }
 
 /// The merged Chrome trace of a runner sweep is byte-identical across
@@ -336,9 +334,6 @@ fn trace_export_is_byte_identical_across_reruns_and_threads() {
 /// `trace_session` example uses).
 #[test]
 fn edge_trace_covers_all_four_layers_end_to_end() {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
     // Enough windows (3 + 5) that the optimizer samples an Edge
     // allocation and the wireless link actually carries traffic.
     let spec =
@@ -348,18 +343,16 @@ fn edge_trace_covers_all_four_layers_end_to_end() {
         iterations: 5,
         ..HboConfig::default()
     };
-    let sink = Rc::new(RefCell::new(simcore::trace::ChromeTraceSink::new()));
-    let traced =
-        simcore::trace::observe(simcore::trace::Tracer::with_sink(Rc::clone(&sink)), || {
-            marsim::edge::run_edge_hbo(&spec, &config, 17)
-        });
+    let (traced, buffer, _) = simcore::metrics::with_observers(true, false, |_| {
+        marsim::edge::run_edge_hbo(&spec, &config, 17)
+    });
     let untraced = marsim::edge::run_edge_hbo(&spec, &config, 17);
     assert_eq!(traced.best.point, untraced.best.point);
     assert_eq!(traced.best_cost_trace, untraced.best_cost_trace);
 
     let job = simcore::trace::TraceJob {
         name: "edge".to_owned(),
-        buffer: sink.borrow().snapshot(),
+        buffer: buffer.expect("chrome buffering is on"),
     };
     let json = simcore::trace::chrome_trace_json(&[job]);
     let stats = simcore::trace::chrome_trace_stats(&json).expect("valid Chrome trace JSON");
@@ -369,24 +362,19 @@ fn edge_trace_covers_all_four_layers_end_to_end() {
     assert!(stats.counters > 0, "queue-depth counters must be sampled");
 }
 
-/// Differential pin (ISSUE 10, satellite c): the streaming
-/// [`simcore::metrics::AggregatingSink`] must agree exactly with a
-/// post-hoc aggregation of the full Chrome trace. One `edge_offload`
-/// cell runs with BOTH sinks attached through a
-/// [`simcore::trace::TeeSink`]; the exported Chrome JSON is then parsed
-/// back (with the in-tree `parse_json`) and folded into per-(track,
-/// span-name) counts and total durations, which must equal the
-/// aggregator's streaming numbers series for series.
+/// Differential pin: the streaming aggregator ([`simcore::metrics`])
+/// must agree exactly with a post-hoc aggregation of the full Chrome
+/// trace. One `edge_offload` cell runs with BOTH outputs of one observer
+/// on; the exported Chrome JSON is then parsed back (with the in-tree
+/// `parse_json`) and folded into per-(track, span-name) counts and total
+/// durations, which must equal the aggregator's streaming numbers series
+/// for series.
 #[test]
 fn aggregator_matches_post_hoc_chrome_trace_aggregation() {
-    use std::cell::RefCell;
     use std::collections::HashMap;
-    use std::rc::Rc;
 
-    use simcore::metrics::AggregatingSink;
-    use simcore::trace::{
-        chrome_trace_json, observe, parse_json, ChromeTraceSink, Json, TeeSink, TraceJob, Tracer,
-    };
+    use simcore::metrics::with_observers;
+    use simcore::trace::{chrome_trace_json, parse_json, Json, TraceJob};
 
     let spec =
         ScenarioSpec::sc1_cf2().with_edge(marsim::edge::EdgeSpec::wifi(2).with_uplink_mbps(5.0));
@@ -395,18 +383,14 @@ fn aggregator_matches_post_hoc_chrome_trace_aggregation() {
         iterations: 5,
         ..HboConfig::default()
     };
-    let sink = Rc::new(RefCell::new(TeeSink {
-        first: ChromeTraceSink::new(),
-        second: AggregatingSink::default(),
-    }));
-    let _ = observe(Tracer::with_sink(Rc::clone(&sink)), || {
+    let (_, buffer, agg) = with_observers(true, true, |_| {
         marsim::edge::run_edge_hbo(&spec, &config, 17)
     });
     let chrome = chrome_trace_json(&[TraceJob {
         name: "edge".to_owned(),
-        buffer: sink.borrow().first.snapshot(),
+        buffer: buffer.expect("chrome buffering is on"),
     }]);
-    let agg = sink.borrow().second.snapshot();
+    let agg = agg.expect("metrics are on");
 
     // Fold the exported JSON back into per-(track, name) span totals.
     // `ts`/`dur` render as microseconds with three decimals, so
