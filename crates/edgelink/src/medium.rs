@@ -14,8 +14,12 @@
 //! transfer tracks `remaining` bytes rather than a fixed completion time.
 //! At every boundary (flow start, completion instant, mobility tick) the
 //! medium is *settled* (every flow's `remaining -= rate × elapsed`), the
-//! allocation is re-solved, and every flow's completion deadline is
-//! recomputed from its settled `remaining`.
+//! allocation is re-solved, and the earliest completion deadline is
+//! recomputed from the settled `remaining` of every flow. No flow stores a
+//! deadline of its own: the solve folds the minimum of the quotients
+//! `remaining / rate` over the flows with a positive rate and rounds it up
+//! to a whole nanosecond once. Rounding up is monotone, so the rounded
+//! minimum is the minimum of the rounded per-flow deadlines, ties included.
 //! The host simulator keeps exactly one wake-up pending, at
 //! `Medium::next_deadline`: after every mutation it cancels the pending
 //! wake in [`simcore`]'s event list and schedules the new one.
@@ -42,11 +46,11 @@
 //! unchanged keeps its stored rates: water-filling the same order under
 //! the same capacity gives the same bits. The earliest completion deadline
 //! is folded during the re-solve and the earliest mobility tick is cached,
-//! so `Medium::next_deadline` is the smaller of the two. Deadlines
-//! themselves are still recomputed for every flow at every boundary:
-//! `remaining` is settled there, and computing `ceil(remaining / rate)`
-//! from a different settlement point would round differently and could
-//! reorder events that land on the same instant.
+//! so `Medium::next_deadline` is the smaller of the two. Every flow's
+//! quotient `remaining / rate` still enters that fold at every boundary,
+//! unchanged lanes included: `remaining` is settled there, and rounding
+//! `remaining / rate` up from a different settlement point would round
+//! differently and could reorder events that land on the same instant.
 //!
 //! # Fair share
 //!
@@ -342,8 +346,6 @@ struct FlowState<K> {
     /// The flow's key in its lane's water-fill order: its client's cap
     /// when it joined the lane or when the lane last re-sorted, bytes/ns.
     cap: f64,
-    /// Completion deadline under the current rate (`None` if starved).
-    done_at: Option<SimTime>,
 }
 
 impl<K> FlowState<K> {
@@ -356,23 +358,18 @@ impl<K> FlowState<K> {
     }
 }
 
-/// The completion deadline of a flow settled at `settled_at` with
-/// `remaining` bytes left at `rate` (`None` if starved).
-fn deadline(settled_at: SimTime, remaining: f64, rate: f64) -> Option<SimTime> {
-    (rate > 0.0).then(|| settled_at + SimDuration::from_nanos(ceil_ns(remaining / rate)))
+/// The instant `ns` nanoseconds after `t`, rounded up to a whole
+/// nanosecond and at least one nanosecond later.
+fn after_ns(t: SimTime, ns: f64) -> SimTime {
+    t + SimDuration::from_nanos(ns.ceil().max(1.0) as u64)
 }
 
-/// `x.ceil().max(1.0) as u64` for every `x`, NaN and infinities included,
-/// in integer arithmetic: without SSE4.1, `f64::ceil` is a libm call, and
-/// every solve takes one per flow.
-fn ceil_ns(x: f64) -> u64 {
-    let t = x as u64;
-    let t = if (t as f64) < x {
-        t.saturating_add(1)
-    } else {
-        t
-    };
-    t.max(1)
+/// The completion deadline of a flow settled at `settled_at` with
+/// `remaining` bytes left at `rate` (`None` if starved): the invariant
+/// oracle's per-flow reference for the solve's folded minimum.
+#[cfg(test)]
+fn deadline(settled_at: SimTime, remaining: f64, rate: f64) -> Option<SimTime> {
+    (rate > 0.0).then(|| after_ns(settled_at, remaining / rate))
 }
 
 /// Max-min water-filling of `capacity` over `order`, ascending by
@@ -475,8 +472,8 @@ pub struct Medium<K: Copy> {
     next_tick: Option<SimTime>,
     /// The instant every live flow's `remaining` was last settled at.
     settled_at: SimTime,
-    /// Instant of the last rate solve, which every cached deadline was
-    /// computed from; only the invariant oracle reads it.
+    /// Instant of the last rate solve, which `next_done` was computed
+    /// from; only the invariant oracle reads it.
     #[cfg(test)]
     resolved_at: SimTime,
     offered_bytes: f64,
@@ -584,7 +581,6 @@ impl<K: Copy> Medium<K> {
             remaining: bytes,
             rate: 0.0,
             cap,
-            done_at: None,
         });
         self.lanes[cell][dir_idx(dir)].join(slot, cap);
         self.offered_bytes += bytes;
@@ -732,11 +728,12 @@ impl<K: Copy> Medium<K> {
 
     /// Settles every flow by the `dt` nanoseconds [`Medium::elapse`]
     /// returned for `now`, re-solves every cell's allocation (water-filling
-    /// under per-client caps) and recomputes every completion deadline, in
-    /// one pass over each lane's members unless its rates change; see the
-    /// module docs for what a lane reuses.
+    /// under per-client caps) and recomputes the earliest completion
+    /// deadline, in one pass over each lane's members unless its rates
+    /// change; see the module docs for what a lane reuses.
     fn resolve(&mut self, now: SimTime, dt: f64) {
-        let mut next_done: Option<SimTime> = None;
+        // The least `remaining / rate` over the flows with a rate, ns.
+        let mut min_ns: Option<f64> = None;
         for (cell, lanes) in self.params.cells.iter().zip(&mut self.lanes) {
             for (lane, dir) in lanes.iter_mut().zip([Direction::Up, Direction::Down]) {
                 if lane.slots.is_empty() {
@@ -761,11 +758,11 @@ impl<K: Copy> Medium<K> {
                     lane.refill = true;
                     self.resorts += 1;
                 }
-                let mut fold = |f: &mut FlowState<K>| {
-                    f.done_at = deadline(now, f.remaining, f.rate);
-                    if let Some(t) = f.done_at {
-                        if next_done.is_none_or(|n| t < n) {
-                            next_done = Some(t);
+                let mut fold = |f: &FlowState<K>| {
+                    if f.rate > 0.0 {
+                        let ns = f.remaining / f.rate;
+                        if min_ns.is_none_or(|m| ns < m) {
+                            min_ns = Some(ns);
                         }
                     }
                 };
@@ -790,7 +787,7 @@ impl<K: Copy> Medium<K> {
                 }
             }
         }
-        self.next_done = next_done;
+        self.next_done = min_ns.map(|ns| after_ns(now, ns));
         #[cfg(test)]
         {
             self.resolved_at = now;
@@ -894,9 +891,10 @@ impl<K: Copy> Medium<K> {
     /// effective capacity, every flow within its client's cap, and byte
     /// accounting consistent. It also recomputes the incremental solve
     /// from scratch and requires bit-equality with the cached state: lane
-    /// membership, the `(cap, slot)` water-fill order, the rates, each
-    /// deadline settled at the last solve, and the earliest deadline. Used
-    /// by the property tests.
+    /// membership, the `(cap, slot)` water-fill order, the rates, the
+    /// earliest mobility tick and, while the flows are still settled at
+    /// the last solve, the earliest deadline (the least per-flow
+    /// [`deadline`]). Used by the property tests.
     ///
     /// # Panics
     ///
@@ -935,13 +933,6 @@ impl<K: Copy> Medium<K> {
                         self.clients[f.client].cell == ci && f.dir == dir,
                         "flow {s} sits in lane ({ci}, {dir:?}) of another cell or direction"
                     );
-                    if self.settled_at == self.resolved_at {
-                        assert_eq!(
-                            f.done_at,
-                            deadline(self.resolved_at, f.remaining, f.rate),
-                            "flow {s}: cached deadline differs from a fresh one"
-                        );
-                    }
                 }
                 in_lanes += lane.slots.len();
                 if lane.slots.is_empty() {
@@ -988,19 +979,26 @@ impl<K: Copy> Medium<K> {
             self.flows.iter().flatten().count(),
             "live flows missing from every lane"
         );
-        // The earliest deadline, by a full scan of flows and clients.
-        let mut t: Option<SimTime> = None;
-        let mut fold = |c: SimTime| t = Some(t.map_or(c, |p: SimTime| p.min(c)));
-        self.flows
-            .iter()
-            .flatten()
-            .filter_map(|f| f.done_at)
-            .for_each(&mut fold);
-        self.clients
-            .iter()
-            .filter_map(|c| c.next_tick)
-            .for_each(&mut fold);
-        assert_eq!(self.next_deadline(), t, "cached earliest deadline is stale");
+        // The earliest mobility tick, by a full scan of the clients.
+        assert_eq!(
+            self.next_tick,
+            self.clients.iter().filter_map(|c| c.next_tick).min(),
+            "cached earliest mobility tick is stale"
+        );
+        // The earliest completion, from a fresh deadline per flow; only
+        // while `remaining` is still settled at the solve that folded it
+        // (after every start and every advance that ends on a deadline).
+        if self.settled_at == self.resolved_at {
+            assert_eq!(
+                self.next_done,
+                self.flows
+                    .iter()
+                    .flatten()
+                    .filter_map(|f| deadline(self.resolved_at, f.remaining, f.rate))
+                    .min(),
+                "cached earliest completion deadline is stale"
+            );
+        }
         let in_flight = self.in_flight_bytes();
         let settled = self.offered_bytes - self.delivered_bytes;
         // In-flight bytes can only be less than offered-minus-delivered by
@@ -1229,37 +1227,73 @@ mod tests {
     }
 
     #[test]
-    fn ceil_ns_matches_the_float_formula() {
-        let float = |x: f64| x.ceil().max(1.0) as u64;
-        let mut xs = vec![
-            f64::NAN,
-            f64::NEG_INFINITY,
-            -1.5,
-            -0.0,
-            0.0,
-            f64::MIN_POSITIVE,
-            0.5,
-            1.0,
-            1.0 + f64::EPSILON,
-            2.5,
-            1e15 + 0.5,
-            9_007_199_254_740_991.0,
-            9_007_199_254_740_992.0,
-            18_446_744_073_709_549_568.0,
-            18_446_744_073_709_551_616.0,
-            1e300,
-            f64::INFINITY,
-        ];
-        let mut h = 0x3E11_CE11u64;
-        for _ in 0..10_000 {
-            h = mix(h, 1);
-            // Random bit patterns across every exponent, and quotients
-            // like the deadlines the medium computes.
-            xs.push(f64::from_bits(h));
-            xs.push(unit(h) * 1e9);
-        }
-        for x in xs {
-            assert_eq!(ceil_ns(x), float(x), "x = {x:e} ({:#x})", x.to_bits());
+    #[cfg(target_pointer_width = "64")]
+    fn flow_state_size_is_pinned() {
+        assert_eq!(
+            std::mem::size_of::<Option<FlowState<(usize, u64)>>>(),
+            64,
+            "FlowState changed size: the traced `mem medium bytes` counter counts \
+             size_of::<Option<FlowState<_>>>() per flow slot, so the trace and exposition \
+             digests pinned in tests/end_to_end.rs::observed_exports_are_pinned move with it"
+        );
+    }
+
+    #[test]
+    fn earliest_deadline_is_the_least_fresh_deadline_under_sub_ns_gaps() {
+        // Two flows at the AP split the 80 Mbit/s lane (0.005 B/ns each);
+        // a client too far out for any rate starves in the same lane.
+        // Each pair of sizes puts the two quotients `remaining / rate`
+        // less than 1 ns apart: 2e6 - 0.2 against 2e6 + 0.6 ns round up to
+        // two instants, 2e6 + 0.2 against 2e6 + 0.8 ns to one.
+        for (a, b, both_at_once) in [
+            (9_999.999, 10_000.003, false),
+            (10_000.001, 10_000.004, true),
+        ] {
+            let mut m: Medium<u64> = Medium::new(MediumParams::single_cell(80.0, 160.0));
+            let starved = m.add_client(
+                SimTime::ZERO,
+                Mobility::Fixed {
+                    x_m: 1e120,
+                    y_m: 0.0,
+                },
+            );
+            m.start_flow(SimTime::ZERO, starved, Direction::Up, 1_000.0, 0);
+            m.check_invariants();
+            assert_eq!(m.next_deadline(), None, "a starved flow has no deadline");
+            for (key, bytes) in [(1, a), (2, b)] {
+                let c = m.add_client(SimTime::ZERO, Mobility::Fixed { x_m: 0.0, y_m: 0.0 });
+                m.start_flow(SimTime::ZERO, c, Direction::Up, bytes, key);
+            }
+            let fresh = |m: &Medium<u64>| {
+                m.flows
+                    .iter()
+                    .flatten()
+                    .filter_map(|f| deadline(m.settled_at, f.remaining, f.rate))
+                    .min()
+            };
+            let rates: Vec<f64> = m.flows.iter().flatten().map(|f| f.rate).collect();
+            assert_eq!(rates, [0.0, 0.005, 0.005]);
+            assert_eq!(m.next_deadline(), fresh(&m));
+            assert_eq!(
+                m.next_deadline(),
+                Some(SimTime::from_nanos(2_000_000 + u64::from(both_at_once)))
+            );
+            m.check_invariants();
+            let mut done = Vec::new();
+            let t = m.next_deadline().expect("two flows have a rate");
+            m.advance(t, &mut done);
+            m.check_invariants();
+            let keys: Vec<u64> = done.iter().map(|c| c.key).collect();
+            assert_eq!(keys, if both_at_once { vec![1, 2] } else { vec![1] });
+            assert_eq!(m.next_deadline(), fresh(&m));
+            if !both_at_once {
+                let t = m.next_deadline().expect("flow 2 has the lane to itself");
+                m.advance(t, &mut done);
+                m.check_invariants();
+                assert_eq!(done.last().map(|c| c.key), Some(2));
+            }
+            assert_eq!(m.next_deadline(), None, "only the starved flow is left");
+            assert_eq!(m.active_flows(0, Direction::Up), 1);
         }
     }
 }

@@ -53,6 +53,14 @@ echo "==> blocked BO suggest vs unblocked reference at 4096 cases"
 SIMCORE_CHECK_CASES=4096 cargo test --release --offline -q -p bayesopt --lib \
   blocked_suggest_is_bit_identical_to_the_unblocked_reference
 
+# Shared-medium depth: the medium property (flow churn, mobility ticks,
+# handovers) at 4,096 cases. check_invariants runs at every mutation: it
+# re-solves every lane from scratch, compares the rates by to_bits, and
+# requires the cached earliest completion deadline to equal the least
+# deadline recomputed per flow.
+echo "==> shared-medium invariants at 4096 cases"
+SIMCORE_CHECK_CASES=4096 cargo test --release --offline -q -p edgelink --lib medium::properties
+
 # Doc links: every intra-doc link must resolve, so docs that name a
 # deleted or renamed item fail here instead of rotting silently.
 echo "==> cargo doc --no-deps --workspace (warnings are errors)"

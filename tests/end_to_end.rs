@@ -959,12 +959,12 @@ fn observed_exports_are_pinned() {
         "9023 7a44b911477200ff",
         "826894 7e900b3550c4a4cc",
         "21993 6420bb4214aa0531",
-        "1086295 9a1810d9a93a8f84",
-        "18578 332311d663096097",
+        "1086295 61e2b157098ea18e",
+        "18578 f9b8b1fe4d8c818f",
         "585946 60201d80e457f027",
         "27788 a09406f36a9b4b85",
-        "1083019 db6d9fb0d80be6a8",
-        "9944 da06e91fcfb30a86",
+        "1083019 d2ac099de3a365a0",
+        "9944 524aa71650d42c6e",
     ];
     assert_eq!(got, golden, "an observed export drifted");
 
