@@ -49,47 +49,6 @@ impl Kernel {
         }
     }
 
-    /// The same kernel family and signal variance with a new length scale
-    /// — the hyperparameter that type-II MLE grid search varies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is not strictly positive and finite.
-    pub(crate) fn with_length_scale(self, scale: f64) -> Self {
-        assert!(
-            scale > 0.0 && scale.is_finite(),
-            "invalid length scale: {scale}"
-        );
-        match self {
-            Kernel::Matern12 { signal_var, .. } => Kernel::Matern12 {
-                length_scale: scale,
-                signal_var,
-            },
-            Kernel::Matern32 { signal_var, .. } => Kernel::Matern32 {
-                length_scale: scale,
-                signal_var,
-            },
-            Kernel::Matern52 { signal_var, .. } => Kernel::Matern52 {
-                length_scale: scale,
-                signal_var,
-            },
-            Kernel::Rbf { signal_var, .. } => Kernel::Rbf {
-                length_scale: scale,
-                signal_var,
-            },
-        }
-    }
-
-    /// The kernel's length scale.
-    pub fn length_scale(&self) -> f64 {
-        match *self {
-            Kernel::Matern12 { length_scale, .. }
-            | Kernel::Matern32 { length_scale, .. }
-            | Kernel::Matern52 { length_scale, .. }
-            | Kernel::Rbf { length_scale, .. } => length_scale,
-        }
-    }
-
     /// The kernel's signal variance (its value at distance zero).
     pub fn signal_var(&self) -> f64 {
         match *self {
@@ -214,33 +173,14 @@ mod tests {
         let expected =
             (1.0 + 5.0_f64.sqrt() * r + 5.0 * r * r / 3.0) * (-(5.0_f64.sqrt()) * r).exp();
         assert!((k.eval_from_distance(r) - expected).abs() < 1e-12);
-        assert_eq!(k.length_scale(), 1.0);
+        assert_eq!(
+            k,
+            Kernel::Matern52 {
+                length_scale: 1.0,
+                signal_var: 1.0
+            }
+        );
         assert_eq!(k.signal_var(), 1.0);
-    }
-
-    #[test]
-    fn with_length_scale_preserves_family_and_signal() {
-        for k in KERNELS {
-            let k2 = k.with_length_scale(0.25);
-            assert_eq!(k2.length_scale(), 0.25);
-            assert_eq!(k2.signal_var(), k.signal_var());
-            assert_eq!(
-                std::mem::discriminant(&k2),
-                std::mem::discriminant(&k),
-                "family must not change"
-            );
-        }
-        let k = Kernel::Matern52 {
-            length_scale: 1.0,
-            signal_var: 2.5,
-        };
-        assert_eq!(k.with_length_scale(3.0).signal_var(), 2.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid length scale")]
-    fn with_length_scale_rejects_nonpositive() {
-        Kernel::paper_default().with_length_scale(0.0);
     }
 
     #[test]
@@ -316,14 +256,13 @@ mod tests {
             "gram_matrices_are_positive_semidefinite",
             cvec(cvec(f64s(-2.0..2.0), 2..=2), 2..6),
             |points| {
-                use crate::linalg::{Cholesky, Matrix};
+                use crate::linalg::Cholesky;
                 for k in KERNELS {
-                    let n = points.len();
                     // Jittered Gram matrix must be PD for distinct-ish points.
-                    let gram = Matrix::from_fn(n, n, |r, c| {
+                    let gram = Cholesky::from_fn(points.len(), |r, c| {
                         k.eval(&points[r], &points[c]) + if r == c { 1e-6 } else { 0.0 }
                     });
-                    prop_assert!(Cholesky::new(&gram).is_ok(), "{k:?} gram not PSD");
+                    prop_assert!(gram.is_ok(), "{k:?} gram not PSD");
                 }
                 Ok(())
             },

@@ -25,9 +25,13 @@
 //! parallelism lives one level up, in the experiment runner, which runs
 //! whole activations side by side.
 //!
-//! The numerical core is a small dense linear-algebra module
-//! ([`linalg`]: Cholesky factorization and triangular solves) — no
-//! external math dependencies.
+//! The numerical core is a private linear-algebra module: one packed
+//! Cholesky factor that grows a row at a time (a full factorization is
+//! the same row loop from the empty factor), and the triangular solves
+//! against it — no external math dependencies. The kernel keeps its
+//! configured length scale; no hyperparameter is fitted to the data,
+//! matching the paper's fixed `ℓ = 1`. A fit that fails even at the
+//! largest diagonal jitter returns [`NotPositiveDefinite`].
 //!
 //! # Example
 //!
@@ -54,12 +58,13 @@
 pub mod acquisition;
 pub mod gp;
 pub mod kernel;
-pub mod linalg;
+mod linalg;
 mod optimizer;
 pub mod space;
 
 pub use acquisition::Acquisition;
 pub use gp::GaussianProcess;
 pub use kernel::Kernel;
+pub use linalg::NotPositiveDefinite;
 pub use optimizer::{BoConfig, BoOptimizer};
 pub use space::SampleSpace;

@@ -126,19 +126,6 @@ fn bench_gp(h: &mut Harness) {
             black_box(&posterior);
         },
     );
-    // Type-II MLE grid search at K = 20: the pairwise-distance cache is
-    // shared across all candidate length scales.
-    h.bench_batched(
-        "fit_length_scale_k20",
-        || {
-            let mut gp = bayesopt::GaussianProcess::new(bayesopt::Kernel::paper_default(), 1e-3);
-            for (i, p) in points.iter().take(20).enumerate() {
-                gp.add_observation(p.clone(), (i as f64).sin());
-            }
-            gp
-        },
-        |mut gp| gp.fit_length_scale(&[0.1, 0.3, 1.0, 3.0]).unwrap(),
-    );
     // One full BO suggestion (refit + 1280 candidate generations + scores)
     // on a surrogate grown under the same seed as the timed call.
     h.bench_batched(

@@ -79,17 +79,7 @@ pub fn all_nnapi_allocation(profiles: &[TaskProfile]) -> Vec<Delegate> {
 /// on-device-only profiles this coincides with
 /// [`static_best_allocation`].
 pub fn best_local_allocation(profiles: &[TaskProfile]) -> Vec<Delegate> {
-    profiles
-        .iter()
-        .map(|p| {
-            [Delegate::Cpu, Delegate::Gpu, Delegate::Nnapi]
-                .into_iter()
-                .filter_map(|d| p.latency_on(d).map(|l| (d, l)))
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("task supports no on-device resource")
-                .0
-        })
-        .collect()
+    profiles.iter().map(|p| p.best_on_device().0).collect()
 }
 
 /// Edge-only baseline: every edge-capable task offloads; tasks without an

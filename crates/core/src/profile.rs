@@ -92,6 +92,21 @@ impl TaskProfile {
             .expect("profile supports at least one resource")
     }
 
+    /// The fastest on-device resource (CPU, GPU or NNAPI) and its
+    /// latency, ignoring any edge-offload estimate; the first of tied
+    /// minima.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the task supports no on-device resource.
+    pub fn best_on_device(&self) -> (Delegate, f64) {
+        [Delegate::Cpu, Delegate::Gpu, Delegate::Nnapi]
+            .into_iter()
+            .filter_map(|d| self.latency_on(d).map(|l| (d, l)))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("task supports no on-device resource")
+    }
+
     /// The expected latency `τ^e` (lowest isolated latency).
     pub fn expected_latency(&self) -> f64 {
         self.best().1
@@ -134,6 +149,7 @@ mod tests {
         let p = p.with_edge(5.0);
         assert_eq!(p.latency_on(Delegate::Edge), Some(5.0));
         assert_eq!(p.best(), (Delegate::Edge, 5.0));
+        assert_eq!(p.best_on_device(), (Delegate::Nnapi, 10.0));
     }
 
     #[test]

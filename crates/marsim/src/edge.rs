@@ -25,9 +25,7 @@
 pub use edgelink::{Direction, LinkParams, ServerParams, SharedCell};
 
 use edgelink::{one_server, ClientLabel, ClientSpec, ClusterSim};
-use hbo_core::{
-    best_local_allocation, edge_only_allocation, HboConfig, HboPoint, TaskProfile, WarmCache,
-};
+use hbo_core::{best_local_allocation, edge_only_allocation, HboConfig, HboPoint, WarmCache};
 use nnmodel::Delegate;
 use simcore::rng::mix;
 use simcore::stats::Running;
@@ -223,11 +221,11 @@ impl EdgeWorld {
         let profiles = spec.profiles();
         let infer_ms: Vec<f64> = profiles
             .iter()
-            .map(|p| edge.infer_ms(best_local_ms(p)))
+            .map(|p| edge.infer_ms(p.best_on_device().1))
             .collect();
         let estimate_ms: Vec<f64> = profiles
             .iter()
-            .map(|p| edge.offload_estimate_ms(best_local_ms(p)))
+            .map(|p| edge.offload_estimate_ms(p.best_on_device().1))
             .collect();
         let app = MarApp::new(spec);
         let alloc = app.allocation();
@@ -432,14 +430,6 @@ impl Plant for EdgeWorld {
     fn telemetry(&self) -> TelemetrySummary {
         EdgeWorld::telemetry(self)
     }
-}
-
-/// Best on-device latency of a (possibly edge-extended) profile.
-fn best_local_ms(p: &TaskProfile) -> f64 {
-    [Delegate::Cpu, Delegate::Gpu, Delegate::Nnapi]
-        .into_iter()
-        .filter_map(|d| p.latency_on(d))
-        .fold(f64::INFINITY, f64::min)
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice; `None` when the

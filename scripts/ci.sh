@@ -45,13 +45,15 @@ cargo test -q --workspace --offline
 echo "==> simcore differential suite at 4096 cases"
 SIMCORE_CHECK_CASES=4096 cargo test --release --offline -q -p simcore --test differential
 
-# BO scoring depth: the blocked candidate scan of BoOptimizer::suggest
-# against its unblocked reference (every candidate materialized, one
-# posterior pass, argmax) at 4,096 cases — five spaces, K = 1..24, clouds
-# off the block width, all three acquisitions — compared by to_bits.
-echo "==> blocked BO suggest vs unblocked reference at 4096 cases"
-SIMCORE_CHECK_CASES=4096 cargo test --release --offline -q -p bayesopt --lib \
-  blocked_suggest_is_bit_identical_to_the_unblocked_reference
+# BO depth: the whole bayesopt unit suite at 4,096 cases per property
+# (about 3 s of test time once built). It covers the blocked candidate
+# scan of BoOptimizer::suggest against its unblocked reference (five
+# spaces, K = 1..24, clouds off the block width, all three acquisitions),
+# the row-by-row Cholesky factor against the dense textbook
+# factorization, and the incremental GP fit against a from-scratch fit
+# through the jitter ladder, all compared by to_bits.
+echo "==> bayesopt unit suite at 4096 cases"
+SIMCORE_CHECK_CASES=4096 cargo test --release --offline -q -p bayesopt --lib
 
 # Shared-medium depth: the medium property (flow churn, mobility ticks,
 # handovers) at 4,096 cases. check_invariants runs at every mutation: it
