@@ -170,6 +170,7 @@ impl GaussianProcess {
         self.y_scale = var.sqrt().max(1e-9);
 
         let mut row = Vec::with_capacity(n);
+        self.chol.reserve(n);
         while self.chol.dim() < n {
             // Row i of the Gram matrix at the factor's rung: the kernel
             // over row i of the cached distances, plus noise and jitter on

@@ -82,6 +82,13 @@ impl Cholesky {
         Ok(())
     }
 
+    /// Reserves room for the factor to reach dimension `n`, so the extends
+    /// up to it do not reallocate.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        self.data
+            .reserve(row_start(n).saturating_sub(self.data.len()));
+    }
+
     /// Dimension of the factored matrix.
     pub(crate) fn dim(&self) -> usize {
         self.n

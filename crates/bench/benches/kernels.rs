@@ -168,6 +168,10 @@ fn bench_substrates(h: &mut Harness) {
     // seeded uniform delay in [0, 2 ms), about 512k pop/schedule pairs per
     // simulated second. No handler work, so this row is the DES dispatch
     // layer (`Simulator::run_until` over `EventQueue`) and nothing else.
+    // Delays under 2^21 ns keep nearly every entry on the queue's levels
+    // 0-3 (bits 0-23 of its 6-bit digits), so an entry is relinked at
+    // most three times before it pops, unless the base sits just below a
+    // higher digit boundary.
     h.bench_sim(
         "des_hold_512",
         1.0,

@@ -6,9 +6,10 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulated time with
 //!   total ordering (no floating-point heap keys).
-//! * [`EventQueue`] — the deterministic future-event list, a radix heap
-//!   over one slab keyed on nanoseconds: ties in time are broken by
-//!   insertion sequence, so replays are bit-identical.
+//! * [`EventQueue`] — the deterministic future-event list, a multi-level
+//!   radix heap (11 levels of 64-way digits) over one slab keyed on
+//!   nanoseconds: ties in time are broken by insertion sequence, so
+//!   replays are bit-identical.
 //! * [`Simulator`] — a thin driver that pops events and hands them to a
 //!   user-supplied handler together with a scheduling context.
 //! * [`rand`] — an in-tree deterministic PRNG (xoshiro256++) with the

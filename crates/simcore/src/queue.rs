@@ -1,30 +1,41 @@
 //! Deterministic future-event list and simulation driver.
 //!
-//! [`EventQueue`] is a radix heap keyed on `SimTime` nanoseconds that
-//! pops in exactly `(time, seq)` order — same-time events fire in
-//! insertion order — so a simulation's event stream, and therefore every
-//! RNG draw and published figure, is a pure function of its inputs.
-//! `tests/differential.rs` checks it in lockstep against a sorted-`Vec`
-//! reference model.
+//! [`EventQueue`] is a multi-level radix heap keyed on `SimTime`
+//! nanoseconds that pops in exactly `(time, seq)` order — same-time
+//! events fire in insertion order — so a simulation's event stream, and
+//! therefore every RNG draw and published figure, is a pure function of
+//! its inputs. `tests/differential.rs` checks it in lockstep against a
+//! sorted-`Vec` reference model.
 //!
 //! # Layout
 //!
 //! Every entry lives in one slab of nodes (time, seq, next index, event)
 //! with a free list, so a queue allocates only when its pending count
 //! reaches a new peak. The nodes are threaded into FIFO index lists: a
-//! front list holding the entries at exactly the base time, and 64
-//! buckets where bucket `b` holds the entries whose time first differs
-//! from the base in bit `b`. A `u64` mask marks the non-empty buckets.
+//! front list holding the entries at exactly the base time, and a table
+//! of 11 levels × 64 lists. A time is read as 6-bit digits, low digit
+//! first (the top level is 4 bits wide); an entry goes to list
+//! `[level][digit]`, where `level` is its highest digit that differs from
+//! the base's and `digit` is its own value there. One `u64` mask per
+//! level marks its non-empty lists, and one word marks the non-empty
+//! levels; a list whose bit is clear is empty whatever it holds, so
+//! emptying the table is clearing the masks. The table is built a level
+//! at a time as entries first reach it, so a new queue allocates nothing.
+//! This is the radix heap of Ahuja, Mehlhorn, Orlin and Tarjan (1990)
+//! with 64-way digits.
 //!
 //! The base is the last popped time (zero at first). A pop takes the
 //! front list's head. When the front is empty, the lowest non-empty
-//! bucket holds the earliest entries, and its minimum, kept up to date as
-//! entries are linked, becomes the base. A lone entry there pops at once;
-//! otherwise the bucket is relinked around the new base, and its entries
-//! all land in the front or in lower buckets. Those lists are empty at
-//! that point, and a new entry always carries the largest `seq`, so every
-//! list stays in `seq` order and ties pop FIFO. An entry moves down at
-//! most 64 times, so a pop is amortized `O(1)` in the pending count.
+//! `[level][digit]` list holds the earliest entries, and its minimum,
+//! kept up to date as entries are linked, becomes the base. A level-0
+//! list, whose entries all share one time, or a list of one entry becomes
+//! the front whole. Any other list is relinked around the new base, and
+//! its entries all land in the front or on lower levels. Those lists are
+//! empty at that point, and a new entry always carries the largest `seq`,
+//! so every list stays in `seq` order and ties pop FIFO. The other lists
+//! of the relinked level still match their digit under the new base and
+//! stay put. An entry moves down at most 10 times, so a pop is amortized
+//! `O(1)` in the pending count.
 //!
 //! A schedule at or after the base (everything a [`Simulator`]
 //! schedules, since nothing goes before `now`) is a list append.
@@ -40,20 +51,31 @@ use crate::time::SimTime;
 /// End of an index list; also the empty free list.
 const NIL: u32 = u32::MAX;
 
+/// Width of one radix digit, in bits.
+const DIGIT_BITS: u32 = 6;
+/// Lists per level, one per digit value.
+const DIGITS: usize = 1 << DIGIT_BITS;
+/// Digits in a 64-bit time; the top one is `64 % DIGIT_BITS` bits wide.
+const LEVELS: usize = 64usize.div_ceil(DIGIT_BITS as usize);
+
 /// A slab slot. `event` is `None` on the free list and in a tombstone.
 struct Node<E> {
     time: SimTime,
     seq: u64,
     next: u32,
     event: Option<E>,
+    /// Times this entry was relinked since it was scheduled.
+    #[cfg(test)]
+    relinks: u32,
 }
 
-/// A FIFO list of slab indices threaded through [`Node::next`].
+/// A FIFO list of slab indices threaded through [`Node::next`]. A table
+/// list's fields mean something only while its mask bit is set.
 #[derive(Clone, Copy)]
 struct List {
     head: u32,
     tail: u32,
-    /// The earliest time in a bucket, kept as entries are linked, so
+    /// The earliest time in a table list, kept as entries are linked, so
     /// finding the next base needs no scan. Unused on the front list,
     /// whose entries all sit at the base.
     min: SimTime,
@@ -99,8 +121,14 @@ pub struct EventQueue<E> {
     nodes: Vec<Node<E>>,
     free: u32,
     front: List,
-    buckets: [List; 64],
-    mask: u64,
+    /// List `[level][digit]`, grown a level at a time on first use: a
+    /// queue costs nothing to build, and one whose times stay close
+    /// together never builds its upper levels.
+    lists: Vec<[List; DIGITS]>,
+    /// Bit `d` of `masks[l]` marks list `[l][d]` non-empty.
+    masks: [u64; LEVELS],
+    /// Bit `l` marks `masks[l]` non-zero.
+    levels: u64,
     base: SimTime,
     len: usize,
     next_seq: u64,
@@ -129,8 +157,9 @@ impl<E> EventQueue<E> {
             nodes: Vec::new(),
             free: NIL,
             front: EMPTY,
-            buckets: [EMPTY; 64],
-            mask: 0,
+            lists: Vec::new(),
+            masks: [0; LEVELS],
+            levels: 0,
             base: SimTime::ZERO,
             len: 0,
             next_seq: 0,
@@ -148,6 +177,8 @@ impl<E> EventQueue<E> {
             seq,
             next: NIL,
             event: Some(event),
+            #[cfg(test)]
+            relinks: 0,
         };
         self.next_seq += 1;
         let idx = match self.free {
@@ -205,49 +236,43 @@ impl<E> EventQueue<E> {
     /// to times it pops, so it never passes a simulator's clock.
     fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, u64, E)> {
         loop {
-            let idx = if self.front.head != NIL {
-                if self.base > deadline {
+            if self.front.head == NIL {
+                if self.levels == 0 {
                     return None;
                 }
-                self.take_front()
-            } else {
-                if self.mask == 0 {
+                let level = self.levels.trailing_zeros() as usize;
+                let digit = self.masks[level].trailing_zeros() as usize;
+                let list = self.lists[level][digit];
+                if list.min > deadline {
                     return None;
                 }
-                let b = self.mask.trailing_zeros() as usize;
-                let bucket = self.buckets[b];
-                if bucket.min > deadline {
-                    return None;
+                self.masks[level] &= !(1 << digit);
+                if self.masks[level] == 0 {
+                    self.levels &= !(1 << level);
                 }
-                if bucket.head == bucket.tail {
-                    // A lone entry in the lowest bucket is the earliest
-                    // one: take it without relinking.
-                    self.buckets[b] = EMPTY;
-                    self.mask &= !(1 << b);
-                    self.base = bucket.min;
-                    bucket.head
+                self.base = list.min;
+                if level == 0 || list.head == list.tail {
+                    // All at one time, or a lone entry: the earliest
+                    // entries, already in `seq` order.
+                    self.front = list;
                 } else {
-                    self.redistribute(b, bucket.min);
-                    self.take_front()
+                    self.relink(list.head);
                 }
-            };
+            } else if self.base > deadline {
+                return None;
+            }
+            let idx = self.front.head;
             let node = &mut self.nodes[idx as usize];
-            node.next = std::mem::replace(&mut self.free, idx);
+            self.front.head = std::mem::replace(&mut node.next, self.free);
+            if self.front.head == NIL {
+                self.front.tail = NIL;
+            }
+            self.free = idx;
             if let Some(event) = node.event.take() {
                 self.len -= 1;
                 return Some((node.time, node.seq, event));
             }
         }
-    }
-
-    /// Unlinks the front list's head.
-    fn take_front(&mut self) -> u32 {
-        let idx = self.front.head;
-        self.front.head = self.nodes[idx as usize].next;
-        if self.front.head == NIL {
-            self.front.tail = NIL;
-        }
-        idx
     }
 
     /// Number of pending events; cancelled ones do not count.
@@ -266,9 +291,7 @@ impl<E> EventQueue<E> {
     pub fn clear(&mut self) {
         self.nodes.clear();
         self.free = NIL;
-        self.front = EMPTY;
-        self.buckets = [EMPTY; 64];
-        self.mask = 0;
+        self.empty_lists();
         self.len = 0;
     }
 
@@ -277,32 +300,60 @@ impl<E> EventQueue<E> {
         self.next_seq
     }
 
+    /// Empties the front and every table list, unlinking nothing.
+    fn empty_lists(&mut self) {
+        self.front = EMPTY;
+        self.masks = [0; LEVELS];
+        self.levels = 0;
+    }
+
     /// Appends slot `idx` to the list its time maps to under the base.
     fn link(&mut self, idx: u32) {
         let time = self.nodes[idx as usize].time;
         let diff = time.as_nanos() ^ self.base.as_nanos();
-        let list = if diff == 0 {
-            &mut self.front
+        if diff == 0 {
+            return append(&mut self.nodes, &mut self.front, idx);
+        }
+        let level = ((63 - diff.leading_zeros()) / DIGIT_BITS) as usize;
+        let digit = (time.as_nanos() >> (level as u32 * DIGIT_BITS)) as usize % DIGITS;
+        if level >= self.lists.len() {
+            self.add_levels(level);
+        }
+        let list = &mut self.lists[level][digit];
+        self.nodes[idx as usize].next = NIL;
+        if self.masks[level] & (1 << digit) == 0 {
+            self.masks[level] |= 1 << digit;
+            self.levels |= 1 << level;
+            *list = List {
+                head: idx,
+                tail: idx,
+                min: time,
+            };
         } else {
-            let b = 63 - diff.leading_zeros();
-            self.mask |= 1 << b;
-            let bucket = &mut self.buckets[b as usize];
-            bucket.min = bucket.min.min(time);
-            bucket
-        };
-        append(&mut self.nodes, list, idx);
+            self.nodes[list.tail as usize].next = idx;
+            list.tail = idx;
+            list.min = list.min.min(time);
+        }
     }
 
-    /// Moves the base to `min`, bucket `b`'s earliest time, and relinks
-    /// the bucket in list order. Every entry lands in the front or a
-    /// lower bucket, all of which are empty, so `seq` order survives.
-    fn redistribute(&mut self, b: usize, min: SimTime) {
-        let mut idx = self.buckets[b].head;
-        self.buckets[b] = EMPTY;
-        self.mask &= !(1 << b);
-        self.base = min;
+    /// Builds the table up to `level`, reserving room for every level at
+    /// the first call.
+    #[cold]
+    fn add_levels(&mut self, level: usize) {
+        self.lists.reserve_exact(LEVELS - self.lists.len());
+        self.lists.resize(level + 1, [EMPTY; DIGITS]);
+    }
+
+    /// Relinks the chain from `idx` in list order around a base just set
+    /// to its list's minimum. Every entry lands in the front or a lower
+    /// level, all of which are empty, so `seq` order survives.
+    fn relink(&mut self, mut idx: u32) {
         while idx != NIL {
             let next = self.nodes[idx as usize].next;
+            #[cfg(test)]
+            {
+                self.nodes[idx as usize].relinks += 1;
+            }
             self.link(idx);
             idx = next;
         }
@@ -322,9 +373,7 @@ impl<E> EventQueue<E> {
             }
         }
         live.sort_unstable_by_key(|&i| self.nodes[i as usize].seq);
-        self.front = EMPTY;
-        self.buckets = [EMPTY; 64];
-        self.mask = 0;
+        self.empty_lists();
         self.base = time;
         for idx in live {
             self.link(idx);
@@ -655,6 +704,50 @@ mod tests {
         q.cancel(c);
         let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!['d', 'e']);
+    }
+
+    /// The most relinks any entry has had, popped ones included.
+    fn most_relinks<E>(q: &EventQueue<E>) -> u32 {
+        q.nodes.iter().map(|n| n.relinks).max().unwrap_or(0)
+    }
+
+    /// Each relink moves an entry to a lower level or to the front, and a
+    /// level-0 list goes to the front whole, so no entry is relinked more
+    /// than `LEVELS - 1` times. Checked on a hold pattern whose delays
+    /// spread over the whole key range, most of them far in the future.
+    #[test]
+    fn no_entry_is_relinked_more_than_levels_minus_one_times() {
+        use crate::rand::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut delay = move || rng.gen_range(0..u64::MAX) >> rng.gen_range(0..64u64);
+        let mut q = EventQueue::new();
+        for _ in 0..256 {
+            q.schedule(SimTime::from_nanos(delay()), ());
+        }
+        let mut most = 0;
+        for _ in 0..20_000 {
+            let (now, ()) = q.pop().unwrap();
+            most = most.max(most_relinks(&q));
+            let at = now.as_nanos().saturating_add(delay());
+            q.schedule(SimTime::from_nanos(at), ());
+        }
+        assert!(most < LEVELS as u32, "an entry was relinked {most} times");
+    }
+
+    /// The bound is tight: `u64::MAX` beside the times that clear one of
+    /// its digits shares a list with the next one down at every level, so
+    /// it is relinked at levels 10 through 1.
+    #[test]
+    fn a_digit_staircase_relinks_an_entry_levels_minus_one_times() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::MAX, ());
+        let top_digit = DIGITS as u64 - 1;
+        for level in 0..LEVELS as u32 - 1 {
+            let t = u64::MAX - (top_digit << (DIGIT_BITS * level));
+            q.schedule(SimTime::from_nanos(t), ());
+        }
+        while q.pop().is_some() {}
+        assert_eq!(most_relinks(&q), LEVELS as u32 - 1);
     }
 
     #[test]

@@ -14,6 +14,21 @@ const NANOS_PER_SEC: f64 = 1e9;
 const NANOS_PER_MILLI: f64 = 1e6;
 /// Number of nanoseconds per microsecond.
 const NANOS_PER_MICRO: f64 = 1e3;
+/// 2^52: from here up every `f64` is a whole number.
+const EXACT_INTEGERS: f64 = 4_503_599_627_370_496.0;
+
+/// Rounds a finite, non-negative nanosecond count half away from zero
+/// and saturates at `u64::MAX`: bit-identical to `ns.round() as u64`,
+/// without the software `round` call of a baseline x86-64 build. Below
+/// 2^52 the truncation and the fraction `ns - whole` are both exact.
+fn round_nanos(ns: f64) -> u64 {
+    if ns < EXACT_INTEGERS {
+        let whole = ns as u64;
+        whole + u64::from(ns - whole as f64 >= 0.5)
+    } else {
+        ns as u64
+    }
+}
 
 /// An instant on the simulated clock, in nanoseconds since simulation start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -41,7 +56,7 @@ impl SimTime {
     /// Panics if `secs` is negative or not finite.
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "invalid time: {secs}");
-        SimTime((secs * NANOS_PER_SEC).round() as u64)
+        SimTime(round_nanos(secs * NANOS_PER_SEC))
     }
 
     /// Creates an instant `millis` milliseconds after simulation start.
@@ -54,7 +69,7 @@ impl SimTime {
             millis.is_finite() && millis >= 0.0,
             "invalid time: {millis}"
         );
-        SimTime((millis * NANOS_PER_MILLI).round() as u64)
+        SimTime(round_nanos(millis * NANOS_PER_MILLI))
     }
 
     /// Raw nanoseconds since simulation start.
@@ -94,7 +109,7 @@ impl SimDuration {
     /// Panics if `secs` is negative or not finite.
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "invalid duration: {secs}");
-        SimDuration((secs * NANOS_PER_SEC).round() as u64)
+        SimDuration(round_nanos(secs * NANOS_PER_SEC))
     }
 
     /// Creates a duration of `millis` milliseconds.
@@ -107,7 +122,7 @@ impl SimDuration {
             millis.is_finite() && millis >= 0.0,
             "invalid duration: {millis}"
         );
-        SimDuration((millis * NANOS_PER_MILLI).round() as u64)
+        SimDuration(round_nanos(millis * NANOS_PER_MILLI))
     }
 
     /// Creates a duration of `micros` microseconds.
@@ -120,7 +135,7 @@ impl SimDuration {
             micros.is_finite() && micros >= 0.0,
             "invalid duration: {micros}"
         );
-        SimDuration((micros * NANOS_PER_MICRO).round() as u64)
+        SimDuration(round_nanos(micros * NANOS_PER_MICRO))
     }
 
     /// Raw nanoseconds.
@@ -205,6 +220,8 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check;
+    use crate::prop_assert_eq;
 
     #[test]
     fn conversion_round_trips() {
@@ -242,6 +259,89 @@ mod tests {
     #[should_panic]
     fn negative_duration_panics() {
         let _ = SimDuration::from_secs_f64(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid time: -0.5")]
+    fn negative_time_panics_with_its_value() {
+        let _ = SimTime::from_millis_f64(-0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid time: NaN")]
+    fn nan_time_panics_with_its_value() {
+        let _ = SimTime::from_secs_f64(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid duration: NaN")]
+    fn nan_duration_panics_with_its_value() {
+        let _ = SimDuration::from_micros_f64(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid duration: -inf")]
+    fn infinite_duration_panics_with_its_value() {
+        let _ = SimDuration::from_millis_f64(f64::NEG_INFINITY);
+    }
+
+    /// `round_nanos` against `f64::round` by value, on the inputs where a
+    /// shortcut rounding would go wrong.
+    #[test]
+    fn round_nanos_is_round_on_edge_cases() {
+        let two52 = EXACT_INTEGERS;
+        let two64: f64 = 18_446_744_073_709_551_616.0;
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            two52 - 0.5,
+            two52 - 1.5,
+            two52.next_down(),
+            two52,
+            two52.next_up(),
+            two64.next_down(),
+            two64,
+            two64.next_up(),
+            1e20,
+            f64::MAX,
+        ];
+        // Exact halves and their neighbours at every scale up to 2^52.
+        for k in 0..52 {
+            let half = (1u64 << k) as f64 + 0.5;
+            inputs.extend([half, half.next_down(), half.next_up()]);
+        }
+        for ns in inputs {
+            assert_eq!(round_nanos(ns), ns.round() as u64, "at {ns:e}");
+        }
+    }
+
+    /// `round_nanos` against `f64::round` by value, over every finite
+    /// non-negative double (uniform in the bit pattern, so across the
+    /// whole exponent range), over values below 2^53 with a random
+    /// fraction, and over exact halves below 2^52 and their neighbours.
+    #[test]
+    fn round_nanos_is_round_everywhere() {
+        let cases = (
+            check::u64s(0..),
+            check::u64s(0..1 << 53),
+            check::u64s(0..53),
+        );
+        check::check("round_nanos_is_round", cases, |&(bits, whole, shift)| {
+            let any = f64::from_bits(bits & (u64::MAX >> 1));
+            let any = if any.is_finite() { any } else { f64::MAX };
+            let scaled = whole as f64 / (1u64 << shift) as f64;
+            let half = (whole >> 1) as f64 + 0.5;
+            for ns in [any, scaled, half, half.next_down(), half.next_up()] {
+                prop_assert_eq!(round_nanos(ns), ns.round() as u64, "at {ns:e}");
+            }
+            Ok(())
+        });
     }
 
     #[test]

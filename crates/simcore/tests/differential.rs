@@ -305,7 +305,7 @@ fn clear_then_earlier_schedule_matches_model() {
     q.drain().unwrap();
 }
 
-/// Times at and next to `SimTime::MAX` use the top bucket; the key must
+/// Times at and next to `SimTime::MAX` use the top level; the key must
 /// not overflow and ties there stay FIFO.
 #[test]
 fn times_near_max_match_model() {
@@ -331,6 +331,140 @@ fn times_near_max_match_model() {
     q.drain().unwrap();
 }
 
+/// Times either side of every digit boundary (bits 5/6, 11/12, …,
+/// 59/60), scheduled from base 0 and again around each popped time, so
+/// entries land one digit apart on adjacent levels.
+#[test]
+fn times_across_digit_boundaries_match_model() {
+    let mut q = Lockstep::default();
+    for bit in (6..64).step_by(6) {
+        let edge = 1u64 << bit;
+        for t in [
+            edge - 1,
+            edge,
+            edge + 1,
+            edge - 1,
+            edge | edge >> 1,
+            (edge << 1) - 1,
+        ] {
+            q.schedule(t);
+        }
+    }
+    for _ in 0..24 {
+        let Some((t, _, _)) = q.pop().unwrap() else {
+            break;
+        };
+        for bit in (6..64).step_by(6) {
+            // The last time before the next multiple of 2^bit, and the
+            // first one after it.
+            let below = t.as_nanos() | ((1 << bit) - 1);
+            q.schedule(below);
+            q.schedule(below.saturating_add(1));
+        }
+    }
+    q.agree().unwrap();
+    q.drain().unwrap();
+}
+
+/// The top level is 4 bits wide: every one of its 16 digits in use, a
+/// base inside it, and ties at `SimTime::MAX` FIFO.
+#[test]
+fn the_four_bit_top_level_matches_model() {
+    let mut q = Lockstep::default();
+    for d in (0..16u64).rev() {
+        q.schedule(d << 60 | d);
+        q.schedule(u64::MAX);
+        q.schedule((d << 60).saturating_sub(1));
+    }
+    for _ in 0..20 {
+        q.pop().unwrap();
+    }
+    for t in [u64::MAX, 15 << 60, (15 << 60) + 1, u64::MAX - 1, u64::MAX] {
+        q.schedule(t);
+    }
+    q.agree().unwrap();
+    q.drain().unwrap();
+}
+
+/// A level-0 list holds entries of one time and moves to the front
+/// whole; entries scheduled at that time after the move join it FIFO.
+#[test]
+fn a_level_zero_list_moves_to_the_front_whole() {
+    let mut q = Lockstep::default();
+    q.schedule(64);
+    q.pop().unwrap();
+    // Base 64: 70 is list [0][6], 65 list [0][1].
+    for t in [70, 70, 65, 70, 70, 71] {
+        q.schedule(t);
+    }
+    assert_eq!(q.pop().unwrap().map(|(t, ..)| t.as_nanos()), Some(65));
+    assert_eq!(q.pop().unwrap().map(|(_, seq, _)| seq), Some(1));
+    q.schedule(70);
+    q.schedule(71);
+    q.agree().unwrap();
+    q.drain().unwrap();
+}
+
+/// Cancels inside a multi-entry level-0 list, before and after it moves
+/// to the front.
+#[test]
+fn cancels_inside_a_level_zero_list_match_model() {
+    let mut q = Lockstep::default();
+    q.schedule(64);
+    q.pop().unwrap();
+    for _ in 0..5 {
+        q.schedule(70);
+    }
+    q.schedule(100);
+    q.cancel(2);
+    q.cancel(1);
+    assert_eq!(q.pop().unwrap().map(|(_, seq, _)| seq), Some(3));
+    q.cancel(5);
+    q.cancel(4);
+    q.agree().unwrap();
+    assert_eq!(q.pop().unwrap().map(|(_, seq, _)| seq), Some(6));
+    q.drain().unwrap();
+}
+
+/// A tombstone that is the lone entry of the lowest list, on level 0 and
+/// on a higher level: the pop frees it and goes on to the next list.
+#[test]
+fn a_lone_tombstone_in_the_lowest_list_matches_model() {
+    let mut q = Lockstep::default();
+    for t in [10, 1_000, 70_000, 70_001] {
+        q.schedule(t);
+    }
+    q.cancel(0);
+    q.cancel(1);
+    q.agree().unwrap();
+    assert_eq!(q.pop().unwrap().map(|(_, seq, _)| seq), Some(2));
+    q.schedule(70_001);
+    q.schedule(1 << 30);
+    q.cancel(5);
+    q.drain().unwrap();
+}
+
+/// Same-time bursts at two times one level apart: on two digits of that
+/// level, and on two level-0 digits of one list that a relink splits.
+#[test]
+fn same_time_bursts_on_two_digits_of_a_level_match_model() {
+    for (a, b) in [(3 * 64 + 5, 5 * 64 + 5), (3 * 64 + 9, 3 * 64 + 5)] {
+        let mut q = Lockstep::default();
+        for i in 0..40 {
+            q.schedule(if i % 3 == 0 { a } else { b });
+        }
+        for _ in 0..10 {
+            let (t, seq, _) = q.pop().unwrap().unwrap();
+            q.schedule(t.as_nanos());
+            if seq % 2 == 0 {
+                q.schedule(a.max(b));
+            }
+        }
+        q.agree().unwrap();
+        q.drain().unwrap();
+    }
+}
+
 /// Cancelling the front list's head: the next same-time entry pops.
 #[test]
 fn cancel_of_the_front_head_matches_model() {
@@ -345,13 +479,14 @@ fn cancel_of_the_front_head_matches_model() {
     q.drain().unwrap();
 }
 
-/// Cancelling the entry whose time is the lowest bucket's minimum: the
+/// Cancelling the entry whose time is the lowest list's minimum: the
 /// minimum goes stale, and the relink around it frees the tombstone.
 #[test]
 fn cancel_of_the_lowest_bucket_minimum_matches_model() {
     let mut q = Lockstep::default();
-    // 20 and 30 share bucket 4 (minimum 20); 1000 sits in bucket 9.
-    for t in [20, 30, 1_000] {
+    // From base 0, 100 and 120 share list [1][1] (minimum 100); 1000
+    // sits in list [1][15].
+    for t in [100, 120, 1_000] {
         q.schedule(t);
     }
     q.cancel(0);
@@ -360,7 +495,7 @@ fn cancel_of_the_lowest_bucket_minimum_matches_model() {
     q.drain().unwrap();
 }
 
-/// Cancelling the lone entry of the lowest bucket.
+/// Cancelling the lone entry of the lowest list.
 #[test]
 fn cancel_of_a_lone_bucket_entry_matches_model() {
     let mut q = Lockstep::default();

@@ -45,6 +45,13 @@ cargo test -q --workspace --offline
 echo "==> simcore differential suite at 4096 cases"
 SIMCORE_CHECK_CASES=4096 cargo test --release --offline -q -p simcore --test differential
 
+# simcore unit depth: the crate's unit suite at 4,096 cases per property,
+# which covers the float-to-nanosecond rounding against `f64::round` by
+# value (random doubles over the whole exponent range, values below 2^53
+# with random fractions and exact halves) and the queue's relink bound.
+echo "==> simcore unit suite at 4096 cases"
+SIMCORE_CHECK_CASES=4096 cargo test --release --offline -q -p simcore --lib
+
 # BO depth: the whole bayesopt unit suite at 4,096 cases per property
 # (about 3 s of test time once built). It covers the blocked candidate
 # scan of BoOptimizer::suggest against its unblocked reference (five
@@ -265,6 +272,13 @@ done
 # `correct`.
 echo "==> bench_ab: HEAD vs working tree, fleet_private, 1 pair x 1 s"
 scripts/bench_ab.sh HEAD fleet_private 1 1
+
+# Kernel A/B: one round of the event-list row through the kernels mode of
+# the same script (worktree build of REV's kernels bench, alternated
+# runs, per-row summary), so that mode cannot rot either. It fails if the
+# filter matches no row.
+echo "==> bench_ab --kernels: HEAD vs working tree, des_hold_512, 1 round"
+scripts/bench_ab.sh HEAD --kernels des_hold_512 1 --samples 3 --warmup 1
 
 echo "==> tracked files: unchanged by this run"
 tracked_after="$(tracked_state)"
